@@ -11,6 +11,7 @@
 // state (the suite's warmup pass gets them there); the harness measures
 // that via the interposed allocation counter rather than trusting the
 // code to be allocation-free by inspection.
+#include <chrono>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -383,6 +384,62 @@ int main(int argc, char** argv) {
     if (util::CpuFeatures::detect().avx2)
       suite.run_case("lane_flags_avx2", 20000,
                      sweep(classify::detail::lane_flags_avx2));
+  }
+
+  // Shard merge: two dissectors of ~289K IPs each, an eighth of them
+  // shared, each table at load ~0.55 (a 1/1024 week's working set, not
+  // cache-resident). Only the merge is timed; every iteration folds fresh
+  // copies. The union outgrows the destination's capacity mid-fold, and
+  // folding in slot order without reserving the union bound first then
+  // clusters quadratically (DESIGN.md §7): ~12 us/item instead of
+  // ~0.25 us, so a return of that trips the bench_diff gate.
+  {
+    constexpr std::uint32_t kMergeIps = 289'000;
+    const auto fill = [&](std::uint32_t first) {
+      classify::TrafficDissector d;
+      std::uint32_t next = first;
+      const auto addr = [](std::uint32_t i) {
+        return net::Ipv4Addr{i * 0x9e3779b1u};  // odd multiplier: distinct
+      };
+      for (std::size_t i = 0; next < first + kMergeIps; ++i) {
+        classify::PeeringSample sample = peering[i % peering.size()];
+        sample.frame.ip->src = addr(next++);
+        sample.frame.ip->dst = addr(next++);
+        d.ingest(sample);
+      }
+      return d;
+    };
+    const classify::TrafficDissector left = fill(0);
+    const classify::TrafficDissector right = fill(kMergeIps * 7 / 8);
+    const std::uint64_t iters = args.iters > 0 ? args.iters : 8;
+    bench::BenchResult result;
+    result.name = "shard_merge";
+    result.iters = iters;
+    result.threads = args.threads;
+    for (int pass = 0; pass < (iters > 1 ? 3 : 1); ++pass) {
+      double seconds = 0.0;
+      std::uint64_t allocs = 0;
+      std::uint64_t items = 0;
+      for (std::uint64_t it = 0; it < iters; ++it) {
+        classify::TrafficDissector into = left;
+        classify::TrafficDissector from = right;
+        items += from.activity().size();
+        const std::uint64_t allocs_before = bench::alloc_count();
+        const auto t0 = std::chrono::steady_clock::now();
+        into.merge(std::move(from));
+        seconds += std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+        allocs += bench::alloc_count() - allocs_before;
+        bench::keep(into.activity().size());
+      }
+      if (pass == 0 || seconds < result.seconds) {
+        result.seconds = seconds;
+        result.items = items;
+        result.allocs = allocs;
+      }
+    }
+    suite.add(std::move(result));
   }
 
   // Pre-optimization baseline replica (see above).

@@ -220,6 +220,19 @@ void TrafficDissector::confirm_https(net::Ipv4Addr addr) {
 }
 
 void TrafficDissector::merge(TrafficDissector&& other) {
+  // An empty destination (the session shard, a fresh fold) takes the
+  // other's tables whole; other is left holding the empty ones.
+  if (activity_.empty() && hosts_.empty() && total_bytes_ == 0) {
+    std::swap(activity_, other.activity_);
+    std::swap(hosts_, other.hosts_);
+    std::swap(total_bytes_, other.total_bytes_);
+    return;
+  }
+  // Otherwise fold in other's slot order, which is sorted by home slot:
+  // the union bound up front keeps those runs from clustering (see
+  // flat_hash_map.hpp).
+  activity_.reserve(activity_.size() + other.activity_.size());
+  hosts_.reserve(hosts_.size() + other.hosts_.size());
   for (const auto& [addr, info] : other.activity_) {
     IpActivity& mine = activity_[addr];
     mine.samples += info.samples;

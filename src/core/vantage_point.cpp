@@ -8,6 +8,89 @@
 
 namespace ixp::core {
 
+namespace {
+
+/// What the aggregation reads of one peering IP, extracted in one
+/// sequential pass over the activity table.
+struct IpRow {
+  net::Ipv4Addr addr;
+  std::uint8_t flags = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// Sorts rows by address: LSD radix, three counting-scatter passes of 11,
+/// 11 and 10 bits. Linear in the row count, where a comparison sort of a
+/// bench-scale week (~921K rows) spends ~n log n compares.
+void sort_by_addr(std::vector<IpRow>& rows) {
+  std::vector<IpRow> scratch(rows.size());
+  for (const int shift : {0, 11, 22}) {
+    std::size_t offset[2049] = {};
+    for (const IpRow& row : rows) ++offset[((row.addr.value() >> shift) & 0x7ff) + 1];
+    for (std::size_t d = 1; d < 2049; ++d) offset[d] += offset[d - 1];
+    for (const IpRow& row : rows)
+      scratch[offset[(row.addr.value() >> shift) & 0x7ff]++] = row;
+    rows.swap(scratch);
+  }
+}
+
+/// Exact integer tallies of a set of IPs. The report's byte fields are
+/// doubles; they are converted from these sums once, at the end.
+struct Sums {
+  std::uint64_t ips = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t server_ips = 0;
+  std::uint64_t server_bytes = 0;
+
+  void add(std::uint64_t ip_bytes, bool server) noexcept {
+    ips += 1;
+    bytes += ip_bytes;
+    if (!server) return;
+    server_ips += 1;
+    server_bytes += ip_bytes;
+  }
+  Sums& operator+=(const Sums& o) noexcept {
+    ips += o.ips;
+    bytes += o.bytes;
+    server_ips += o.server_ips;
+    server_bytes += o.server_bytes;
+    return *this;
+  }
+};
+
+/// Sums per key, iterated in first-seen order: the report's maps are
+/// then filled in the order a per-IP pass inserts them, and code that
+/// iterates them (ranking ties in exp_tab2) sees the same sequence.
+template <class K>
+class KeyedSums {
+ public:
+  Sums& operator[](K key) {
+    const auto [it, fresh] =
+        index_.try_emplace(key, static_cast<std::uint32_t>(entries_.size()));
+    if (fresh) entries_.emplace_back(key, Sums{});
+    return entries_[it->second].second;
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] auto begin() const noexcept { return entries_.begin(); }
+  [[nodiscard]] auto end() const noexcept { return entries_.end(); }
+
+ private:
+  util::FlatHashMap<K, std::uint32_t> index_;
+  std::vector<std::pair<K, Sums>> entries_;
+};
+
+/// One route run's prefix, its origin's locality, and whether the run
+/// held a web server.
+struct PrefixSighting {
+  net::Ipv4Prefix prefix;
+  int locality = 0;
+  bool served = false;
+
+  friend auto operator<=>(const PrefixSighting&,
+                          const PrefixSighting&) = default;
+};
+
+}  // namespace
+
 WeekSession::WeekSession(VantagePoint& vp, int week)
     : vp_(&vp), week_(week), shard_(*vp.ixp_, week) {}
 
@@ -71,22 +154,19 @@ WeeklyReport VantagePoint::finish_week(WeekShard&& shard,
     }
   };
 
-  std::unordered_set<net::Ipv4Prefix> peering_prefixes;
-  std::unordered_set<net::Asn> peering_ases;
-  std::unordered_set<geo::CountryCode> peering_countries;
-  std::unordered_set<net::Ipv4Prefix> server_prefixes;
-  std::unordered_set<net::Asn> server_ases;
-  std::unordered_set<geo::CountryCode> server_countries;
-
   // Canonical iteration order: sorted by address. Hash-map iteration order
   // depends on insertion history, which differs between shard splits; the
-  // sort (plus exact integer byte tallies upstream) is what makes the
-  // report — including its floating-point aggregates — bit-identical for
-  // any thread count.
-  std::vector<net::Ipv4Addr> addrs;
-  addrs.reserve(dissector.activity().size());
-  for (const auto& [addr, info] : dissector.activity()) addrs.push_back(addr);
-  std::sort(addrs.begin(), addrs.end());
+  // sort (plus exact integer tallies) is what makes the report — including
+  // its floating-point aggregates — bit-identical for any thread count.
+  // One sequential pass extracts what the tallies read, so the loop below
+  // never probes the activity table.
+  std::vector<IpRow> rows;
+  rows.reserve(dissector.activity().size());
+  for (const auto& [addr, info] : dissector.activity())
+    rows.push_back({addr, info.flags, info.bytes});
+  sort_by_addr(rows);
+  std::vector<net::Ipv4Addr> addrs(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) addrs[i] = rows[i].addr;
 
   // Attribute every address in one batched LPM pass per table: the flat
   // tables prefetch their own arrays a window ahead, and the loop below
@@ -96,67 +176,129 @@ WeeklyReport VantagePoint::finish_week(WeekShard&& shard,
   routing_->routes_of(addrs, routes);
   geo_->countries_of(addrs, countries);
 
+  // Sorted addresses come in runs sharing one route (and one country
+  // range), so tallies are summed per run and folded into the per-key
+  // tallies when the run ends. A route can recur in a later run when a
+  // more-specific prefix interrupts it; the keyed sums and the prefix
+  // sort-unique below absorb that.
+  KeyedSums<net::Asn> as_sums;
+  KeyedSums<geo::CountryCode> country_sums;
+  Sums locality_sums[3];
+  std::vector<PrefixSighting> prefixes;
+  Sums route_run;
+  Sums country_run;
+  const auto end_route_run = [&](const net::Route* route) {
+    if (route != nullptr) {
+      const int li = locality_index(route->origin);
+      locality_sums[li] += route_run;
+      as_sums[route->origin] += route_run;
+      prefixes.push_back({route->prefix, li, route_run.server_ips > 0});
+    }
+    route_run = Sums{};
+  };
+  const auto end_country_run = [&](const geo::CountryCode* country) {
+    if (country != nullptr) country_sums[*country] += country_run;
+    country_run = Sums{};
+  };
+
   // Host headers per server, collected during aggregation and borrowed by
   // the metadata items below (parallel to report.servers).
   std::vector<std::vector<std::string>> server_hosts;
 
-  for (std::size_t i = 0; i < addrs.size(); ++i) {
-    const net::Ipv4Addr addr = addrs[i];
-    const classify::IpActivity& info = dissector.activity().at(addr);
-    ++report.peering_ips;
-    const net::Route* route = routes[i];
-    const geo::CountryCode* country = countries[i];
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i > 0 && routes[i] != routes[i - 1]) end_route_run(routes[i - 1]);
+    if (i > 0 && countries[i] != countries[i - 1])
+      end_country_run(countries[i - 1]);
+    const IpRow& row = rows[i];
+    const classify::IpActivity info{0, row.bytes, row.flags};
     const bool server = info.web_server();
-    const double info_bytes = static_cast<double>(info.bytes);
-
-    if (route) {
-      peering_prefixes.insert(route->prefix);
-      peering_ases.insert(route->origin);
-      const int li = locality_index(route->origin);
-      report.peering_locality[li].ips += 1;
-      report.peering_locality[li].prefixes.insert(route->prefix);
-      report.peering_locality[li].ases.insert(route->origin);
-      report.peering_locality[li].bytes += info_bytes;
-      AsTally& as_tally = report.by_as[route->origin];
-      as_tally.ips += 1;
-      as_tally.bytes += info_bytes;
-      if (server) {
-        as_tally.server_ips += 1;
-        as_tally.server_bytes += info_bytes;
-        server_prefixes.insert(route->prefix);
-        server_ases.insert(route->origin);
-        report.server_locality[li].ips += 1;
-        report.server_locality[li].prefixes.insert(route->prefix);
-        report.server_locality[li].ases.insert(route->origin);
-        report.server_locality[li].bytes += info_bytes;
-      }
-    }
-    if (country) {
-      peering_countries.insert(*country);
-      CountryTally& tally = report.by_country[*country];
-      tally.ips += 1;
-      tally.bytes += info_bytes;
-      if (server) {
-        tally.server_ips += 1;
-        tally.server_bytes += info_bytes;
-        server_countries.insert(*country);
-      }
-    }
-
+    route_run.add(row.bytes, server);
+    country_run.add(row.bytes, server);
     if (!server) continue;
-    ++report.server_ips;
+
     ServerObservation obs;
-    obs.addr = addr;
-    obs.bytes = info_bytes;
+    obs.addr = row.addr;
+    obs.bytes = static_cast<double>(row.bytes);
     obs.http = info.http_server();
     obs.https = info.https_server();
     obs.rtmp = (info.flags & classify::kSeenRtmp1935) != 0;
     obs.also_client = info.client();
-    if (route) obs.asn = route->origin;
-    if (country) obs.country = *country;
+    if (routes[i]) obs.asn = routes[i]->origin;
+    if (countries[i]) obs.country = *countries[i];
 
-    server_hosts.push_back(dissector.hosts_of(addr));
+    server_hosts.push_back(dissector.hosts_of(row.addr));
     report.servers.push_back(std::move(obs));
+  }
+  if (!rows.empty()) {
+    end_route_run(routes.back());
+    end_country_run(countries.back());
+  }
+  report.peering_ips = rows.size();
+  report.server_ips = report.servers.size();
+
+  // The report's doubles, converted once from the exact sums.
+  for (const auto& [asn, sums] : as_sums) {
+    report.by_as.try_emplace(
+        asn, AsTally{sums.ips, static_cast<double>(sums.bytes), sums.server_ips,
+                     static_cast<double>(sums.server_bytes)});
+    const int li = locality_index(asn);
+    report.peering_locality[li].ases.insert(asn);
+    if (sums.server_ips == 0) continue;
+    report.server_locality[li].ases.insert(asn);
+    ++report.server_ases;
+  }
+  report.peering_ases = as_sums.size();
+  for (const auto& [code, sums] : country_sums) {
+    report.by_country.try_emplace(
+        code, CountryTally{sums.ips, static_cast<double>(sums.bytes),
+                           sums.server_ips,
+                           static_cast<double>(sums.server_bytes)});
+    if (sums.server_ips > 0) ++report.server_countries;
+  }
+  report.peering_countries = country_sums.size();
+  for (int li = 0; li < 3; ++li) {
+    report.peering_locality[li].ips = locality_sums[li].ips;
+    report.peering_locality[li].bytes =
+        static_cast<double>(locality_sums[li].bytes);
+    report.server_locality[li].ips = locality_sums[li].server_ips;
+    report.server_locality[li].bytes =
+        static_cast<double>(locality_sums[li].server_bytes);
+  }
+
+  // Prefixes: sort-unique over every run's sighting (a distinct (prefix,
+  // locality) keeps the last of its sightings, which sorts served ones
+  // last), then each LocalityTally set is sized once and filled once.
+  std::sort(prefixes.begin(), prefixes.end());
+  std::size_t distinct = 0;
+  for (const PrefixSighting& sighting : prefixes) {
+    if (distinct == 0 || prefixes[distinct - 1].prefix != sighting.prefix ||
+        prefixes[distinct - 1].locality != sighting.locality)
+      ++distinct;
+    prefixes[distinct - 1] = sighting;
+  }
+  prefixes.resize(distinct);
+  std::size_t peering_count[3] = {};
+  std::size_t server_count[3] = {};
+  for (const PrefixSighting& sighting : prefixes) {
+    ++peering_count[sighting.locality];
+    if (sighting.served) ++server_count[sighting.locality];
+  }
+  for (int li = 0; li < 3; ++li) {
+    report.peering_locality[li].prefixes.reserve(peering_count[li]);
+    report.server_locality[li].prefixes.reserve(server_count[li]);
+  }
+  for (std::size_t i = 0; i < prefixes.size();) {
+    const net::Ipv4Prefix prefix = prefixes[i].prefix;
+    bool served = false;
+    for (; i < prefixes.size() && prefixes[i].prefix == prefix; ++i) {
+      const int li = prefixes[i].locality;
+      report.peering_locality[li].prefixes.insert(prefix);
+      if (!prefixes[i].served) continue;
+      report.server_locality[li].prefixes.insert(prefix);
+      served = true;
+    }
+    ++report.peering_prefixes;
+    if (served) ++report.server_prefixes;
   }
 
   // ---- metadata harvest ----------------------------------------------------
@@ -188,12 +330,6 @@ WeeklyReport VantagePoint::finish_week(WeekShard&& shard,
     report.metadata_coverage.add(obs.metadata);
   }
 
-  report.peering_prefixes = peering_prefixes.size();
-  report.peering_ases = peering_ases.size();
-  report.peering_countries = peering_countries.size();
-  report.server_prefixes = server_prefixes.size();
-  report.server_ases = server_ases.size();
-  report.server_countries = server_countries.size();
   return report;
 }
 

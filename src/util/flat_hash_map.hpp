@@ -22,6 +22,18 @@
 // do for std::unordered_map (DESIGN.md §7). operator== compares contents
 // order-independently, like the standard unordered containers.
 //
+// Folding one FlatHashMap into another must reserve() the union bound
+// first. Iteration walks slots in home-slot order and every map shares
+// the same mix, so a fold delivers its keys sorted by their home in the
+// destination too. While the destination is smaller than the source (an
+// empty one grows from 16), or grows partway through the fold, that
+// sorted stream lands on a region already filled at the source's load.
+// At high source loads (above about 7/16) the region overfills into one
+// long linear-probing run that every later insert walks: quadratic, not
+// a constant factor (a 289K-key fold at load 0.55 took 2.65 s instead
+// of 13 ms). With the capacity reserved up front, the stream sweeps the
+// slot array once at no more than the final load.
+//
 // Requirements on K and V: movable and default-constructible (empty
 // slots hold default-constructed pairs; this keeps the slot storage a
 // plain std::vector with no aligned-union juggling). All hot-path keys

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace ixp::classify {
 namespace {
@@ -199,6 +204,79 @@ TEST(TrafficDissector, CounterSurvivesEveryRehashBoundary) {
     const Ipv4Addr fresh{10, 1, static_cast<std::uint8_t>(i >> 8),
                          static_cast<std::uint8_t>(i & 0xFF)};
     EXPECT_EQ(d.activity().at(fresh).samples, 1u) << i;
+  }
+}
+
+/// `count` distinct addresses starting at stream position `first`: an odd
+/// multiplier is a bijection on 32 bits, so no two positions collide.
+std::vector<Ipv4Addr> distinct_addrs(std::uint32_t first, std::uint32_t count) {
+  std::vector<Ipv4Addr> out;
+  out.reserve(count);
+  for (std::uint32_t i = first; i < first + count; ++i)
+    out.push_back(Ipv4Addr{i * 0x9e3779b1u});
+  return out;
+}
+
+TrafficDissector dissector_of(const std::vector<Ipv4Addr>& addrs) {
+  TrafficDissector d;
+  for (const Ipv4Addr addr : addrs) d.confirm_https(addr);
+  return d;
+}
+
+template <class Fn>
+double best_seconds(int passes, Fn&& fn) {
+  double best = 1e30;
+  for (int pass = 0; pass < passes; ++pass) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    best = std::min(best, std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+  }
+  return best;
+}
+
+// Regression: merge folds the source table in slot order, which is sorted
+// by home slot. Into a destination with less capacity (an empty one grows
+// from its initial reserve), that order wraps onto slots already filled
+// at the source's load and linear probing clusters quadratically: a
+// 289K-entry fold at load 0.55 took seconds instead of milliseconds.
+// Each fold must cost at most 10x inserting the same keys in shuffled
+// order (the clustering made it 100-300x).
+TEST(TrafficDissector, MergeDoesNotClusterOnLoadedSource) {
+  constexpr std::uint32_t kSource = 289'000;
+  const std::vector<Ipv4Addr> source_addrs = distinct_addrs(0, kSource);
+  const TrafficDissector source = dissector_of(source_addrs);
+  ASSERT_GT(source.activity().load_factor(), 0.5f);
+
+  std::vector<Ipv4Addr> shuffled = source_addrs;
+  util::Rng rng{0x5eed};
+  rng.shuffle(std::span<Ipv4Addr>{shuffled});
+  const double insert_s = best_seconds(3, [&] {
+    TrafficDissector d;
+    for (const Ipv4Addr addr : shuffled) d.confirm_https(addr);
+    ASSERT_EQ(d.activity().size(), kSource);
+  });
+
+  const TrafficDissector small = dissector_of(distinct_addrs(kSource, 50'000));
+  const TrafficDissector disjoint = dissector_of(distinct_addrs(2 * kSource, kSource));
+  const struct {
+    const char* name;
+    const TrafficDissector* dest;
+  } folds[] = {{"empty", nullptr}, {"50K", &small}, {"equal-size disjoint", &disjoint}};
+  for (const auto& fold : folds) {
+    SCOPED_TRACE(fold.name);
+    double fold_s = 1e30;
+    for (int pass = 0; pass < 3; ++pass) {
+      TrafficDissector dest = fold.dest ? *fold.dest : TrafficDissector{};
+      TrafficDissector from = source;
+      const std::size_t want = dest.activity().size() + kSource;
+      fold_s = std::min(fold_s, best_seconds(1, [&] { dest.merge(std::move(from)); }));
+      EXPECT_EQ(dest.activity().size(), want);
+      EXPECT_TRUE(from.activity().empty());
+    }
+    EXPECT_LE(fold_s, 10.0 * insert_s)
+        << "fold " << fold_s << " s vs shuffled insert " << insert_s << " s";
   }
 }
 

@@ -15,6 +15,7 @@
 #include "gen/workload.hpp"
 #include "ingest/ingest_source.hpp"
 #include "sflow/trace.hpp"
+#include "store/snapshot_codec.hpp"
 
 namespace ixp::core {
 namespace {
@@ -209,6 +210,56 @@ TEST_F(ParallelEngineTest, PairwiseShardMergeIsAssociative) {
 
   expect_matches_baseline(left_report);
   expect_matches_baseline(right_report);
+}
+
+/// The canonical bytes of a shard's observation state.
+std::vector<std::byte> encoded(const WeekShard& shard) {
+  return store::SnapshotCodec::encode_shard(shard);
+}
+
+TEST_F(ParallelEngineTest, EmptyShardMergesMatchSingleShardState) {
+  // Merging into an empty shard takes the other's tables whole; merging
+  // an empty shard in is a no-op; and the consumed shard, left holding
+  // the empty tables, is reusable. Every step must encode exactly like
+  // one shard that observed the whole stream.
+  auto vp = make_vantage();
+  WeekSession session = vp.open_week(kWeek);
+  WeekShard single = session.make_shard();
+  for (std::size_t i = 0; i < samples_->size(); ++i)
+    single.observe((*samples_)[i], i);
+  const std::vector<std::byte> want = encoded(single);
+  const std::vector<std::byte> empty = encoded(session.make_shard());
+
+  WeekShard full = session.make_shard();
+  for (std::size_t i = 0; i < samples_->size(); ++i)
+    full.observe((*samples_)[i], i);
+  WeekShard into_empty = session.make_shard();
+  into_empty.merge(std::move(full));
+  EXPECT_TRUE(encoded(into_empty) == want);
+  EXPECT_TRUE(encoded(full) == empty);
+
+  WeekShard nothing = session.make_shard();
+  into_empty.merge(std::move(nothing));
+  EXPECT_TRUE(encoded(into_empty) == want);
+  EXPECT_TRUE(encoded(nothing) == empty);
+
+  // Reuse the consumed shard for half of the stream and fold it both
+  // ways: into a non-empty shard, and as the first shard of a session.
+  WeekShard odd = session.make_shard();
+  for (std::size_t i = 0; i < samples_->size(); ++i)
+    (i % 2 == 0 ? full : odd).observe((*samples_)[i], i);
+  WeekShard even_copy = full;
+  odd.merge(std::move(full));
+  EXPECT_TRUE(encoded(odd) == want);
+  EXPECT_TRUE(encoded(full) == empty);
+
+  WeekSession reused = vp.open_week(kWeek);
+  reused.absorb(std::move(even_copy));
+  WeekShard rest = session.make_shard();
+  for (std::size_t i = 1; i < samples_->size(); i += 2)
+    rest.observe((*samples_)[i], i);
+  reused.absorb(std::move(rest));
+  expect_matches_baseline(reused.finish(fetcher()));
 }
 
 TEST_F(ParallelEngineTest, SpanAnalyzerTwoThreadsMatchesBaseline) {
