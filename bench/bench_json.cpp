@@ -9,8 +9,6 @@
 #include <iostream>
 #include <new>
 
-#include "util/cpu_features.hpp"
-
 // ---------------------------------------------------------------------
 // Allocation counting: interpose the global allocation functions. Every
 // bench binary links this translation unit (via the bench harness), so
@@ -132,6 +130,23 @@ std::string json_escape(std::string_view text) {
   return out;
 }
 
+/// The run's CPU identity, e.g. "sse2,sse4.2,avx2" ("none" off x86).
+/// bench_diff compares it to decide whether ns/item is comparable.
+std::string cpu_flags() {
+  std::string flags;
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  const auto append = [&](const char* flag) {
+    if (!flags.empty()) flags += ',';
+    flags += flag;
+  };
+  if (__builtin_cpu_supports("sse2")) append("sse2");
+  if (__builtin_cpu_supports("sse4.2")) append("sse4.2");
+  if (__builtin_cpu_supports("avx2")) append("avx2");
+#endif
+  return flags.empty() ? "none" : flags;
+}
+
 }  // namespace
 
 BenchArgs BenchArgs::parse(int argc, char** argv) {
@@ -162,8 +177,7 @@ BenchArgs BenchArgs::parse(int argc, char** argv) {
 Suite::Suite(std::string name, BenchArgs args)
     : name_(std::move(name)), args_(std::move(args)) {
   std::cout << "suite " << name_ << " (rev " << git_rev() << ", threads "
-            << args_.threads << ", simd "
-            << util::CpuFeatures::name(util::CpuFeatures::active()) << ")\n";
+            << args_.threads << ", cpu " << cpu_flags() << ")\n";
 }
 
 Suite::~Suite() { flush(); }
@@ -221,12 +235,8 @@ void Suite::flush() {
       << "  \"suite\": \"" << json_escape(name_) << "\",\n"
       << "  \"git_rev\": \"" << json_escape(git_rev()) << "\",\n"
       // CPU identity of the run: bench_diff refuses to gate ns/item
-      // across machines (or SIMD tiers) whose stamps differ.
-      << "  \"cpu_flags\": \""
-      << json_escape(util::CpuFeatures::flags_string()) << "\",\n"
-      << "  \"simd_level\": \""
-      << json_escape(util::CpuFeatures::name(util::CpuFeatures::active()))
-      << "\",\n"
+      // across machines whose stamps differ.
+      << "  \"cpu_flags\": \"" << json_escape(cpu_flags()) << "\",\n"
       << "  \"threads\": " << args_.threads << ",\n"
       << "  \"results\": [";
   for (std::size_t i = 0; i < results_.size(); ++i) {

@@ -7,13 +7,15 @@
 //
 //   build/bench/micro_hotpath --json BENCH_hotpath.json
 //
-// The flat case must also show 0 allocs/item once tables reach steady
+// The batched case must also show 0 allocs/item once tables reach steady
 // state (the suite's warmup pass gets them there); the harness measures
 // that via the interposed allocation counter rather than trusting the
 // code to be allocation-free by inspection.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -24,8 +26,9 @@
 #include "classify/dissector.hpp"
 #include "classify/http_matcher.hpp"
 #include "classify/lane_flags.hpp"
-#include "util/cpu_features.hpp"
 #include "classify/peering_filter.hpp"
+#include "core/parallel_analyzer.hpp"
+#include "core/week_shard.hpp"
 #include "fabric/ixp.hpp"
 #include "sflow/frame.hpp"
 #include "sflow/trace.hpp"
@@ -320,25 +323,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Production path: flat tables, string_view dissection, batch ingest
-  // with lookahead prefetch (the shard path). Steady-state expectation
-  // after the warmup pass: 0 allocs/item.
-  {
-    classify::TrafficDissector dissector;
-    suite.run_case(
-        "dissect_observe_flat", 2000,
-        [&](std::uint64_t iters, int) {
-          for (std::uint64_t it = 0; it < iters; ++it)
-            dissector.ingest(std::span<const classify::PeeringSample>{peering});
-          return iters * peering.size();
-        });
-    bench::keep(dissector.summarize());
-  }
-
-  // Structure-of-arrays path: the same survivors staged through a
-  // FrameBatch (fields derived once, at staging time — exactly what
-  // WeekShard::observe_batch does per batch), ingested via the SoA pass.
-  // Steady-state expectation after the warmup pass: 0 allocs/item.
+  // Production path: the survivors staged through a FrameBatch (fields
+  // derived once, at staging time — exactly what WeekShard::observe_batch
+  // does per batch), ingested via the SoA pass on flat tables with
+  // lookahead prefetch. Steady-state expectation after the warmup pass:
+  // 0 allocs/item.
   {
     classify::FrameBatch batch;
     batch.reserve(peering.size());
@@ -353,14 +342,10 @@ int main(int argc, char** argv) {
     bench::keep(dissector.summarize());
   }
 
-  // LaneFlags tier A/B: the evidence-bit kernel swept over the staged
-  // batch arrays with each implementation pinned directly — scalar
-  // branch form, the shipped SSE2 16-wide form, and the 32-wide AVX2
-  // form — so the dispatch decision in DESIGN.md §14.3 stays tied to
-  // measured numbers from this machine. The AVX2 case only runs (and
-  // only lands in the JSON) where the hardware can execute it; the
-  // stamped cpu_flags keep bench_diff from gating unlike machines
-  // against each other.
+  // LaneFlags A/B: the evidence-bit kernel swept over the staged batch
+  // arrays with each implementation pinned directly — the scalar branch
+  // form and, where the target has SSE2, the shipped 16-wide form — so
+  // the tier choice in DESIGN.md §14 stays tied to measured numbers.
   {
     classify::FrameBatch batch;
     batch.reserve(peering.size());
@@ -379,11 +364,10 @@ int main(int argc, char** argv) {
     };
     suite.run_case("lane_flags_scalar", 4000,
                    sweep(classify::LaneFlags::compute_scalar));
+#ifdef __SSE2__
     suite.run_case("lane_flags_sse2", 20000,
                    sweep(classify::detail::lane_flags_sse2));
-    if (util::CpuFeatures::detect().avx2)
-      suite.run_case("lane_flags_avx2", 20000,
-                     sweep(classify::detail::lane_flags_avx2));
+#endif
   }
 
   // Shard merge: two dissectors of ~289K IPs each, an eighth of them
@@ -456,27 +440,27 @@ int main(int argc, char** argv) {
     bench::keep(dissector.unique_ips());
   }
 
-  // End-to-end context: filter + dissect together, as production runs it.
+  // End-to-end context: filter + dissect together, as production runs
+  // it — WeekShard::observe_batch over the engine's default batch size.
   {
-    const classify::PeeringFilter filter{fixture.ixp, kWeek};
-    classify::FilterCounters counters;
-    classify::TrafficDissector dissector;
+    core::WeekShard shard{fixture.ixp, kWeek};
+    const std::span<const sflow::FlowSample> pool{fixture.pool};
+    const std::size_t batch_size = core::ParallelOptions{}.batch_size;
     std::uint64_t seq = 0;
     suite.run_case(
         "filter_dissect_flat", 600,
         [&](std::uint64_t iters, int) {
           for (std::uint64_t it = 0; it < iters; ++it) {
-            for (const sflow::FlowSample& sample : fixture.pool) {
-              auto p = filter.filter(sample, counters);
-              if (p) {
-                p->seq = seq++;
-                dissector.ingest(*p);
-              }
+            for (std::size_t at = 0; at < pool.size(); at += batch_size) {
+              const auto batch =
+                  pool.subspan(at, std::min(batch_size, pool.size() - at));
+              shard.observe_batch(batch, seq);
+              seq += batch.size();
             }
           }
-          return iters * fixture.pool.size();
+          return iters * pool.size();
         });
-    bench::keep(dissector.summarize());
+    bench::keep(shard.dissector().summarize());
   }
 
   // Trace replay through the reused-batch cursor (next() path).
@@ -512,26 +496,21 @@ int main(int argc, char** argv) {
   }
 
   const auto& results = suite.results();
-  double flat = 0.0;
   double batched = 0.0;
   double legacy = 0.0;
-  double flat_allocs = 0.0;
   double batched_allocs = 0.0;
   for (const auto& result : results) {
-    if (result.name == "dissect_observe_flat") {
-      flat = result.items_per_sec();
-      flat_allocs = result.allocs_per_item();
-    } else if (result.name == "dissect_observe_batched") {
+    if (result.name == "dissect_observe_batched") {
       batched = result.items_per_sec();
       batched_allocs = result.allocs_per_item();
     } else if (result.name == "dissect_observe_legacy") {
       legacy = result.items_per_sec();
     }
   }
-  if (legacy > 0.0 && flat > 0.0)
+  if (legacy > 0.0 && batched > 0.0)
     std::printf(
-        "dissect+observe speedup flat vs legacy: %.2fx, batched vs flat: "
-        "%.2fx  (allocs/item flat: %.4f, batched: %.4f)\n",
-        flat / legacy, batched / flat, flat_allocs, batched_allocs);
+        "dissect+observe speedup batched vs legacy: %.2fx  (allocs/item "
+        "batched: %.4f)\n",
+        batched / legacy, batched_allocs);
   return 0;
 }

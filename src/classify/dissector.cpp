@@ -143,20 +143,6 @@ void TrafficDissector::ingest_fields(net::Ipv4Addr src, net::Ipv4Addr dst,
   }
 }
 
-void TrafficDissector::ingest(std::span<const PeeringSample> batch) {
-  // Far enough ahead that the prefetched lines arrive before use, close
-  // enough that they are not evicted again in between.
-  constexpr std::size_t kLookahead = 8;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (i + kLookahead < batch.size()) {
-      const sflow::ParsedFrame& ahead = batch[i + kLookahead].frame;
-      activity_.prefetch(ahead.ip->src);
-      activity_.prefetch(ahead.ip->dst);
-    }
-    ingest(batch[i]);
-  }
-}
-
 void TrafficDissector::ingest(const FrameBatch& batch) {
   const std::size_t n = batch.size();
   const net::Ipv4Addr* src = batch.src();
@@ -170,7 +156,7 @@ void TrafficDissector::ingest(const FrameBatch& batch) {
   // ingest_fields in index order because every per-IP update is an OR
   // or an add (both commute) and the host pass preserves sample order:
   //   A. lane-wise evidence bytes out of the SoA port/transport/
-  //      indication arrays (LaneFlags, SIMD-dispatched) — all of the
+  //      indication arrays (LaneFlags, SSE2 where available) — all of the
   //      sample's data-dependent branching, hoisted out of the loop
   //      that touches the tables;
   //   B. one branchless interleaved probe stream over the activity

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,12 +88,6 @@ class TrafficDissector {
   /// Ingests one peering sample (output of PeeringFilter::filter). The
   /// sample's `seq` orders Host-header first-seen tie-breaks.
   void ingest(const PeeringSample& sample);
-
-  /// Batch form: equivalent to ingesting each sample in order, but the
-  /// flat tables' probe slots for upcoming samples are prefetched a few
-  /// iterations ahead, overlapping their cache misses with payload
-  /// matching. Use this when samples arrive in runs (the shard path).
-  void ingest(std::span<const PeeringSample> batch);
 
   /// Structure-of-arrays form: equivalent to ingesting each staged
   /// sample in order, but the per-sample fields were derived once at

@@ -10,12 +10,11 @@
 //
 // ScalarPolicy implements them with libc (memchr/memcmp — the portable
 // SWAR-or-better fallback) and doubles as the differential oracle behind
-// HttpMatcher::match_scalar. Sse2Policy (this header, x86 baseline) and
-// the AVX2 policy (http_matcher_avx2.cpp, own TU compiled with -mavx2)
-// use 16/32-byte compares against pre-padded token images. No policy
-// reads past either the payload or a token: token images are padded to
-// 32 bytes at compile time, and payload tails shorter than a vector are
-// handed to memcmp.
+// HttpMatcher::match_scalar. Sse2Policy (compiled wherever the target
+// has SSE2, which is the x86-64 baseline) uses 16-byte compares against
+// pre-padded token images. No policy reads past either the payload or a
+// token: token images are padded to 32 bytes at compile time, and
+// payload tails shorter than a vector are handed to memcmp.
 //
 // This header is internal to the classify library and its tests; the
 // public surface stays in http_matcher.hpp.
@@ -29,9 +28,8 @@
 
 #include "classify/http_matcher.hpp"
 
-#if defined(__x86_64__) || defined(__i386__)
+#ifdef __SSE2__
 #include <emmintrin.h>
-#define IXPSCOPE_HTTP_X86 1
 #endif
 
 namespace ixp::classify::detail {
@@ -50,7 +48,7 @@ constexpr std::array<std::string_view, 10> kHeaderFields{
 /// ("Access-Control-Allow-Methods:"), so 32 bytes hold everything and a
 /// full-width load of `bytes` can never overread the image.
 struct PaddedToken {
-  alignas(32) char bytes[32];
+  alignas(16) char bytes[32];
   std::uint32_t mask;
   std::uint32_t len;
 };
@@ -119,7 +117,7 @@ struct ScalarPolicy {
   }
 };
 
-#ifdef IXPSCOPE_HTTP_X86
+#ifdef __SSE2__
 
 /// 16-byte policy on the x86-64 baseline ISA (SSE2 needs no target
 /// attribute, so it can live in this shared header).
@@ -185,12 +183,7 @@ struct Sse2Policy {
   }
 };
 
-/// AVX2 entry point, defined in http_matcher_avx2.cpp (its own TU so it
-/// can be compiled with -mavx2 and fully inline the 32-byte policy).
-/// Falls back to the SSE2 form when that TU was built without AVX2.
-HttpMatch match_avx2(std::string_view payload) noexcept;
-
-#endif  // IXPSCOPE_HTTP_X86
+#endif  // __SSE2__
 
 /// The anchored Host extraction: the field must sit at the payload
 /// start or immediately after a line break. (An unanchored substring

@@ -1,18 +1,15 @@
 #include "classify/http_matcher.hpp"
 
 #include "classify/http_match_impl.hpp"
-#include "util/cpu_features.hpp"
 
 namespace ixp::classify {
 
 HttpMatch HttpMatcher::match(std::string_view payload) {
-#ifdef IXPSCOPE_HTTP_X86
-  const util::SimdLevel level = util::CpuFeatures::active();
-  if (level >= util::SimdLevel::kAvx2) return detail::match_avx2(payload);
-  if (level >= util::SimdLevel::kSse2)
-    return detail::match_impl<detail::Sse2Policy>(payload);
-#endif
+#ifdef __SSE2__
+  return detail::match_impl<detail::Sse2Policy>(payload);
+#else
   return detail::match_impl<detail::ScalarPolicy>(payload);
+#endif
 }
 
 HttpMatch HttpMatcher::match_scalar(std::string_view payload) {

@@ -41,16 +41,17 @@ class HttpMatcher {
  public:
   /// Scans a captured payload snippet. The snippet may be truncated
   /// mid-line (sFlow capture boundary) — partial trailing tokens are
-  /// ignored rather than misparsed. Dispatches to the widest vector
-  /// tier util::CpuFeatures reports (DESIGN.md §14); every tier is held
-  /// byte-identical to match_scalar by the differential fuzz suite.
+  /// ignored rather than misparsed. Runs the SSE2 policy when the
+  /// compiler targets SSE2 (the x86-64 baseline) and the scalar policy
+  /// otherwise (DESIGN.md §14); the SSE2 form is held byte-identical to
+  /// match_scalar by the differential fuzz suite.
   [[nodiscard]] static HttpMatch match(std::span<const std::byte> payload);
 
   /// Convenience overload for text.
   [[nodiscard]] static HttpMatch match(std::string_view payload);
 
-  /// The scalar reference implementation — the oracle the SIMD tiers
-  /// are differentially tested against. Same contract as match().
+  /// The scalar reference implementation — the oracle the SSE2 tier
+  /// is differentially tested against. Same contract as match().
   [[nodiscard]] static HttpMatch match_scalar(std::span<const std::byte> payload);
   [[nodiscard]] static HttpMatch match_scalar(std::string_view payload);
 };

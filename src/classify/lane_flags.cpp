@@ -2,11 +2,9 @@
 
 #include "classify/dissector.hpp"
 #include "classify/http_matcher.hpp"
-#include "util/cpu_features.hpp"
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define IXPSCOPE_LANE_X86 1
+#ifdef __SSE2__
+#include <emmintrin.h>
 #endif
 
 namespace ixp::classify {
@@ -56,7 +54,7 @@ inline void scalar_lane(std::uint16_t sp, std::uint16_t dp, std::uint8_t tcp,
   df = d;
 }
 
-#ifdef IXPSCOPE_LANE_X86
+#ifdef __SSE2__
 
 /// The lane algebra on one 8-wide half, everything in 16-bit lanes.
 /// `t`, `req`, `resp`, `hdr` are 0/0xFFFF lane masks; ports are raw.
@@ -115,20 +113,20 @@ inline LaneHalf lane_half_sse2(__m128i sp, __m128i dp, __m128i t, __m128i req,
           _mm_or_si128(port_d, _mm_or_si128(server_d, client_d))};
 }
 
-#endif  // IXPSCOPE_LANE_X86
+#endif  // __SSE2__
 
 }  // namespace
+
+#ifdef __SSE2__
 
 namespace detail {
 
 /// SSE2: 16 samples per step — two 8-wide halves packed to 16 bytes.
-/// Non-x86 builds degrade to the scalar loop so the symbol always links.
 void lane_flags_sse2(const std::uint16_t* src_port,
                      const std::uint16_t* dst_port, const std::uint8_t* tcp,
                      const std::uint8_t* indication, std::size_t n,
                      std::uint8_t* src_flags,
                      std::uint8_t* dst_flags) noexcept {
-#ifdef IXPSCOPE_LANE_X86
   const __m128i zero = _mm_setzero_si128();
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
@@ -163,13 +161,11 @@ void lane_flags_sse2(const std::uint16_t* src_port,
   for (; i < n; ++i)
     scalar_lane(src_port[i], dst_port[i], tcp[i], indication[i], src_flags[i],
                 dst_flags[i]);
-#else
-  LaneFlags::compute_scalar(src_port, dst_port, tcp, indication, n, src_flags,
-                            dst_flags);
-#endif  // IXPSCOPE_LANE_X86
 }
 
 }  // namespace detail
+
+#endif  // __SSE2__
 
 void LaneFlags::compute_scalar(const std::uint16_t* src_port,
                                const std::uint16_t* dst_port,
@@ -187,20 +183,12 @@ void LaneFlags::compute(const std::uint16_t* src_port,
                         const std::uint8_t* indication, std::size_t n,
                         std::uint8_t* src_flags,
                         std::uint8_t* dst_flags) noexcept {
-#ifdef IXPSCOPE_LANE_X86
-  const util::SimdLevel level = util::CpuFeatures::active();
-  if (level >= util::SimdLevel::kAvx2) {
-    detail::lane_flags_avx2(src_port, dst_port, tcp, indication, n, src_flags,
-                            dst_flags);
-    return;
-  }
-  if (level >= util::SimdLevel::kSse2) {
-    detail::lane_flags_sse2(src_port, dst_port, tcp, indication, n, src_flags,
-                            dst_flags);
-    return;
-  }
-#endif
+#ifdef __SSE2__
+  detail::lane_flags_sse2(src_port, dst_port, tcp, indication, n, src_flags,
+                          dst_flags);
+#else
   compute_scalar(src_port, dst_port, tcp, indication, n, src_flags, dst_flags);
+#endif
 }
 
 }  // namespace ixp::classify

@@ -4,13 +4,13 @@
 // port tests) costs more in branch mispredicts than in arithmetic: a
 // realistic traffic mix keeps every branch unpredictable. This kernel
 // re-states the whole decision as bitwise algebra over the SoA port /
-// transport / indication arrays and evaluates it 16–32 samples per step
-// (SSE2 / AVX2, dispatched via util::CpuFeatures), writing one evidence
-// byte per endpoint. The dissector's table-update pass then runs with
-// no data-dependent branches at all (DESIGN.md §14).
+// transport / indication arrays and evaluates it 16 samples per step
+// (SSE2, chosen at compile time wherever the target has it), writing
+// one evidence byte per endpoint. The dissector's table-update pass
+// then runs with no data-dependent branches at all (DESIGN.md §14).
 //
-// compute_scalar is the oracle: the dispatched form is held byte-
-// identical to it by the differential fuzz suite
+// compute_scalar is the oracle: the SSE2 form is held byte-identical
+// to it by the differential fuzz suite
 // (tests/classify/simd_differential_test.cpp) on arbitrary inputs,
 // including non-TCP samples and every indication value.
 #pragma once
@@ -34,7 +34,8 @@ class LaneFlags {
                                    std::size_t n, std::uint8_t* src_flags,
                                    std::uint8_t* dst_flags) noexcept;
 
-  /// The scalar reference the SIMD paths are tested against.
+  /// The scalar reference the SSE2 path is tested against, and the only
+  /// path on targets without SSE2.
   static void compute_scalar(const std::uint16_t* src_port,
                              const std::uint16_t* dst_port,
                              const std::uint8_t* tcp,
@@ -45,22 +46,14 @@ class LaneFlags {
 
 namespace detail {
 
-/// The fixed-width kernels behind LaneFlags::compute, exposed so the
-/// micro_hotpath A/B and the differential suite can pin each tier
-/// directly. On non-x86 builds lane_flags_sse2 degrades to the scalar
-/// form; lane_flags_avx2 (its own TU, compiled with -mavx2) degrades to
-/// the SSE2 form when the toolchain can't build it. Callers of the AVX2
-/// form must still gate on util::CpuFeatures — the symbol always links,
-/// but executing it needs hardware+OS support.
+#ifdef __SSE2__
+/// The SSE2 kernel behind LaneFlags::compute, exposed so the
+/// micro_hotpath A/B and the differential suite can pin it directly.
 void lane_flags_sse2(const std::uint16_t* src_port,
                      const std::uint16_t* dst_port, const std::uint8_t* tcp,
                      const std::uint8_t* indication, std::size_t n,
                      std::uint8_t* src_flags, std::uint8_t* dst_flags) noexcept;
-
-void lane_flags_avx2(const std::uint16_t* src_port,
-                     const std::uint16_t* dst_port, const std::uint8_t* tcp,
-                     const std::uint8_t* indication, std::size_t n,
-                     std::uint8_t* src_flags, std::uint8_t* dst_flags) noexcept;
+#endif
 
 }  // namespace detail
 

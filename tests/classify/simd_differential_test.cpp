@@ -1,11 +1,11 @@
 // Differential fuzz suites for the SIMD hot-path kernels (DESIGN.md §14):
-// every vector tier must be byte-identical to its scalar oracle on
-// clean, truncated, unaligned, and non-ASCII inputs.
+// the vector tier must be byte-identical to its scalar oracle on clean,
+// truncated, unaligned, and non-ASCII inputs.
 //
-//   - HttpMatcher::match (runtime-dispatched) and the SSE2/AVX2 policies
-//     directly vs match_scalar;
-//   - LaneFlags::compute (dispatched) plus the pinned SSE2/AVX2 lane
-//     kernels vs LaneFlags::compute_scalar.
+//   - HttpMatcher::match, plus the SSE2 policy directly where the target
+//     has SSE2, vs match_scalar;
+//   - LaneFlags::compute, plus the pinned SSE2 lane kernel where the
+//     target has SSE2, vs LaneFlags::compute_scalar.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,7 +15,6 @@
 #include "classify/http_match_impl.hpp"
 #include "classify/http_matcher.hpp"
 #include "classify/lane_flags.hpp"
-#include "util/cpu_features.hpp"
 #include "util/rng.hpp"
 
 namespace ixp::classify {
@@ -38,11 +37,10 @@ void expect_match_eq(std::string_view payload, const HttpMatch& got,
 
 void expect_all_tiers_agree(std::string_view payload) {
   const HttpMatch want = HttpMatcher::match_scalar(payload);
-  expect_match_eq(payload, HttpMatcher::match(payload), want, "dispatched");
-#ifdef IXPSCOPE_HTTP_X86
+  expect_match_eq(payload, HttpMatcher::match(payload), want, "match");
+#ifdef __SSE2__
   expect_match_eq(payload, detail::match_impl<detail::Sse2Policy>(payload),
                   want, "sse2");
-  expect_match_eq(payload, detail::match_avx2(payload), want, "avx2");
 #endif
 }
 
@@ -170,9 +168,8 @@ TEST(HostAnchoring, LineStartPositionsStillMatch) {
 
 // ---- LaneFlags -----------------------------------------------------------
 
-/// Checks every lane tier — the dispatched form, the pinned SSE2 form,
-/// and (when the hardware can execute it) the pinned AVX2 form —
-/// against compute_scalar on the same arrays.
+/// Checks LaneFlags::compute and, where the target has SSE2, the pinned
+/// SSE2 kernel against compute_scalar on the same arrays.
 void expect_lane_tiers_agree(const std::uint16_t* src_port,
                              const std::uint16_t* dst_port,
                              const std::uint8_t* tcp, const std::uint8_t* ind,
@@ -186,10 +183,10 @@ void expect_lane_tiers_agree(const std::uint16_t* src_port,
     ASSERT_EQ(got_src, ref_src) << tier << " trial " << trial << " n=" << n;
     ASSERT_EQ(got_dst, ref_dst) << tier << " trial " << trial << " n=" << n;
   };
-  check(LaneFlags::compute, "dispatched");
+  check(LaneFlags::compute, "compute");
+#ifdef __SSE2__
   check(detail::lane_flags_sse2, "sse2");
-  if (util::CpuFeatures::detect().avx2)
-    check(detail::lane_flags_avx2, "avx2");
+#endif
 }
 
 TEST(LaneFlagsDifferential, RandomizedLanes) {
@@ -214,9 +211,8 @@ TEST(LaneFlagsDifferential, RandomizedLanes) {
 }
 
 TEST(LaneFlagsDifferential, TailLengthsBelowOneVector) {
-  // Every length 0..95 crosses both the 16-lane and the 32-lane step
-  // boundaries at least once, including the AVX2 32-wide step followed
-  // by an SSE2 16-wide step followed by a scalar tail.
+  // Every length 0..95 crosses the 16-lane step boundary several times,
+  // each followed by every scalar tail length.
   util::Rng rng{24};
   for (std::size_t n = 0; n < 96; ++n) {
     std::vector<std::uint16_t> src_port(n), dst_port(n);

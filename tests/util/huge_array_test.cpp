@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "util/cpu_features.hpp"
 #include "util/huge_array.hpp"
 
 namespace ixp::util {
@@ -67,20 +66,6 @@ TEST(HugeArray, BackingNamesAreStable) {
   EXPECT_EQ(to_string(PageBacking::kHugeTransparent), "huge-transparent");
   EXPECT_EQ(to_string(PageBacking::kSmall), "small-pages");
   EXPECT_EQ(to_string(PageBacking::kHeap), "heap");
-}
-
-TEST(CpuFeatures, ActiveNeverExceedsHardware) {
-  const CpuFeatures& hw = CpuFeatures::detect();
-  const SimdLevel level = CpuFeatures::active();
-  if (level >= SimdLevel::kAvx2) EXPECT_TRUE(hw.avx2);
-  if (level >= SimdLevel::kSse2) EXPECT_TRUE(hw.sse2);
-}
-
-TEST(CpuFeatures, NamesAndFlagsAreNonEmpty) {
-  EXPECT_EQ(CpuFeatures::name(SimdLevel::kScalar), "scalar");
-  EXPECT_EQ(CpuFeatures::name(SimdLevel::kSse2), "sse2");
-  EXPECT_EQ(CpuFeatures::name(SimdLevel::kAvx2), "avx2");
-  EXPECT_FALSE(CpuFeatures::flags_string().empty());
 }
 
 }  // namespace

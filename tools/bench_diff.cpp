@@ -10,13 +10,12 @@
 // fail the diff (benches come and go across PRs). Exit codes: 0 no
 // regressions, 1 regression found, 2 usage or unreadable input.
 //
-// Like-for-like gating: when BOTH documents carry the cpu_flags /
-// simd_level stamps (bench_json writes them) and the stamps differ, the
-// runs executed on different hardware or different SIMD tiers and
-// ns/item is not comparable — the table is still printed, but no
-// regression is flagged and the exit code is 0. Stamps missing on either
-// side (pre-stamp baselines) gate as before: within one repo checkout a
-// baseline refresh and its PR run share a machine.
+// Like-for-like gating: when BOTH documents carry the cpu_flags stamp
+// (bench_json writes it) and the stamps differ, the runs executed on
+// different hardware and ns/item is not comparable — the table is still
+// printed, but no regression is flagged and the exit code is 0. A stamp
+// missing on either side (pre-stamp baselines) gates as before: within
+// one repo checkout a baseline refresh and its PR run share a machine.
 //
 // The parser is deliberately minimal: it understands exactly the flat
 // document bench_json.cpp writes (one "results" array of one-line
@@ -114,7 +113,6 @@ std::vector<CaseResult> parse_results(const std::string& text) {
 struct BenchDoc {
   std::vector<CaseResult> results;
   std::optional<std::string> cpu_flags;
-  std::optional<std::string> simd_level;
 };
 
 std::optional<BenchDoc> load(const std::string& path) {
@@ -126,14 +124,13 @@ std::optional<BenchDoc> load(const std::string& path) {
   BenchDoc doc;
   doc.results = parse_results(text);
   if (doc.results.empty()) return std::nullopt;
-  // Top-level stamps precede the results array; restrict the search to
-  // the document head so a case could never alias them.
+  // The top-level stamp precedes the results array; restrict the search
+  // to the document head so a case could never alias it.
   const std::size_t head_end = text.find("\"results\"");
   const std::string_view head{text.data(),
                               head_end == std::string::npos ? text.size()
                                                             : head_end};
   doc.cpu_flags = find_string(head, "cpu_flags");
-  doc.simd_level = find_string(head, "simd_level");
   return doc;
 }
 
@@ -187,17 +184,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Unlike hardware or SIMD tier: report, but do not gate.
+  // Unlike hardware: report, but do not gate.
   bool like_for_like = true;
   if (base->cpu_flags && current->cpu_flags &&
-      (*base->cpu_flags != *current->cpu_flags ||
-       base->simd_level.value_or("") != current->simd_level.value_or(""))) {
+      *base->cpu_flags != *current->cpu_flags) {
     like_for_like = false;
     std::printf(
-        "note: baseline (cpu %s, simd %s) and current (cpu %s, simd %s) "
-        "are not like-for-like; differences are informational only\n",
-        base->cpu_flags->c_str(), base->simd_level.value_or("?").c_str(),
-        current->cpu_flags->c_str(), current->simd_level.value_or("?").c_str());
+        "note: baseline (cpu %s) and current (cpu %s) are not like-for-like;"
+        " differences are informational only\n",
+        base->cpu_flags->c_str(), current->cpu_flags->c_str());
   }
 
   int regressions = 0;
