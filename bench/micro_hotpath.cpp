@@ -16,7 +16,6 @@
 #include <cstring>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -31,7 +30,6 @@
 #include "core/week_shard.hpp"
 #include "fabric/ixp.hpp"
 #include "sflow/frame.hpp"
-#include "sflow/trace.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -461,38 +459,6 @@ int main(int argc, char** argv) {
           return iters * pool.size();
         });
     bench::keep(shard.dissector().summarize());
-  }
-
-  // Trace replay through the reused-batch cursor (next() path).
-  {
-    std::string trace;
-    {
-      std::ostringstream raw;
-      sflow::TraceWriter writer{raw, net::Ipv4Addr{172, 16, 0, 1}, 128};
-      for (const auto& sample : fixture.pool) writer.write(sample);
-      writer.flush();
-      trace = raw.str();
-    }
-    // One stream and one reader, rewound and reset() between passes: the
-    // reader's scratch buffers keep their capacity, so steady state is
-    // 0 allocs/sample (the warmup pass gets it there).
-    std::istringstream in{trace};
-    sflow::TraceReader reader{in};
-    suite.run_case(
-        "trace_replay_next", 150,
-        [&](std::uint64_t iters, int) {
-          std::uint64_t delivered = 0;
-          for (std::uint64_t it = 0; it < iters; ++it) {
-            in.clear();
-            in.seekg(0);
-            reader.reset(in);
-            while (auto sample = reader.next()) {
-              bench::keep(sample->sampling_rate);
-              ++delivered;
-            }
-          }
-          return delivered;
-        });
   }
 
   const auto& results = suite.results();

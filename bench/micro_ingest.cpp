@@ -1,15 +1,10 @@
-// Ingest A/B: streamed-serial trace replay vs mapped-parallel segment
-// decode, the bottleneck ISSUE 4 kills. One binary emits the whole
-// comparison as an ixpscope-bench-v1 JSON trajectory:
+// Trace ingest throughput: serial vs segment-parallel TraceCursor decode
+// of a mapped trace. One binary emits the comparison as an
+// ixpscope-bench-v1 JSON trajectory:
 //
 //   build/bench/micro_ingest --json BENCH_ingest.json
 //
 // Cases:
-//   streamed_legacy_alloc  pre-optimization replica: fresh payload vector
-//                          + allocating decode() per datagram (the shape
-//                          of the reader before the scratch-buffer rework)
-//   streamed_serial        the production TraceReader (reused scratch,
-//                          read_batch) over an istream — serial by nature
 //   mapped_serial          one TraceCursor walking the whole mapped body;
 //                          steady-state expectation: 0 allocs/sample
 //   mapped_parallel_N      TraceSegmenter splits the span 2N ways and N
@@ -17,8 +12,7 @@
 //
 // The parallel cases report wall-clock samples/sec, so on a single-core
 // machine they collapse to mapped_serial plus thread overhead — the
-// scaling claim needs real cores, the per-core decode advantage and the
-// zero-allocation claim do not.
+// scaling claim needs real cores, the zero-allocation claim does not.
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -30,7 +24,6 @@
 #include <vector>
 
 #include "bench_json.hpp"
-#include "sflow/datagram.hpp"
 #include "sflow/mapped_trace.hpp"
 #include "sflow/trace.hpp"
 #include "sflow/trace_segment.hpp"
@@ -62,41 +55,6 @@ std::string build_trace() {
   }
   writer.flush();
   return raw.str();
-}
-
-/// Pre-optimization streamed reader replica: the byte-for-byte record
-/// walk TraceReader used before the scratch-buffer rework — a fresh
-/// payload vector and an allocating decode() per datagram, samples
-/// handed out one optional at a time. Kept as the fixed A/B baseline so
-/// the numbers measure the ingest rework, not a strawman.
-std::uint64_t legacy_replay(const std::string& trace) {
-  std::istringstream in{trace, std::ios::binary};
-  char header[12];
-  in.read(header, sizeof header);
-  std::uint64_t delivered = 0;
-  while (true) {
-    char len_bytes[4];
-    if (!in.read(len_bytes, sizeof len_bytes)) break;
-    const std::uint32_t length =
-        (static_cast<std::uint32_t>(static_cast<unsigned char>(len_bytes[0]))
-         << 24) |
-        (static_cast<std::uint32_t>(static_cast<unsigned char>(len_bytes[1]))
-         << 16) |
-        (static_cast<std::uint32_t>(static_cast<unsigned char>(len_bytes[2]))
-         << 8) |
-        static_cast<std::uint32_t>(static_cast<unsigned char>(len_bytes[3]));
-    std::vector<std::byte> payload(length);
-    if (!in.read(reinterpret_cast<char*>(payload.data()),
-                 static_cast<std::streamsize>(length)))
-      break;
-    const auto datagram = sflow::decode(payload);
-    if (!datagram) break;
-    for (const auto& sample : datagram->samples) {
-      bench::keep(sample.sampling_rate);
-      ++delivered;
-    }
-  }
-  return delivered;
 }
 
 std::uint64_t mapped_parallel_pass(const sflow::MappedTrace& trace,
@@ -155,33 +113,6 @@ int main(int argc, char** argv) {
     mapped = sflow::MappedTrace::adopt(std::move(bytes));
   }
 
-  suite.run_case("streamed_legacy_alloc", 30, [&](std::uint64_t iters, int) {
-    std::uint64_t delivered = 0;
-    for (std::uint64_t it = 0; it < iters; ++it)
-      delivered += legacy_replay(trace);
-    return delivered;
-  });
-
-  {
-    std::istringstream in{trace, std::ios::binary};
-    sflow::TraceReader reader{in};
-    std::vector<sflow::FlowSample> batch;
-    suite.run_case("streamed_serial", 30, [&](std::uint64_t iters, int) {
-      std::uint64_t delivered = 0;
-      for (std::uint64_t it = 0; it < iters; ++it) {
-        in.clear();
-        in.seekg(0);
-        reader.reset(in);
-        std::size_t n;
-        while ((n = reader.read_batch(batch, 512)) > 0) {
-          for (const auto& sample : batch) bench::keep(sample.sampling_rate);
-          delivered += n;
-        }
-      }
-      return delivered;
-    });
-  }
-
   {
     sflow::TraceCursor cursor{mapped.bytes(), {}};
     const sflow::TraceSegment whole{sflow::kTraceHeaderBytes, mapped.size()};
@@ -214,18 +145,14 @@ int main(int argc, char** argv) {
   std::filesystem::remove(tmp, ec);
 
   const auto& results = suite.results();
-  const double streamed = results[1].items_per_sec();
-  const double mapped_serial = results[2].items_per_sec();
+  const double mapped_serial = results.front().items_per_sec();
   const double mapped_par8 = results.back().items_per_sec();
-  if (streamed > 0.0) {
+  if (mapped_serial > 0.0) {
     std::printf(
-        "mapped_serial vs streamed_serial: %.2fx  "
-        "(mapped allocs/item: %.4f)\n",
-        mapped_serial / streamed, results[2].allocs_per_item());
-    std::printf(
-        "mapped_parallel_8 vs streamed_serial: %.2fx  "
-        "(hardware threads available: %u)\n",
-        mapped_par8 / streamed, std::thread::hardware_concurrency());
+        "mapped_parallel_8 vs mapped_serial: %.2fx  "
+        "(mapped_serial allocs/item: %.4f, hardware threads available: %u)\n",
+        mapped_par8 / mapped_serial, results.front().allocs_per_item(),
+        std::thread::hardware_concurrency());
   }
   return 0;
 }

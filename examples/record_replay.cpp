@@ -10,6 +10,8 @@
 #include "core/vantage_point.hpp"
 #include "gen/internet.hpp"
 #include "gen/workload.hpp"
+#include "ingest/ingest_source.hpp"
+#include "sflow/mapped_trace.hpp"
 #include "sflow/trace.hpp"
 #include "util/format.hpp"
 
@@ -38,10 +40,10 @@ int main(int argc, char** argv) {
   }
 
   // --- replay ---------------------------------------------------------------
-  std::ifstream in{path, std::ios::binary};
-  sflow::TraceReader reader{in};
-  if (!reader.ok()) {
-    std::cerr << "bad trace header\n";
+  const sflow::MappedTrace trace = sflow::MappedTrace::open(path);
+  if (!trace.ok()) {
+    std::cerr << path << ": "
+              << sflow::MappedTrace::error_name(trace.error()) << "\n";
     return 1;
   }
 
@@ -53,17 +55,18 @@ int main(int argc, char** argv) {
       model.dns_db(), dns::PublicSuffixList::builtin(), model.root_store()};
   core::WeekSession session = vantage.open_week(45);
   std::uint64_t replayed = 0;
-  std::vector<sflow::FlowSample> batch;
-  while (reader.read_batch(batch, sflow::TraceReader::kDefaultBatch) > 0) {
-    session.observe_batch(batch);
-    replayed += batch.size();
+  ingest::MappedSource source{trace, sflow::ReadPolicy::lenient()};
+  ingest::SampleBatch batch;
+  while (source.next_batch(batch) == ingest::SourceStatus::kBatch) {
+    session.observe_batch(batch.samples);
+    replayed += batch.samples.size();
   }
   const auto report = session.finish([&](net::Ipv4Addr addr, int times) {
     return model.fetch_chains(addr, times, 45);
   });
 
   std::cout << "replayed " << util::with_thousands(replayed) << " samples ("
-            << (reader.ok() ? "clean" : "TRUNCATED") << ")\n";
+            << (source.stats().degraded() ? "DAMAGED" : "clean") << ")\n";
   std::cout << "pipeline on the recording: "
             << util::with_thousands(report.peering_ips) << " IPs, "
             << util::with_thousands(report.server_ips) << " server IPs, "

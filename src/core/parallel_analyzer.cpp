@@ -235,10 +235,10 @@ WeekShard ParallelAnalyzer::reduce(WeekSession& session,
     return std::move(shards[0]);
   }
 
-  // Pump mode: the source is serial (an istream, a pull function, a live
-  // feed), so the calling thread pulls batches — copying each view into
-  // queue-owned storage, since the view dies on the next pull — and the
-  // workers run the hot path behind the bounded queue.
+  // Pump mode: the source is serial (a live feed), so the calling thread
+  // pulls batches — copying each view into queue-owned storage, since the
+  // view dies on the next pull — and the workers run the hot path behind
+  // the bounded queue.
   BatchQueue queue{options_.max_queued_batches};
   std::vector<std::thread> workers;
   workers.reserve(threads_);

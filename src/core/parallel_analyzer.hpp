@@ -12,10 +12,10 @@
 // for a parallel plan (split()); a splittable source — a mapped trace, an
 // in-memory span — hands back sub-sources that workers claim and decode
 // concurrently with no sequence handoff, because every batch carries its
-// own position-derived stream key. A serial source — an istream-backed
-// TraceReader, a pull function, a live socket feed — is pumped by the
-// calling thread through a bounded queue while the workers run the hot
-// path (filtering, HTTP matching, evidence accumulation).
+// own position-derived stream key. A serial source — the collector
+// service's live socket feed — is pumped by the calling thread through a
+// bounded queue while the workers run the hot path (filtering, HTTP
+// matching, evidence accumulation).
 //
 // The engine exposes its two halves separately: reduce() is the
 // observation phase alone — fan out, merge, hand back the week's fully
@@ -67,7 +67,7 @@ class ParallelAnalyzer {
   /// Analyzes one week pulled from `source` — the single entry point for
   /// every input shape. The source's split() decides between concurrent
   /// claim-and-decode (mapped traces, spans) and a pumped bounded queue
-  /// (streamed readers, pull functions, live feeds); either way the
+  /// (live feeds); either way the
   /// report is byte-identical for any thread count. Check the source's
   /// ok()/stats() afterwards for ingest health.
   [[nodiscard]] WeeklyReport analyze(int week, ingest::IngestSource& source,

@@ -64,7 +64,7 @@ void MappedSource::segment(std::size_t want) {
 
 SourceStatus MappedSource::next_batch(SampleBatch& out) {
   if (!segmented_) {
-    // Serial pull: one segment, exactly the streamed reader's walk.
+    // Serial pull: the whole body as one segment.
     segment(1);
     serial_segment_ = 0;
     cursor_.reset();

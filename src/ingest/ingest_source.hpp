@@ -1,12 +1,11 @@
 // IngestSource — the one way sample streams enter the analysis engine.
 //
-// The engine used to grow an analyze() overload per input shape: a
-// pull-function, a streamed TraceReader, an in-memory span, a mapped
-// trace — and the collector service would have added a fifth (a live
-// socket feed). IngestSource collapses them: anything that can deliver
-// batches of FlowSamples with stream-position keys is a source, and the
-// analyzer, the serve event loop, and the CLI all consume this single
-// API instead of one code path per shape.
+// Anything that can deliver batches of FlowSamples with stream-position
+// keys is a source, and the analyzer, the serve event loop, and the CLI
+// all consume this single API instead of one code path per input shape.
+// Three adapters ship: SpanSource (an in-memory sample span), MappedSource
+// (a recorded trace, decoded by TraceCursor) and core::LiveQueueSource
+// (the collector service's live socket feed).
 //
 // The contract has three parts:
 //
@@ -29,15 +28,14 @@
 //     trace, a span) cuts its remainder into up to `want` independently
 //     consumable sub-sources; worker threads claim and drain them with
 //     no cross-worker sequence handoff, because every batch carries its
-//     own position-derived key. A serial source (an istream, a socket
-//     feed) returns an empty vector and the analyzer pumps it from one
-//     thread instead. Sub-sources borrow the parent (which must outlive
-//     them) and partition its accounting; after a split() the parent
-//     itself must not be pulled again.
+//     own position-derived key. A serial source (a live socket feed)
+//     returns an empty vector and the analyzer pumps it from one thread
+//     instead. Sub-sources borrow the parent (which must outlive them)
+//     and partition its accounting; after a split() the parent itself
+//     must not be pulled again.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -90,30 +88,6 @@ class IngestSource {
   }
 };
 
-/// Adapts a pull function (anything that can fill a vector of samples)
-/// with running-counter stream keys: the callable clears and refills the
-/// vector, returning the number delivered (0 = end).
-class FunctionSource final : public IngestSource {
- public:
-  using Fn = std::function<std::size_t(std::vector<sflow::FlowSample>&)>;
-
-  explicit FunctionSource(Fn fn) : fn_(std::move(fn)) {}
-
-  SourceStatus next_batch(SampleBatch& out) override {
-    const std::size_t n = fn_(scratch_);
-    if (n == 0) return SourceStatus::kEnd;
-    out.samples = std::span<const sflow::FlowSample>{scratch_.data(), n};
-    out.first_seq = next_seq_;
-    next_seq_ += n;
-    return SourceStatus::kBatch;
-  }
-
- private:
-  Fn fn_;
-  std::vector<sflow::FlowSample> scratch_;
-  std::uint64_t next_seq_ = 0;
-};
-
 /// Adapts an in-memory sample span: fixed-size batches with running-index
 /// keys. split() cuts on batch boundaries, so the (batch, first_seq)
 /// pairs a split consumption produces are exactly the serial ones — the
@@ -144,40 +118,13 @@ class SpanSource final : public IngestSource {
   std::size_t cursor_ = 0;
 };
 
-/// Adapts a streamed sflow::TraceReader: record-granular batches whose
-/// keys are the records' byte offsets (stream_seq_key), the property
-/// that keeps a streamed analysis byte-identical to a mapped one over
-/// the same trace. Serial by nature — an istream has one cursor.
-class ReaderSource final : public IngestSource {
- public:
-  explicit ReaderSource(sflow::TraceReader& reader) : reader_(&reader) {}
-
-  SourceStatus next_batch(SampleBatch& out) override {
-    std::uint64_t seq_base = 0;
-    const std::size_t n = reader_->read_record(scratch_, seq_base);
-    if (n == 0) return SourceStatus::kEnd;
-    out.samples = std::span<const sflow::FlowSample>{scratch_.data(), n};
-    out.first_seq = seq_base;
-    return SourceStatus::kBatch;
-  }
-
-  [[nodiscard]] sflow::ReaderStats stats() const override {
-    return reader_->stats();
-  }
-  [[nodiscard]] bool ok() const override { return reader_->ok(); }
-
- private:
-  sflow::TraceReader* reader_;
-  std::vector<sflow::FlowSample> scratch_;
-};
-
 /// Adapts a mapped trace. split() cuts the byte span on plausible record
 /// boundaries (TraceSegmenter) into per-segment cursor sources that
-/// decode concurrently; serially pulled, it walks the same single
-/// segment the streamed reader would. Segments always decode leniently —
-/// one segment cannot know the others' error count — so the policy is a
-/// post-hoc budget on the summed taxonomy: within_budget() (and ok())
-/// report whether the whole-trace error count stayed inside it.
+/// decode concurrently; serially pulled, it walks the whole body as one
+/// segment. Segments always decode leniently — one segment cannot know
+/// the others' error count — so the policy is a post-hoc budget on the
+/// summed taxonomy: within_budget() (and ok()) report whether the
+/// whole-trace error count stayed inside it.
 /// Per-segment stats partition the whole-file accounting exactly:
 ///   trace size == 12 + total.bytes_delivered + total.bytes_skipped.
 class MappedSource final : public IngestSource {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
 
 #include "sflow/trace.hpp"
 
@@ -188,19 +187,6 @@ void FaultInjector::duplicate_tail(std::vector<std::byte>& blob,
   // iterator into the tail being copied.
   for (std::size_t i = 0; i < tail_bytes; ++i)
     blob.push_back(blob[start + i]);
-}
-
-std::optional<FaultReport> FaultInjector::corrupt(std::istream& in,
-                                                  std::ostream& out) const {
-  std::vector<char> raw{std::istreambuf_iterator<char>{in},
-                        std::istreambuf_iterator<char>{}};
-  std::vector<std::byte> corrupted;
-  const auto report =
-      corrupt(std::as_bytes(std::span<const char>{raw}), corrupted);
-  if (!report) return std::nullopt;
-  out.write(reinterpret_cast<const char*>(corrupted.data()),
-            static_cast<std::streamsize>(corrupted.size()));
-  return report;
 }
 
 }  // namespace ixp::sflow

@@ -13,14 +13,12 @@
 //   - reordered (swapped) adjacent records,
 //   - a mid-file EOF that cuts the trace inside a record.
 //
-// This is the adversary the TraceReader resynchronization path (DESIGN.md
+// This is the adversary TraceCursor's resynchronization path (DESIGN.md
 // §8) is tested against, and what `ixpscope corrupt` exposes on the CLI.
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <optional>
-#include <ostream>
 #include <span>
 #include <vector>
 
@@ -76,9 +74,6 @@ class FaultInjector {
   /// only damages traces it can parse, so every fault is intentional.
   std::optional<FaultReport> corrupt(std::span<const std::byte> bytes,
                                      std::vector<std::byte>& out) const;
-
-  /// Stream form: reads the whole trace from `in`, writes to `out`.
-  std::optional<FaultReport> corrupt(std::istream& in, std::ostream& out) const;
 
   // ---- storage blob primitives (the snapshot store's fault profile) ----
   //

@@ -1,12 +1,11 @@
 // Memory-mapped trace input.
 //
-// The streamed TraceReader pulls a trace through one istream, which
-// serializes decoding no matter how many analysis workers wait behind it.
-// MappedTrace instead exposes the whole recorded trace as a single
-// immutable `std::span<const std::byte>`: on POSIX hosts via
-// mmap(PROT_READ, MAP_PRIVATE) — the kernel pages bytes in on demand and
-// shares them read-only across every worker thread — and elsewhere via a
-// portable read-the-whole-file fallback into an owned buffer. Either way
+// Every recorded trace enters the pipeline through MappedTrace. It
+// exposes the whole trace as a single immutable
+// `std::span<const std::byte>`: on POSIX hosts via mmap(PROT_READ,
+// MAP_PRIVATE) — the kernel pages bytes in on demand and shares them
+// read-only across every worker thread — and elsewhere via a portable
+// read-the-whole-file fallback into an owned buffer. Either way
 // the bytes are position-addressable, which is what lets TraceSegmenter
 // (trace_segment.hpp) hand disjoint byte ranges to worker threads that
 // decode in parallel with no shared cursor.

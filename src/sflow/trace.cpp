@@ -1,7 +1,6 @@
 #include "sflow/trace.hpp"
 
 #include <array>
-#include <cstring>
 #include <vector>
 
 namespace ixp::sflow {
@@ -13,19 +12,6 @@ void put_u32(std::ostream& out, std::uint32_t v) {
       static_cast<char>(v >> 24), static_cast<char>((v >> 16) & 0xff),
       static_cast<char>((v >> 8) & 0xff), static_cast<char>(v & 0xff)};
   out.write(bytes.data(), bytes.size());
-}
-
-std::uint32_t be32(const char* bytes) {
-  return (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[0])) << 24) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[1])) << 16) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[2])) << 8) |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[3]));
-}
-
-std::optional<std::uint32_t> get_u32(std::istream& in) {
-  std::array<char, 4> bytes{};
-  if (!in.read(bytes.data(), bytes.size())) return std::nullopt;
-  return be32(bytes.data());
 }
 
 }  // namespace
@@ -55,172 +41,6 @@ void TraceWriter::flush() {
   out_->write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
   pending_.samples.clear();
-}
-
-TraceReader::TraceReader(std::istream& in, ReadPolicy policy) {
-  reset(in, policy);
-}
-
-void TraceReader::reset(std::istream& in, ReadPolicy policy) {
-  in_ = &in;
-  policy_ = policy;
-  stats_ = ReaderStats{};
-  ok_ = false;
-  pos_ = 0;
-  cursor_ = 0;
-  current_.samples.clear();
-  current_.counters.clear();
-  current_offset_ = 0;
-  char magic[sizeof kTraceMagic] = {};
-  if (!in_->read(magic, sizeof magic) ||
-      std::memcmp(magic, kTraceMagic, sizeof magic) != 0) {
-    ++stats_.bad_magic;
-    return;
-  }
-  const auto version = get_u32(*in_);
-  if (!version || *version != kTraceVersion) {
-    ++stats_.bad_magic;
-    return;
-  }
-  pos_ = kTraceHeaderBytes;
-  ok_ = true;
-}
-
-bool TraceReader::spend_error() {
-  if (stats_.errors() > policy_.max_errors) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-// Scans forward from the byte after `bad_record_start` for the next
-// offset where a plausible record begins: a length prefix in
-// [kMinDatagramBytes, kMaxDatagramBytes] whose payload starts with the
-// sFlow version word and decodes cleanly. On success the stream is
-// repositioned at that offset and the skipped gap is accounted; on EOF
-// everything from the bad record to the end of input is skipped.
-bool TraceReader::resync(std::uint64_t bad_record_start) {
-  std::uint64_t candidate = bad_record_start + 1;
-  while (true) {
-    in_->clear();
-    in_->seekg(static_cast<std::streamoff>(candidate));
-    char head[8];
-    in_->read(head, sizeof head);
-    const auto got = static_cast<std::uint64_t>(in_->gcount());
-    if (got < sizeof head) {
-      // Fewer than 8 bytes remain: no record fits here or anywhere later.
-      stats_.bytes_skipped += candidate + got - bad_record_start;
-      pos_ = candidate + got;
-      return false;
-    }
-    const std::uint32_t length = be32(head);
-    if (length >= kMinDatagramBytes && length <= kMaxDatagramBytes &&
-        be32(head + 4) == Datagram::kVersion) {
-      scratch_.assign(length, std::byte{});
-      in_->clear();
-      in_->seekg(static_cast<std::streamoff>(candidate + 4));
-      in_->read(reinterpret_cast<char*>(scratch_.data()),
-                static_cast<std::streamsize>(length));
-      if (static_cast<std::uint32_t>(in_->gcount()) == length &&
-          decode_into(scratch_, probe_)) {
-        stats_.bytes_skipped += candidate - bad_record_start;
-        ++stats_.resyncs;
-        in_->clear();
-        in_->seekg(static_cast<std::streamoff>(candidate));
-        pos_ = candidate;
-        return true;
-      }
-    }
-    ++candidate;
-  }
-}
-
-bool TraceReader::refill() {
-  while (ok_) {
-    const std::uint64_t record_start = pos_;
-    char len_bytes[4];
-    in_->read(len_bytes, sizeof len_bytes);
-    const auto got = static_cast<std::uint64_t>(in_->gcount());
-    pos_ += got;
-    if (got == 0) return false;  // clean end of trace
-
-    if (got < sizeof len_bytes) {
-      ++stats_.truncated;  // EOF inside the length prefix
-    } else {
-      const std::uint32_t length = be32(len_bytes);
-      if (length < kMinDatagramBytes || length > kMaxDatagramBytes) {
-        ++stats_.bad_length;
-      } else {
-        scratch_.resize(length);
-        in_->read(reinterpret_cast<char*>(scratch_.data()),
-                  static_cast<std::streamsize>(length));
-        const auto body = static_cast<std::uint64_t>(in_->gcount());
-        pos_ += body;
-        if (body < length) {
-          ++stats_.truncated;  // EOF inside the payload
-        } else if (decode_into(scratch_, current_)) {
-          cursor_ = 0;
-          current_offset_ = record_start;
-          ++stats_.datagrams;
-          stats_.samples += current_.samples.size();
-          stats_.bytes_delivered += sizeof len_bytes + length;
-          if (current_.samples.empty()) continue;  // valid, nothing to deliver
-          return true;
-        } else {
-          ++stats_.decode_errors;
-        }
-      }
-    }
-
-    // A corrupt record starts at record_start. Give up if the budget is
-    // spent (strict mode: immediately), otherwise scan past the damage.
-    if (!spend_error()) return false;
-    if (!resync(record_start)) return false;  // scanned to end of input
-  }
-  return false;
-}
-
-std::size_t TraceReader::read_batch(std::vector<FlowSample>& out,
-                                    std::size_t max) {
-  out.clear();
-  while (out.size() < max) {
-    if (cursor_ >= current_.samples.size() && !refill()) break;
-    out.push_back(std::move(current_.samples[cursor_++]));
-  }
-  return out.size();
-}
-
-std::size_t TraceReader::read_record(std::vector<FlowSample>& out,
-                                     std::uint64_t& seq_base) {
-  out.clear();
-  if (cursor_ >= current_.samples.size() && !refill()) return 0;
-  seq_base = stream_seq_key(current_offset_, cursor_);
-  while (cursor_ < current_.samples.size()) {
-    out.push_back(std::move(current_.samples[cursor_++]));
-  }
-  return out.size();
-}
-
-std::optional<FlowSample> TraceReader::next() {
-  // Consume straight from the decoded datagram's sample vector — no
-  // intermediate single-sample batch, no per-call vector churn.
-  if (cursor_ >= current_.samples.size() && !refill()) return std::nullopt;
-  return std::move(current_.samples[cursor_++]);
-}
-
-std::uint64_t TraceReader::for_each(
-    const std::function<void(const FlowSample&)>& sink) {
-  // Drain the current datagram in place, then refill; the decode buffer
-  // inside refill() is the only per-record allocation.
-  std::uint64_t delivered = 0;
-  while (true) {
-    while (cursor_ < current_.samples.size()) {
-      sink(current_.samples[cursor_++]);
-      ++delivered;
-    }
-    if (!refill()) return delivered;
-  }
 }
 
 }  // namespace ixp::sflow

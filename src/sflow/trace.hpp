@@ -2,19 +2,20 @@
 //
 // The paper's measurement setup stores the collector's sFlow stream and
 // replays it through analysis pipelines. TraceWriter batches FlowSamples
-// into length-prefixed sFlow datagrams on any std::ostream; TraceReader
-// streams them back. This is what makes the pipeline usable on recorded
-// data: generate once, analyze many times — or ingest a real collector
-// dump converted to this framing.
+// into length-prefixed sFlow datagrams on any std::ostream; MappedTrace
+// (mapped_trace.hpp) and TraceCursor (trace_segment.hpp) decode them
+// back. This is what makes the pipeline usable on recorded data:
+// generate once, analyze many times — or ingest a real collector dump
+// converted to this framing.
 //
 // File layout: magic "IXPSCOPE" + u32 version, then repeated
 // [u32 datagram length][datagram bytes] until EOF.
 //
 // Real traces get damaged: bits flip on disk, transfers truncate, a
-// crashed collector leaves a half-written record. TraceReader therefore
+// crashed collector leaves a half-written record. The decoder therefore
 // carries a failure model (DESIGN.md §8): every corrupt record is
 // classified into an error taxonomy (ReaderStats), and — budget
-// permitting (ReadPolicy) — the reader resynchronizes by scanning
+// permitting (ReadPolicy) — the cursor resynchronizes by scanning
 // forward for the next plausible length-prefixed datagram instead of
 // halting. Every byte of the input is accounted for: it is either the
 // 12-byte header, part of a delivered record, or counted in
@@ -22,10 +23,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <istream>
 #include <limits>
-#include <optional>
 #include <ostream>
 
 #include "sflow/datagram.hpp"
@@ -88,11 +86,11 @@ class TraceWriter {
   std::uint64_t samples_written_ = 0;
 };
 
-/// How a TraceReader responds to corruption. `max_errors` is the number
-/// of corrupt records tolerated (each one resynchronized past) before the
-/// reader gives up and clears ok(). strict() tolerates none — the first
-/// corrupt record halts the read, which is the historical behavior and
-/// the default.
+/// How trace decoding responds to corruption. `max_errors` is the number
+/// of corrupt records tolerated (each one resynchronized past); one more
+/// clears ok(). strict() tolerates none and is the default. A TraceCursor
+/// stops at the overrun; ingest::MappedSource decodes everything and
+/// judges the summed taxonomy against the budget afterwards.
 struct ReadPolicy {
   std::uint64_t max_errors = 0;
 
@@ -104,9 +102,9 @@ struct ReadPolicy {
   }
 };
 
-/// Error taxonomy and byte accounting for one TraceReader. The invariant
-/// (tested by the corruption matrix) is exact accounting once the reader
-/// reaches end-of-input:
+/// Error taxonomy and byte accounting for one decoded trace (or one
+/// TraceCursor segment of it). The invariant (tested by the corruption
+/// matrix) is exact accounting once decoding reaches end-of-input:
 ///   input_size == 12 (header) + bytes_delivered + bytes_skipped
 struct ReaderStats {
   // Delivery side.
@@ -115,7 +113,6 @@ struct ReaderStats {
   std::uint64_t bytes_delivered = 0;  ///< length prefix + payload of each
 
   // Error taxonomy.
-  std::uint64_t bad_magic = 0;     ///< header magic/version rejected
   std::uint64_t bad_length = 0;    ///< length prefix of 0 or > kMaxDatagramBytes
   std::uint64_t truncated = 0;     ///< EOF inside a length prefix or payload
   std::uint64_t decode_errors = 0; ///< payload failed Datagram decode
@@ -125,7 +122,7 @@ struct ReaderStats {
   std::uint64_t bytes_skipped = 0;  ///< every byte not header / delivered
 
   [[nodiscard]] std::uint64_t errors() const noexcept {
-    return bad_magic + bad_length + truncated + decode_errors;
+    return bad_length + truncated + decode_errors;
   }
   [[nodiscard]] bool degraded() const noexcept { return errors() > 0; }
 
@@ -135,7 +132,6 @@ struct ReaderStats {
     datagrams += other.datagrams;
     samples += other.samples;
     bytes_delivered += other.bytes_delivered;
-    bad_magic += other.bad_magic;
     bad_length += other.bad_length;
     truncated += other.truncated;
     decode_errors += other.decode_errors;
@@ -145,79 +141,6 @@ struct ReaderStats {
   }
 
   friend bool operator==(const ReaderStats&, const ReaderStats&) = default;
-};
-
-/// Streams samples back out of a recorded trace.
-///
-/// read_batch() is the primitive: it pulls samples in stream order across
-/// datagram boundaries, which is what the parallel analysis engine feeds
-/// its worker threads with. next() and for_each() are conveniences built
-/// on top of it; the three can be interleaved freely.
-///
-/// Corruption handling is governed by the ReadPolicy: under the default
-/// strict policy the first corrupt record clears ok() and ends the read;
-/// under a lenient policy the reader seeks past the damage to the next
-/// plausible record (the stream must be seekable — files and
-/// stringstreams are) and keeps going until the error budget is spent.
-/// stats() tells you exactly what was lost either way.
-class TraceReader {
- public:
-  /// Batch size used by for_each()'s internal pulls.
-  static constexpr std::size_t kDefaultBatch = 256;
-
-  /// Validates the header; `ok()` is false on a bad magic/version.
-  explicit TraceReader(std::istream& in,
-                       ReadPolicy policy = ReadPolicy::strict());
-
-  /// Re-targets the reader at `in` (which the caller has positioned at the
-  /// start of a trace), clearing stats and position but keeping every
-  /// internal buffer's capacity. A replay loop that seeks one stream back
-  /// to 0 and reset()s runs allocation-free after the first pass.
-  void reset(std::istream& in, ReadPolicy policy = ReadPolicy::strict());
-
-  /// True until the header is rejected or the error budget is exceeded.
-  /// A lenient reader that resynchronized past damage stays ok(); check
-  /// stats().degraded() to see whether anything was lost.
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-
-  [[nodiscard]] const ReaderStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const ReadPolicy& policy() const noexcept { return policy_; }
-
-  /// Clears `out` and refills it with up to `max` samples in stream
-  /// order; returns the number delivered (0 at end-of-trace or once the
-  /// error budget clears ok()).
-  std::size_t read_batch(std::vector<FlowSample>& out, std::size_t max);
-
-  /// Clears `out` and refills it with the (remaining) samples of exactly
-  /// one delivered record, setting `seq_base` to the stream_seq_key of the
-  /// first sample delivered. Returns the number delivered, 0 at
-  /// end-of-trace. Record-granular batches carry position-derived keys,
-  /// which is what keeps a streamed analysis byte-identical to a
-  /// mapped-parallel one over the same trace.
-  std::size_t read_record(std::vector<FlowSample>& out, std::uint64_t& seq_base);
-
-  /// Invokes `sink` for every sample in order; returns the number of
-  /// samples delivered.
-  std::uint64_t for_each(const std::function<void(const FlowSample&)>& sink);
-
-  /// Pulls the next sample, or nullopt at end-of-trace / on failure.
-  [[nodiscard]] std::optional<FlowSample> next();
-
- private:
-  bool refill();
-  bool resync(std::uint64_t bad_record_start);
-  [[nodiscard]] bool spend_error();
-
-  std::istream* in_;
-  ReadPolicy policy_;
-  ReaderStats stats_;
-  bool ok_ = false;
-  std::uint64_t pos_ = 0;  ///< absolute offset of the next unread byte
-  Datagram current_;       ///< decoded datagram being drained
-  std::size_t cursor_ = 0; ///< next undelivered sample in current_
-  std::uint64_t current_offset_ = 0;  ///< record start of current_
-  std::vector<std::byte> scratch_;    ///< payload bytes, reused per record
-  Datagram probe_;                    ///< resync decode probe, reused
 };
 
 }  // namespace ixp::sflow

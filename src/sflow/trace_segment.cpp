@@ -29,10 +29,9 @@ std::vector<TraceSegment> TraceSegmenter::split(std::span<const std::byte> trace
   const std::uint64_t size = trace.size();
   if (want == 0 || size <= kTraceHeaderBytes) return segments;
 
-  // Segment 0 always starts right after the header — exactly where the
-  // streamed reader starts, plausible record there or not (corruption at
-  // the very first record is the cursor's problem, as it is the
-  // reader's). Later starts slide forward to a plausible boundary.
+  // Segment 0 always starts right after the header, plausible record
+  // there or not (corruption at the very first record is the cursor's
+  // problem). Later starts slide forward to a plausible boundary.
   std::vector<std::uint64_t> starts{kTraceHeaderBytes};
   const std::uint64_t body = size - kTraceHeaderBytes;
   Datagram probe;
@@ -76,11 +75,11 @@ bool TraceCursor::spend_error() {
   return true;
 }
 
-// Mirrors TraceReader::resync byte for byte, including the accounting at
-// end of input: on success the skipped gap is charged and the cursor is
-// repositioned at the plausible record; when fewer than 8 bytes remain
-// anywhere ahead, everything from the bad record to the end of the trace
-// is skipped without counting a resync. For a non-final segment the scan
+// Scans forward from the byte after `bad_record_start` for the next
+// plausible record. On success the skipped gap is charged and the cursor
+// is repositioned at that record; when fewer than 8 bytes remain anywhere
+// ahead, everything from the bad record to the end of the trace is
+// skipped without counting a resync. For a non-final segment the scan
 // can never cross seg_.end: the segment end is itself a plausible record
 // start (the segmenter chose it with this very test), so the scan lands
 // there at the latest and the refill loop then ends the segment cleanly.
@@ -134,7 +133,7 @@ bool TraceCursor::refill() {
     }
 
     // A corrupt record starts at record_start; spend budget and scan past
-    // the damage, exactly like the streamed reader.
+    // the damage.
     if (!spend_error()) return false;
     if (!resync(record_start)) return false;  // scanned to end of input
   }

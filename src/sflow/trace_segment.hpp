@@ -1,28 +1,31 @@
-// Parallel segmentation of a mapped trace.
+// Parallel segmentation and decoding of a mapped trace — the one trace
+// decoder.
 //
 // A MappedTrace is one flat span of bytes; to decode it on N threads the
 // span has to be cut into byte ranges that each start exactly on a record
 // boundary. TraceSegmenter does that: it picks N evenly spaced raw
 // offsets and slides each one forward to the first *plausible* record
-// start — the same plausibility test the streamed TraceReader's resync
-// scanner applies (length prefix in bounds, payload fits, sFlow version
-// word, full clean decode). TraceCursor then walks one segment with
-// byte-for-byte the same corruption handling, error taxonomy, and resync
-// accounting as the streamed reader, so that:
+// start — the same plausibility test TraceCursor's resync scanner
+// applies (length prefix in bounds, payload fits, sFlow version word,
+// full clean decode). TraceCursor then walks one segment, carrying the
+// whole failure model of DESIGN.md §8: every corrupt record is counted
+// in the ReaderStats taxonomy (bad length, truncated, decode error) and,
+// budget permitting, the cursor scans forward to the next plausible
+// record and charges the gap to bytes_skipped. So that:
 //
-//   * per-segment ReaderStats sum exactly to the whole-file streamed
-//     taxonomy (every byte is header, delivered, or skipped — in exactly
-//     one segment), and
-//   * the set of delivered records is identical to a streamed lenient
-//     read, which is what keeps an N-thread mapped analysis byte-
-//     identical to the 1-thread streamed report.
+//   * per-segment ReaderStats sum exactly to the whole-file taxonomy of
+//     a single cursor over the whole body (every byte is header,
+//     delivered, or skipped — in exactly one segment), and
+//   * the set of delivered records is identical to that single-cursor
+//     walk, which is what keeps an N-thread analysis byte-identical to
+//     the 1-thread report.
 //
 // The boundary argument: a segment start chosen by the scanner is a
-// plausible record offset, so the global streamed walk — which only ever
+// plausible record offset, so the whole-body walk — which only ever
 // stops at record starts or resync landings, and whose resync scanner
 // applies the *same* plausibility test — visits it too. Each cursor
-// therefore retraces exactly the slice of the global walk between its
-// segment's endpoints: a cursor stops when its position reaches the
+// therefore retraces exactly the slice of the whole-body walk between
+// its segment's endpoints: a cursor stops when its position reaches the
 // segment end, and a resync that scans up to the boundary lands on it
 // (the boundary is plausible by construction) instead of crossing into
 // the next worker's bytes.
@@ -49,7 +52,8 @@ struct TraceSegment {
 /// `trace`: length prefix in [kMinDatagramBytes, kMaxDatagramBytes], the
 /// payload fits in the remaining bytes, starts with the sFlow version
 /// word, and decodes cleanly into `probe` (reused across calls to keep
-/// the scan allocation-free). Identical to the streamed resync test.
+/// the scan allocation-free). The resync test and the segmenter's
+/// boundary test are both this function.
 [[nodiscard]] bool plausible_record_at(std::span<const std::byte> trace,
                                        std::uint64_t at, Datagram& probe);
 
@@ -72,11 +76,11 @@ class TraceSegmenter {
 };
 
 /// Decodes the records of one TraceSegment straight out of the mapped
-/// bytes. Mirrors TraceReader's failure model record for record — same
-/// taxonomy counters, same resync scan, same budget semantics — but with
-/// zero steady-state allocations: the decoded Datagram and the resync
-/// probe are reused across records, and read_record() hands out a span
-/// into the cursor's own buffer (valid until the next call).
+/// bytes, with the failure model described above — taxonomy counters,
+/// resync scan, error budget — and zero steady-state allocations: the
+/// decoded Datagram and the resync probe are reused across records, and
+/// read_record() hands out a span into the cursor's own buffer (valid
+/// until the next call).
 class TraceCursor {
  public:
   TraceCursor(std::span<const std::byte> trace, TraceSegment seg,
@@ -87,7 +91,9 @@ class TraceCursor {
   void reset(std::span<const std::byte> trace, TraceSegment seg,
              ReadPolicy policy = ReadPolicy::lenient());
 
-  /// True until the error budget is exceeded (mirrors TraceReader::ok()).
+  /// True until the error budget is exceeded. A lenient cursor that
+  /// resynchronized past damage stays ok(); stats().degraded() tells
+  /// whether anything was lost.
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   [[nodiscard]] const ReaderStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const TraceSegment& segment() const noexcept { return seg_; }

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,7 +29,7 @@ void ingest(TrafficDissector& d, Ipv4Addr src, Ipv4Addr dst,
   spec.src_port = src_port;
   spec.dst_port = dst_port;
   std::vector<std::byte> data(payload.size());
-  std::memcpy(data.data(), payload.data(), payload.size());
+  std::ranges::copy(std::as_bytes(std::span{payload}), data.begin());
   const sflow::SampledFrame frame =
       sflow::build_tcp_frame(spec, data, payload.size());
   PeeringSample sample;

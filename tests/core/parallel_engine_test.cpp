@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/parallel_analyzer.hpp"
@@ -14,6 +16,7 @@
 #include "gen/internet.hpp"
 #include "gen/workload.hpp"
 #include "ingest/ingest_source.hpp"
+#include "sflow/mapped_trace.hpp"
 #include "sflow/trace.hpp"
 #include "store/snapshot_codec.hpp"
 
@@ -293,22 +296,26 @@ TEST_F(ParallelEngineTest, SpanAnalyzerEightThreadsMatchesBaseline) {
 }
 
 TEST_F(ParallelEngineTest, TraceReplayThreadedMatchesBaseline) {
-  // Full loop: record the stream, replay it through the queue-fed engine.
+  // Full loop: record the stream, replay the trace image through the
+  // segment-parallel engine.
   std::stringstream buffer;
   {
     sflow::TraceWriter writer{buffer, net::Ipv4Addr{172, 16, 0, 1}, 128};
     for (const auto& sample : *samples_) writer.write(sample);
     writer.flush();
   }
-  sflow::TraceReader reader{buffer};
-  ASSERT_TRUE(reader.ok());
+  const std::string raw = buffer.str();
+  std::vector<std::byte> bytes(raw.size());
+  std::ranges::copy(std::as_bytes(std::span{raw}), bytes.begin());
+  const auto trace = sflow::MappedTrace::adopt(std::move(bytes));
+  ASSERT_TRUE(trace.ok());
 
   auto vp = make_vantage();
   ParallelOptions options;
   options.threads = 3;
   options.batch_size = 128;
   ParallelAnalyzer analyzer{vp, options};
-  ingest::ReaderSource source{reader};
+  ingest::MappedSource source{trace};
   const auto report = analyzer.analyze(kWeek, source, fetcher());
   EXPECT_TRUE(source.ok());
   expect_matches_baseline(report);

@@ -4,8 +4,9 @@
 //     rethrows on the calling thread, lenient mode completes the week
 //     with a degraded report;
 //   - a trace damaged by the FaultInjector, read leniently, must produce
-//     a byte-identical report for any thread count (the reader is the
-//     serial resync point, so corruption cannot break determinism).
+//     a byte-identical report for any thread count (segments start on
+//     plausible records and each cursor resyncs inside its own segment,
+//     so corruption cannot break determinism).
 // Runs under the tsan preset: the interesting bugs here are lock-order
 // and lost-wakeup races on the failure path.
 #include <gtest/gtest.h>
@@ -13,8 +14,10 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/parallel_analyzer.hpp"
@@ -65,8 +68,6 @@ class ParallelFaultTest : public ::testing::Test {
     };
   }
 
-  static sflow::FlowSample sample(std::size_t i) { return (*samples_)[i]; }
-
   static gen::InternetModel* model_;
   static std::unordered_map<net::Asn, net::Locality>* locality_;
   static std::vector<sflow::FlowSample>* samples_;
@@ -93,6 +94,34 @@ void expect_reports_equal(const WeeklyReport& a, const WeeklyReport& b) {
   }
 }
 
+/// Records a sample stream to trace bytes (TraceWriter framing).
+std::vector<std::byte> record_trace(const std::vector<sflow::FlowSample>& samples) {
+  std::stringstream buffer;
+  {
+    sflow::TraceWriter writer{buffer, net::Ipv4Addr{172, 16, 0, 1}, 128};
+    for (const auto& s : samples) writer.write(s);
+  }
+  const std::string raw = buffer.str();
+  std::vector<std::byte> bytes(raw.size());
+  std::memcpy(bytes.data(), raw.data(), raw.size());
+  return bytes;
+}
+
+/// A span source that declines to split, so the analyzer pumps it from
+/// the calling thread through the bounded queue — the path a live feed
+/// takes.
+class SerialSource final : public ingest::IngestSource {
+ public:
+  SerialSource(std::span<const sflow::FlowSample> samples, std::size_t batch)
+      : inner_(samples, batch) {}
+  ingest::SourceStatus next_batch(ingest::SampleBatch& out) override {
+    return inner_.next_batch(out);
+  }
+
+ private:
+  ingest::SpanSource inner_;
+};
+
 ParallelOptions throwing_options(unsigned threads, std::uint64_t bad_seq) {
   ParallelOptions options;
   options.threads = threads;
@@ -111,12 +140,7 @@ TEST_F(ParallelFaultTest, StrictWorkerExceptionRethrownNoDeadlock) {
   // against the tiny queue when the worker dies, which is exactly the
   // blocked-push scenario abort() must unwedge.
   ParallelAnalyzer analyzer{vp, throwing_options(4, 512)};
-  ingest::FunctionSource source{[at = std::size_t{0}](
-                                    std::vector<sflow::FlowSample>& out) mutable {
-    out.clear();
-    while (out.size() < 64 && at < samples_->size()) out.push_back(sample(at++));
-    return out.size();
-  }};
+  SerialSource source{*samples_, 64};
   EXPECT_THROW((void)analyzer.analyze(kWeek, source, fetcher()),
                std::runtime_error);
 }
@@ -158,30 +182,23 @@ TEST_F(ParallelFaultTest, CleanRunIsNotDegraded) {
 TEST_F(ParallelFaultTest, CorruptTraceLenientReportIdenticalAcrossThreads) {
   // Record the week, damage it with the default mix, then demand the
   // 1-, 2-, and 8-thread lenient analyses agree bit for bit.
-  std::stringstream intact;
-  {
-    sflow::TraceWriter writer{intact, net::Ipv4Addr{172, 16, 0, 1}, 128};
-    for (const auto& s : *samples_) writer.write(s);
-  }
-  std::stringstream corrupted;
+  std::vector<std::byte> corrupted;
   const sflow::FaultInjector injector{42};
-  const auto fault_report = injector.corrupt(intact, corrupted);
+  const auto fault_report = injector.corrupt(record_trace(*samples_), corrupted);
   ASSERT_TRUE(fault_report);
   ASSERT_GT(fault_report->faults(), 0u);
-  const std::string damaged = corrupted.str();
+  const auto trace = sflow::MappedTrace::adopt(std::move(corrupted));
+  ASSERT_TRUE(trace.ok());
 
   std::vector<WeeklyReport> reports;
   std::vector<sflow::ReaderStats> stats;
   for (const unsigned threads : {1u, 2u, 8u}) {
-    std::stringstream in{damaged};
-    sflow::TraceReader reader{in, sflow::ReadPolicy::lenient()};
-    ASSERT_TRUE(reader.ok());
     auto vp = make_vantage();
     ParallelOptions options;
     options.threads = threads;
     options.batch_size = 256;
     ParallelAnalyzer analyzer{vp, options};
-    ingest::ReaderSource source{reader};
+    ingest::MappedSource source{trace, sflow::ReadPolicy::lenient()};
     reports.push_back(analyzer.analyze(kWeek, source, fetcher()));
     EXPECT_TRUE(source.ok()) << threads << " threads";
     EXPECT_TRUE(source.stats().degraded()) << threads << " threads";
@@ -196,25 +213,12 @@ TEST_F(ParallelFaultTest, CorruptTraceLenientReportIdenticalAcrossThreads) {
   }
 }
 
-/// Records a sample stream to trace bytes (TraceWriter framing).
-std::vector<std::byte> record_trace(const std::vector<sflow::FlowSample>& samples) {
-  std::stringstream buffer;
-  {
-    sflow::TraceWriter writer{buffer, net::Ipv4Addr{172, 16, 0, 1}, 128};
-    for (const auto& s : samples) writer.write(s);
-  }
-  const std::string raw = buffer.str();
-  std::vector<std::byte> bytes(raw.size());
-  std::memcpy(bytes.data(), raw.data(), raw.size());
-  return bytes;
-}
-
-/// The mapped-path contract, now through IngestSource: the mapped
-/// N-thread report is byte-identical to the streamed 1-thread report
-/// over the same trace bytes, and the MappedSource's per-segment
-/// ReaderStats sum to the streamed reader's exact whole-file taxonomy —
-/// on a clean trace and on a damaged one.
-TEST_F(ParallelFaultTest, MappedReportMatchesStreamedOnCleanAndCorrupt) {
+/// The split contract at report level: an N-thread analysis over a
+/// MappedSource split into segments is byte-identical to the 1-thread
+/// analysis of the unsplit source, and the per-segment ReaderStats sum to
+/// the unsplit whole-file taxonomy — on a clean trace and on a damaged
+/// one.
+TEST_F(ParallelFaultTest, MappedSplitReportMatchesUnsplitOnCleanAndCorrupt) {
   const std::vector<std::byte> clean = record_trace(*samples_);
   std::vector<std::byte> corrupted;
   {
@@ -227,33 +231,35 @@ TEST_F(ParallelFaultTest, MappedReportMatchesStreamedOnCleanAndCorrupt) {
   const std::vector<std::byte>* variants[] = {&clean, &corrupted};
   for (const auto* bytes : variants) {
     SCOPED_TRACE(bytes == &clean ? "clean trace" : "corrupted trace");
-
-    // Streamed baseline: one thread, lenient.
-    std::stringstream in{std::string{
-        reinterpret_cast<const char*>(bytes->data()), bytes->size()}};
-    sflow::TraceReader reader{in, sflow::ReadPolicy::lenient()};
-    ASSERT_TRUE(reader.ok());
-    auto vp = make_vantage();
-    ParallelAnalyzer baseline{vp, ParallelOptions{.threads = 1}};
-    ingest::ReaderSource reader_source{reader};
-    const auto streamed = baseline.analyze(kWeek, reader_source, fetcher());
-    ASSERT_TRUE(reader_source.ok());
-
     auto copy = *bytes;
     const auto trace = sflow::MappedTrace::adopt(std::move(copy));
     ASSERT_TRUE(trace.ok());
-    for (const unsigned threads : {1u, 8u}) {
-      SCOPED_TRACE(std::to_string(threads) + " mapped threads");
+
+    // Unsplit baseline: one thread, one segment, lenient.
+    auto vp = make_vantage();
+    ParallelOptions serial_options;
+    serial_options.threads = 1;
+    ParallelAnalyzer baseline{vp, serial_options};
+    ingest::MappedSource unsplit{trace, sflow::ReadPolicy::lenient()};
+    const auto serial = baseline.analyze(kWeek, unsplit, fetcher());
+    ASSERT_TRUE(unsplit.ok());
+    ASSERT_EQ(unsplit.segments().size(), 1u);
+
+    for (const unsigned threads : {4u, 8u}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
       auto vp2 = make_vantage();
-      ParallelAnalyzer analyzer{vp2, ParallelOptions{.threads = threads}};
+      ParallelOptions options;
+      options.threads = threads;
+      ParallelAnalyzer analyzer{vp2, options};
       ingest::MappedSource source{trace, sflow::ReadPolicy::lenient()};
-      const auto mapped = analyzer.analyze(kWeek, source, fetcher());
-      expect_reports_equal(streamed, mapped);
+      const auto split = analyzer.analyze(kWeek, source, fetcher());
+      EXPECT_GT(source.segments().size(), 1u);
+      expect_reports_equal(serial, split);
 
       // Exact accounting: the summed per-segment taxonomy equals the
-      // streamed whole-file one, field for field, and covers every byte.
+      // unsplit whole-file one, field for field, and covers every byte.
       const sflow::ReaderStats total = source.stats();
-      EXPECT_EQ(total, reader.stats());
+      EXPECT_EQ(total, unsplit.stats());
       EXPECT_TRUE(source.within_budget());
       EXPECT_TRUE(source.ok());
       ASSERT_EQ(source.per_segment().size(), source.segments().size());

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 
 namespace ixp::core {
 namespace {
@@ -55,7 +57,7 @@ class VantagePointTest : public ::testing::Test {
     spec.frame_length = wire_len;
     const std::size_t len = std::strlen(payload);
     std::vector<std::byte> data(len);
-    std::memcpy(data.data(), payload, len);
+    std::ranges::copy(std::as_bytes(std::span{payload, len}), data.begin());
     sflow::FlowSample s;
     s.sampling_rate = 1000;  // expanded = wire_len * 1000
     s.frame = sflow::build_tcp_frame(spec, data, std::max<std::size_t>(len, 1));

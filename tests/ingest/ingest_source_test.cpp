@@ -3,11 +3,11 @@
 // the ones the analyzer's determinism rests on:
 //   * keys: every adapter hands out the exact stream keys the equivalent
 //     single-stream walk would (running indices in memory, offset-derived
-//     stream_seq_key for traces);
+//     stream_seq_key for traces — checked against the streamed oracle);
 //   * split(): the sub-sources partition the remaining stream — same
 //     batches, same keys, nothing duplicated, nothing lost;
-//   * accounting: trace-backed sources surface the reader's exact byte
-//     taxonomy, and a MappedSource's per-segment stats sum to it.
+//   * accounting: a MappedSource surfaces the exact byte taxonomy, and
+//     its per-segment stats sum to it.
 #include "ingest/ingest_source.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "sflow/fault_injector.hpp"
 #include "sflow/frame.hpp"
 #include "sflow/trace.hpp"
+#include "support/streamed_trace_oracle.hpp"
 
 namespace ixp::ingest {
 namespace {
@@ -76,25 +77,6 @@ std::vector<std::pair<std::uint64_t, std::size_t>> drain(IngestSource& source) {
   return batches;
 }
 
-TEST(FunctionSource, RunningKeysAndEnd) {
-  std::size_t calls = 0;
-  FunctionSource source{[&calls](std::vector<sflow::FlowSample>& out) {
-    out.clear();
-    if (calls == 3) return std::size_t{0};
-    const std::size_t n = 5 + calls;  // 5, 6, 7
-    for (std::size_t i = 0; i < n; ++i) out.push_back(make_sample(0));
-    ++calls;
-    return n;
-  }};
-  const auto batches = drain(source);
-  ASSERT_EQ(batches.size(), 3u);
-  EXPECT_EQ(batches[0], (std::pair<std::uint64_t, std::size_t>{0, 5}));
-  EXPECT_EQ(batches[1], (std::pair<std::uint64_t, std::size_t>{5, 6}));
-  EXPECT_EQ(batches[2], (std::pair<std::uint64_t, std::size_t>{11, 7}));
-  EXPECT_TRUE(source.ok());
-  EXPECT_EQ(source.stats().samples, 0u);  // in-memory: taxonomy is zeros
-}
-
 TEST(SpanSource, BatchBoundariesAndKeys) {
   const auto samples = make_samples(10);
   SpanSource source{samples, /*batch_size=*/4};
@@ -146,42 +128,9 @@ TEST(SpanSource, SplitAfterPartialConsumptionCoversOnlyTheRemainder) {
   EXPECT_EQ(combined, expected);
 }
 
-TEST(ReaderSource, OffsetDerivedKeysAndStatsPassthrough) {
-  const auto samples = make_samples(50);
-  const auto bytes = record_trace(samples, /*batch=*/7);
-  std::stringstream in{std::string{
-      reinterpret_cast<const char*>(bytes.data()), bytes.size()}};
-  sflow::TraceReader reader{in, sflow::ReadPolicy::lenient()};
-  ASSERT_TRUE(reader.ok());
-
-  ReaderSource source{reader};
-  SampleBatch batch;
-  std::uint64_t delivered = 0;
-  std::uint64_t previous_key = 0;
-  while (source.next_batch(batch) == SourceStatus::kBatch) {
-    // Keys are stream_seq_key(offset, 0): strictly increasing, low 16
-    // bits clear, and the first record starts right after the header.
-    EXPECT_EQ(batch.first_seq & 0xFFFF, 0u);
-    if (delivered == 0) {
-      EXPECT_EQ(batch.first_seq,
-                sflow::stream_seq_key(sflow::kTraceHeaderBytes, 0));
-    } else {
-      EXPECT_GT(batch.first_seq, previous_key);
-    }
-    previous_key = batch.first_seq;
-    delivered += batch.samples.size();
-  }
-  EXPECT_EQ(delivered, samples.size());
-  EXPECT_TRUE(source.ok());
-  EXPECT_EQ(source.stats().samples, reader.stats().samples);
-  EXPECT_EQ(source.stats().bytes_delivered, reader.stats().bytes_delivered);
-  EXPECT_EQ(sflow::kTraceHeaderBytes + source.stats().bytes_delivered +
-                source.stats().bytes_skipped,
-            bytes.size());
-}
-
-/// Mapped and streamed walks over the same bytes must deliver the same
-/// (key, count) batch list and the same exact taxonomy — clean or damaged.
+/// A serial MappedSource walk and the streamed oracle over the same bytes
+/// must deliver the same (key, count) batch list and the same exact
+/// taxonomy — clean or damaged.
 TEST(MappedSource, SerialWalkMatchesStreamedReader) {
   const auto clean = record_trace(make_samples(80));
   std::vector<std::byte> corrupted;
@@ -197,10 +146,13 @@ TEST(MappedSource, SerialWalkMatchesStreamedReader) {
     SCOPED_TRACE(bytes == &clean ? "clean" : "corrupted");
     std::stringstream in{std::string{
         reinterpret_cast<const char*>(bytes->data()), bytes->size()}};
-    sflow::TraceReader reader{in, sflow::ReadPolicy::lenient()};
+    sflow::StreamedTraceOracle reader{in, sflow::ReadPolicy::lenient()};
     ASSERT_TRUE(reader.ok());
-    ReaderSource streamed{reader};
-    const auto expected = drain(streamed);
+    std::vector<std::pair<std::uint64_t, std::size_t>> expected;
+    std::vector<sflow::FlowSample> record;
+    std::uint64_t key = 0;
+    while (reader.read_record(record, key) > 0)
+      expected.emplace_back(key, record.size());
 
     MappedSource mapped{std::span<const std::byte>{*bytes},
                         sflow::ReadPolicy::lenient()};

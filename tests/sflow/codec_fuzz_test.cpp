@@ -1,12 +1,20 @@
-// Fuzz-style robustness: the datagram and trace decoders must survive
+// Fuzz-style robustness: the datagram decoder and the shipped trace
+// decoder (MappedTrace + TraceSegmenter + TraceCursor) must survive
 // arbitrary mutations of valid inputs — rejecting cleanly (nullopt /
-// ok()==false), never crashing, never over-reading.
+// kBadHeader), never crashing, never over-reading, and accounting for
+// every byte of a mutated trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sflow/datagram.hpp"
+#include "sflow/mapped_trace.hpp"
 #include "sflow/trace.hpp"
+#include "sflow/trace_segment.hpp"
 #include "util/rng.hpp"
 
 namespace ixp::sflow {
@@ -80,21 +88,52 @@ TEST(TraceFuzz, MutatedTracesNeverDeliverOversizedFrames) {
     for (const auto& sample : d.samples)
       for (int k = 0; k < 3; ++k) writer.write(sample);
   }
-  const std::string baseline = buffer.str();
+  const std::string raw = buffer.str();
+  std::vector<std::byte> baseline(raw.size());
+  std::ranges::copy(std::as_bytes(std::span{raw}), baseline.begin());
   util::Rng rng{77};
   for (int trial = 0; trial < 200; ++trial) {
-    std::string mutated = baseline;
-    mutated[rng.next_below(mutated.size())] =
-        static_cast<char>(rng.next_below(256));
-    std::stringstream in{mutated};
-    TraceReader reader{in};
-    std::uint64_t delivered = 0;
-    if (reader.ok()) {
-      delivered = reader.for_each([&](const FlowSample& sample) {
-        EXPECT_LE(sample.frame.captured, kCaptureBytes);
-      });
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<std::byte> mutated = baseline;
+    const std::size_t at = rng.next_below(mutated.size());
+    mutated[at] = static_cast<std::byte>(rng.next_below(256));
+    const auto trace = MappedTrace::adopt(std::move(mutated));
+    if (!trace.ok()) {
+      // Same size as the intact image, so only the header can be wrong.
+      EXPECT_EQ(trace.error(), MappedTrace::Error::kBadHeader);
+      EXPECT_LT(at, kTraceHeaderBytes);
+      continue;
     }
-    EXPECT_LE(delivered, 12u);  // never more samples than were written
+    const std::uint64_t size = trace.size();
+    for (const std::size_t want : {1u, 2u, 4u}) {
+      SCOPED_TRACE("want " + std::to_string(want));
+      const auto segments = TraceSegmenter::split(trace.bytes(), want);
+      // The segments tile the body: contiguous, header to end of trace.
+      ASSERT_FALSE(segments.empty());
+      EXPECT_EQ(segments.front().begin, kTraceHeaderBytes);
+      EXPECT_EQ(segments.back().end, size);
+      for (std::size_t i = 0; i + 1 < segments.size(); ++i)
+        EXPECT_EQ(segments[i].end, segments[i + 1].begin);
+
+      ReaderStats total;
+      std::uint64_t delivered = 0;
+      for (const auto& segment : segments) {
+        TraceCursor cursor{trace.bytes(), segment, ReadPolicy::lenient()};
+        std::uint64_t key = 0;
+        for (auto record = cursor.read_record(key); !record.empty();
+             record = cursor.read_record(key)) {
+          for (const auto& sample : record)
+            EXPECT_LE(sample.frame.captured, kCaptureBytes);
+          delivered += record.size();
+        }
+        EXPECT_TRUE(cursor.ok());
+        total += cursor.stats();
+      }
+      EXPECT_EQ(size, kTraceHeaderBytes + total.bytes_delivered +
+                          total.bytes_skipped);
+      EXPECT_EQ(delivered, total.samples);
+      EXPECT_LE(delivered, 12u);  // never more samples than were written
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // The corruption matrix: every fault kind, several seeds, and the exact
-// byte-accounting contract of the hardened TraceReader (DESIGN.md §8).
-// Whatever the FaultInjector does to a trace, a lenient reader must
-// (a) never crash, (b) reach end-of-input with every byte accounted for
+// byte-accounting contract of the trace decoder — MappedTrace plus a
+// TraceCursor over the whole body (DESIGN.md §8). Whatever the
+// FaultInjector does to a trace, a lenient cursor must (a) never crash, (b) reach end-of-input with every byte accounted for
 // (header + delivered + skipped == input), and (c) honor the strict
 // policy's error budget.
 #include "sflow/fault_injector.hpp"
@@ -13,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "sflow/mapped_trace.hpp"
 #include "sflow/trace.hpp"
+#include "sflow/trace_segment.hpp"
 
 namespace ixp::sflow {
 namespace {
@@ -52,11 +54,6 @@ std::vector<std::byte> build_trace(std::uint32_t samples, std::size_t batch) {
   return bytes;
 }
 
-std::stringstream to_stream(const std::vector<std::byte>& bytes) {
-  return std::stringstream{
-      std::string{reinterpret_cast<const char*>(bytes.data()), bytes.size()}};
-}
-
 struct ReadOutcome {
   std::uint64_t delivered = 0;
   bool ok = false;
@@ -64,12 +61,16 @@ struct ReadOutcome {
 };
 
 ReadOutcome read_all(const std::vector<std::byte>& bytes, ReadPolicy policy) {
-  auto stream = to_stream(bytes);
-  TraceReader reader{stream, policy};
+  const auto trace = MappedTrace::adopt(bytes);
+  EXPECT_TRUE(trace.ok());
+  TraceCursor cursor{trace.bytes(), {kHeaderBytes, trace.size()}, policy};
   ReadOutcome outcome;
-  outcome.delivered = reader.for_each([](const FlowSample&) {});
-  outcome.ok = reader.ok();
-  outcome.stats = reader.stats();
+  std::uint64_t key = 0;
+  for (auto record = cursor.read_record(key); !record.empty();
+       record = cursor.read_record(key))
+    outcome.delivered += record.size();
+  outcome.ok = cursor.ok();
+  outcome.stats = cursor.stats();
   return outcome;
 }
 
@@ -116,7 +117,7 @@ TEST(FaultInjector, CorruptionMatrixAccountsForEveryByte) {
       EXPECT_EQ(report->bytes_in, intact.size());
       EXPECT_EQ(report->bytes_out, corrupted.size());
 
-      // A lenient reader must reach end-of-input without failing and
+      // A lenient cursor must reach end-of-input without failing and
       // account for every byte, no matter the damage.
       const auto outcome = read_all(corrupted, ReadPolicy::lenient());
       EXPECT_TRUE(outcome.ok);

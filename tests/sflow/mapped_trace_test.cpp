@@ -1,13 +1,16 @@
-// The mapped-ingest parity contract (ISSUE 4):
+// The mapped-ingest contract:
 //   - MappedTrace opens real files (mmap or fallback) and classifies
 //     open failures distinctly (missing / too short / bad header);
 //   - TraceSegmenter's segments tile the trace body exactly, every
 //     later segment starting on a plausible record boundary;
 //   - a set of TraceCursors walking the segments delivers exactly the
-//     samples a streamed lenient TraceReader delivers — same bytes, same
-//     order, same offset-derived stream keys — and their per-segment
-//     ReaderStats sum field-for-field to the streamed whole-file
-//     taxonomy, on clean traces AND on every FaultInjector scenario.
+//     samples the streamed oracle (tests/support) delivers under a
+//     lenient policy — same bytes, same order, same offset-derived
+//     stream keys — and their per-segment ReaderStats sum field-for-field
+//     to the oracle's whole-file taxonomy, on clean traces AND on every
+//     FaultInjector scenario. The oracle is an independent, istream-based
+//     implementation of the same failure model, so this is a
+//     differential check of the cursor's resync and accounting.
 // Runs under both the asan (`faults`) and tsan labels.
 #include "sflow/mapped_trace.hpp"
 
@@ -26,6 +29,7 @@
 #include "sflow/fault_injector.hpp"
 #include "sflow/trace.hpp"
 #include "sflow/trace_segment.hpp"
+#include "support/streamed_trace_oracle.hpp"
 
 namespace ixp::sflow {
 namespace {
@@ -72,7 +76,7 @@ struct Walk {
 Walk streamed_walk(const std::vector<std::byte>& bytes) {
   std::stringstream stream{
       std::string{reinterpret_cast<const char*>(bytes.data()), bytes.size()}};
-  TraceReader reader{stream, ReadPolicy::lenient()};
+  StreamedTraceOracle reader{stream, ReadPolicy::lenient()};
   Walk walk;
   std::vector<FlowSample> record;
   std::uint64_t key = 0;

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include "sflow/mapped_trace.hpp"
+#include "sflow/trace_segment.hpp"
 
 namespace ixp::sflow {
 namespace {
@@ -28,6 +35,30 @@ FlowSample make_sample(std::uint32_t seq) {
   return sample;
 }
 
+/// Adopts the bytes a TraceWriter left in `buffer` as a trace image.
+MappedTrace adopt(const std::stringstream& buffer) {
+  const std::string raw = buffer.str();
+  std::vector<std::byte> bytes(raw.size());
+  std::ranges::copy(std::as_bytes(std::span{raw}), bytes.begin());
+  return MappedTrace::adopt(std::move(bytes));
+}
+
+/// One cursor over the whole trace body under `policy`.
+TraceCursor whole_body(const MappedTrace& trace,
+                       ReadPolicy policy = ReadPolicy::strict()) {
+  return TraceCursor{trace.bytes(), {kTraceHeaderBytes, trace.size()}, policy};
+}
+
+/// Every sample the cursor delivers, in order.
+std::vector<FlowSample> drain(TraceCursor& cursor) {
+  std::vector<FlowSample> samples;
+  std::uint64_t key = 0;
+  for (auto record = cursor.read_record(key); !record.empty();
+       record = cursor.read_record(key))
+    samples.insert(samples.end(), record.begin(), record.end());
+  return samples;
+}
+
 TEST(Trace, RoundTripsSamplesInOrder) {
   std::stringstream buffer;
   {
@@ -36,18 +67,17 @@ TEST(Trace, RoundTripsSamplesInOrder) {
     EXPECT_EQ(writer.samples_written(), 100u);
   }  // destructor flushes the partial batch
 
-  TraceReader reader{buffer};
-  ASSERT_TRUE(reader.ok());
-  std::uint32_t expected = 0;
-  const std::uint64_t delivered =
-      reader.for_each([&](const FlowSample& sample) {
-        EXPECT_EQ(sample.sequence, expected);
-        EXPECT_EQ(sample.sampling_rate, 16384u);
-        EXPECT_EQ(sample.frame.frame_length, make_sample(expected).frame.frame_length);
-        ++expected;
-      });
-  EXPECT_EQ(delivered, 100u);
-  EXPECT_TRUE(reader.ok());
+  const auto trace = adopt(buffer);
+  ASSERT_TRUE(trace.ok());
+  auto cursor = whole_body(trace);
+  const auto samples = drain(cursor);
+  ASSERT_EQ(samples.size(), 100u);
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(samples[i].sequence, i);
+    EXPECT_EQ(samples[i].sampling_rate, 16384u);
+    EXPECT_EQ(samples[i].frame.frame_length, make_sample(i).frame.frame_length);
+  }
+  EXPECT_TRUE(cursor.ok());
 }
 
 TEST(Trace, FramesSurviveByteForByte) {
@@ -57,14 +87,16 @@ TEST(Trace, FramesSurviveByteForByte) {
     TraceWriter writer{buffer, Ipv4Addr{1, 1, 1, 1}};
     writer.write(original);
   }
-  TraceReader reader{buffer};
-  const auto sample = reader.next();
-  ASSERT_TRUE(sample);
-  EXPECT_EQ(sample->frame.captured, original.frame.captured);
-  EXPECT_EQ(std::memcmp(sample->frame.data.data(), original.frame.data.data(),
+  const auto trace = adopt(buffer);
+  auto cursor = whole_body(trace);
+  const auto samples = drain(cursor);
+  ASSERT_EQ(samples.size(), 1u);
+  const FlowSample& sample = samples.front();
+  EXPECT_EQ(sample.frame.captured, original.frame.captured);
+  EXPECT_EQ(std::memcmp(sample.frame.data.data(), original.frame.data.data(),
                         original.frame.captured),
             0);
-  const auto parsed = parse_frame(sample->frame);
+  const auto parsed = parse_frame(sample.frame);
   ASSERT_TRUE(parsed);
   EXPECT_TRUE(parsed->is_tcp());
 }
@@ -72,17 +104,21 @@ TEST(Trace, FramesSurviveByteForByte) {
 TEST(Trace, EmptyTraceDeliversNothing) {
   std::stringstream buffer;
   { TraceWriter writer{buffer, Ipv4Addr{1, 1, 1, 1}}; }
-  TraceReader reader{buffer};
-  EXPECT_TRUE(reader.ok());
-  EXPECT_FALSE(reader.next().has_value());
+  const auto trace = adopt(buffer);
+  ASSERT_TRUE(trace.ok());
+  EXPECT_EQ(trace.size(), kTraceHeaderBytes);
+  auto cursor = whole_body(trace);
+  EXPECT_TRUE(drain(cursor).empty());
+  EXPECT_TRUE(cursor.ok());
 }
 
 TEST(Trace, RejectsBadMagic) {
   std::stringstream buffer;
   buffer << "NOTATRACEFILE.....";
-  TraceReader reader{buffer};
-  EXPECT_FALSE(reader.ok());
-  EXPECT_FALSE(reader.next().has_value());
+  const auto trace = adopt(buffer);
+  EXPECT_FALSE(trace.ok());
+  EXPECT_EQ(trace.error(), MappedTrace::Error::kBadHeader);
+  EXPECT_TRUE(trace.bytes().empty());
 }
 
 TEST(Trace, RejectsWrongVersion) {
@@ -90,8 +126,9 @@ TEST(Trace, RejectsWrongVersion) {
   buffer.write(kTraceMagic, sizeof kTraceMagic);
   const char version[4] = {0, 0, 0, 99};
   buffer.write(version, 4);
-  TraceReader reader{buffer};
-  EXPECT_FALSE(reader.ok());
+  const auto trace = adopt(buffer);
+  EXPECT_FALSE(trace.ok());
+  EXPECT_EQ(trace.error(), MappedTrace::Error::kBadHeader);
 }
 
 TEST(Trace, TruncationDetected) {
@@ -102,70 +139,13 @@ TEST(Trace, TruncationDetected) {
   }
   const std::string full = buffer.str();
   // Cut into the middle of the second datagram.
-  std::stringstream cut{full.substr(0, full.size() - 30)};
-  TraceReader reader{cut};
-  ASSERT_TRUE(reader.ok());
-  std::uint64_t delivered = reader.for_each([](const FlowSample&) {});
-  EXPECT_EQ(delivered, 4u);   // first datagram intact
-  EXPECT_FALSE(reader.ok());  // truncation reported
-}
-
-TEST(Trace, ReadBatchCrossesDatagramBoundaries) {
-  std::stringstream buffer;
-  {
-    // 100 samples in datagrams of 7: batches of 9 never line up with them.
-    TraceWriter writer{buffer, Ipv4Addr{172, 16, 0, 1}, /*batch=*/7};
-    for (std::uint32_t i = 0; i < 100; ++i) writer.write(make_sample(i));
-  }
-  TraceReader reader{buffer};
-  ASSERT_TRUE(reader.ok());
-
-  std::vector<FlowSample> batch;
-  std::uint32_t expected = 0;
-  std::size_t delivered;
-  while ((delivered = reader.read_batch(batch, 9)) > 0) {
-    EXPECT_EQ(delivered, batch.size());
-    EXPECT_LE(delivered, 9u);
-    for (const FlowSample& sample : batch) {
-      EXPECT_EQ(sample.sequence, expected);
-      ++expected;
-    }
-  }
-  EXPECT_EQ(expected, 100u);
-  EXPECT_TRUE(reader.ok());
-  EXPECT_TRUE(batch.empty());  // the final call cleared the vector
-}
-
-TEST(Trace, ReadBatchLargerThanTraceDeliversEverything) {
-  std::stringstream buffer;
-  {
-    TraceWriter writer{buffer, Ipv4Addr{1, 1, 1, 1}, 4};
-    for (std::uint32_t i = 0; i < 10; ++i) writer.write(make_sample(i));
-  }
-  TraceReader reader{buffer};
-  std::vector<FlowSample> batch;
-  EXPECT_EQ(reader.read_batch(batch, 1000), 10u);
-  for (std::uint32_t i = 0; i < 10; ++i)
-    EXPECT_EQ(batch[i].sequence, i);
-  EXPECT_EQ(reader.read_batch(batch, 1000), 0u);
-  EXPECT_TRUE(reader.ok());
-}
-
-TEST(Trace, ReadBatchInterleavesWithNext) {
-  std::stringstream buffer;
-  {
-    TraceWriter writer{buffer, Ipv4Addr{1, 1, 1, 1}, 3};
-    for (std::uint32_t i = 0; i < 10; ++i) writer.write(make_sample(i));
-  }
-  TraceReader reader{buffer};
-  std::vector<FlowSample> batch;
-  ASSERT_EQ(reader.read_batch(batch, 4), 4u);  // samples 0..3
-  const auto single = reader.next();           // sample 4
-  ASSERT_TRUE(single);
-  EXPECT_EQ(single->sequence, 4u);
-  ASSERT_EQ(reader.read_batch(batch, 100), 5u);  // samples 5..9
-  EXPECT_EQ(batch.front().sequence, 5u);
-  EXPECT_EQ(batch.back().sequence, 9u);
+  const std::stringstream cut{full.substr(0, full.size() - 30)};
+  const auto trace = adopt(cut);
+  ASSERT_TRUE(trace.ok());
+  auto cursor = whole_body(trace);
+  EXPECT_EQ(drain(cursor).size(), 4u);  // first datagram intact
+  EXPECT_FALSE(cursor.ok());            // truncation reported
+  EXPECT_EQ(cursor.stats().truncated, 1u);
 }
 
 TEST(Trace, ReadRecordDeliversDatagramsWithMonotoneKeys) {
@@ -174,41 +154,22 @@ TEST(Trace, ReadRecordDeliversDatagramsWithMonotoneKeys) {
     TraceWriter writer{buffer, Ipv4Addr{1, 1, 1, 1}, 4};
     for (std::uint32_t i = 0; i < 10; ++i) writer.write(make_sample(i));
   }
-  TraceReader reader{buffer};
-  std::vector<FlowSample> record;
+  const auto trace = adopt(buffer);
+  auto cursor = whole_body(trace);
   std::uint64_t key = 0;
   std::uint64_t last_key = 0;
   std::uint32_t delivered = 0;
-  while (reader.read_record(record, key) > 0) {
+  for (auto record = cursor.read_record(key); !record.empty();
+       record = cursor.read_record(key)) {
     EXPECT_EQ(record.size(), delivered < 8 ? 4u : 2u);  // batches of 4
-    if (delivered > 0) EXPECT_GT(key, last_key);
+    if (delivered > 0) {
+      EXPECT_GT(key, last_key);
+    }
     last_key = key;
     for (const auto& sample : record) EXPECT_EQ(sample.sequence, delivered++);
   }
   EXPECT_EQ(delivered, 10u);
-  EXPECT_TRUE(reader.ok());
-}
-
-TEST(Trace, ResetReplaysTheSameStream) {
-  std::stringstream buffer;
-  {
-    TraceWriter writer{buffer, Ipv4Addr{1, 1, 1, 1}, 4};
-    for (std::uint32_t i = 0; i < 10; ++i) writer.write(make_sample(i));
-  }
-  TraceReader reader{buffer};
-  std::vector<FlowSample> batch;
-  ASSERT_EQ(reader.read_batch(batch, 1000), 10u);
-  const auto first_stats = reader.stats();
-
-  buffer.clear();
-  buffer.seekg(0);
-  reader.reset(buffer);
-  EXPECT_TRUE(reader.ok());
-  ASSERT_EQ(reader.read_batch(batch, 1000), 10u);
-  EXPECT_EQ(batch.front().sequence, 0u);
-  EXPECT_EQ(batch.back().sequence, 9u);
-  // A fresh walk of the same bytes reproduces the same taxonomy.
-  EXPECT_EQ(reader.stats(), first_stats);
+  EXPECT_TRUE(cursor.ok());
 }
 
 TEST(Trace, FlushWritesPartialBatch) {

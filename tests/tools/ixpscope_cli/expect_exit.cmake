@@ -1,0 +1,34 @@
+# Runs ixpscope once and checks its exit code:
+#   cmake -DIXPSCOPE=<exe> -DARGS=<arg|arg|...> -DEXPECT=<code>
+#         [-DSAME_AS=<arg|arg|...>] -P expect_exit.cmake
+# Arguments are '|'-separated (add_test would split a ';' list). With
+# SAME_AS, a second run with those arguments must exit with the same code
+# and print byte-identical stdout and stderr.
+string(REPLACE "|" ";" args "${ARGS}")
+string(REPLACE "|" " " shown "${ARGS}")
+execute_process(COMMAND ${IXPSCOPE} ${args}
+                RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL EXPECT)
+  message(FATAL_ERROR "ixpscope ${shown} exited ${code}, expected ${EXPECT}\n"
+                      "stdout:\n${out}\nstderr:\n${err}")
+endif()
+
+if(DEFINED SAME_AS)
+  string(REPLACE "|" ";" other "${SAME_AS}")
+  string(REPLACE "|" " " other_shown "${SAME_AS}")
+  execute_process(COMMAND ${IXPSCOPE} ${other}
+                  RESULT_VARIABLE other_code OUTPUT_VARIABLE other_out
+                  ERROR_VARIABLE other_err)
+  if(NOT other_code EQUAL code)
+    message(FATAL_ERROR "ixpscope ${other_shown} exited ${other_code}, "
+                        "ixpscope ${shown} exited ${code}")
+  endif()
+  if(NOT other_out STREQUAL out)
+    message(FATAL_ERROR "stdout differs:\n--- ${shown}\n${out}\n"
+                        "--- ${other_shown}\n${other_out}")
+  endif()
+  if(NOT other_err STREQUAL err)
+    message(FATAL_ERROR "stderr differs:\n--- ${shown}\n${err}\n"
+                        "--- ${other_shown}\n${other_err}")
+  endif()
+endif()

@@ -18,8 +18,9 @@
 // Ingest flags are shared by every trace-consuming command (analyze,
 // corrupt, serve) and parsed in one place with one set of semantics:
 // --threads N shards the work over N workers (byte-identical report for
-// any N), --strict fails at the first corrupt record, --max-errors N
-// tolerates at most N, --mmap maps a trace instead of streaming it.
+// any N), --strict fails if any record is corrupt, --max-errors N
+// tolerates at most N. Every trace is mapped (MappedTrace) and decoded
+// by TraceCursor, in segments when --threads asks for more than one.
 //
 // serve is the live collector (DESIGN.md §12): datagrams arrive over a
 // Unix socket and/or UDP, flow through bounded per-agent queues into the
@@ -34,7 +35,6 @@
 #include <csignal>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -74,7 +74,6 @@ using namespace ixp;
 struct IngestOptions {
   int threads = 1;
   bool strict = false;
-  bool mmap = false;
   std::uint64_t max_errors = std::numeric_limits<std::uint64_t>::max();
 
   [[nodiscard]] sflow::ReadPolicy policy() const {
@@ -152,9 +151,9 @@ int usage() {
       "  bgp-export --out FILE         dump the routing table\n"
       "ingest flags (analyze/corrupt/serve, same semantics everywhere):\n"
       "  --threads N    shard the analysis over N workers\n"
-      "  --strict       fail at the first corrupt record\n"
+      "  --strict       exit 1 if any record is corrupt (full taxonomy\n"
+      "                 printed)\n"
       "  --max-errors N tolerate at most N corrupt records\n"
-      "  --mmap         map the trace; decode segments in parallel\n"
       "flags: --volume <0..1> (default 0.00390625), --quick\n"
       "exit codes: 0 ok, 1 error, 2 usage, 3 analysis completed degraded,\n"
       "            4 input trace unreadable (missing or shorter than header),\n"
@@ -204,8 +203,6 @@ bool parse(int argc, char** argv, Options& opt) {
     };
     if (flag == "--quick") {
       opt.quick = true;
-    } else if (flag == "--mmap") {
-      opt.ingest.mmap = true;
     } else if (flag == "--strict") {
       opt.ingest.strict = true;
       opt.ingest.max_errors = 0;
@@ -398,7 +395,6 @@ void print_ingest_health(const sflow::ReaderStats& stats) {
   table.row({"datagrams delivered", util::with_thousands(stats.datagrams)});
   table.row({"samples delivered", util::with_thousands(stats.samples)});
   table.row({"bytes delivered", util::with_thousands(stats.bytes_delivered)});
-  table.row({"bad magic", util::with_thousands(stats.bad_magic)});
   table.row({"bad length", util::with_thousands(stats.bad_length)});
   table.row({"truncated", util::with_thousands(stats.truncated)});
   table.row({"decode errors", util::with_thousands(stats.decode_errors)});
@@ -408,7 +404,7 @@ void print_ingest_health(const sflow::ReaderStats& stats) {
 }
 
 /// Reports a degraded-but-complete analysis (exit 3) or a clean one
-/// (exit 0) — shared by the streamed and mapped analyze paths.
+/// (exit 0).
 int report_analysis(const core::WeeklyReport& report,
                     const sflow::ReaderStats& stats) {
   print_report(report);
@@ -432,88 +428,39 @@ void print_budget_exceeded(const Options& opt, const sflow::ReaderStats& stats,
   print_ingest_health(stats);
 }
 
+/// Maps the trace at `path` and validates its header — before any model
+/// build, so unreadable input fails fast. Prints the reason and returns
+/// the exit code on failure: 4 for a missing file or one shorter than the
+/// header, 1 for a bad magic/version. Returns 0 on success.
+int open_trace(const std::string& path, sflow::MappedTrace& trace) {
+  trace = sflow::MappedTrace::open(path);
+  if (trace.ok()) return 0;
+  std::cerr << path << ": " << sflow::MappedTrace::error_name(trace.error())
+            << "\n";
+  return trace.error() == sflow::MappedTrace::Error::kBadHeader ? 1 : 4;
+}
+
 int cmd_analyze(const Options& opt) {
   if (opt.in_path.empty()) return usage();
+  sflow::MappedTrace trace;
+  if (const int code = open_trace(opt.in_path, trace); code != 0) return code;
 
-  // Unreadable input is diagnosed before the (expensive) model build, and
-  // distinctly from a corrupt-but-present trace: a missing file or one
-  // shorter than the 12-byte header exits 4, a bad magic/version exits 1.
-  {
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(opt.in_path, ec);
-    if (ec) {
-      std::cerr << opt.in_path << ": "
-                << sflow::MappedTrace::error_name(
-                       sflow::MappedTrace::Error::kOpenFailed)
-                << "\n";
-      return 4;
-    }
-    if (size < sflow::kTraceHeaderBytes) {
-      std::cerr << opt.in_path << ": "
-                << sflow::MappedTrace::error_name(
-                       sflow::MappedTrace::Error::kTooShort)
-                << "\n";
-      return 4;
-    }
-  }
-
-  const auto policy = opt.ingest.policy();
-
-  if (opt.ingest.mmap) {
-    sflow::MappedTrace trace = sflow::MappedTrace::open(opt.in_path);
-    if (!trace.ok()) {
-      std::cerr << opt.in_path << ": "
-                << sflow::MappedTrace::error_name(trace.error()) << "\n";
-      return trace.error() == sflow::MappedTrace::Error::kBadHeader ? 1 : 4;
-    }
-    const auto world = build_world(opt);
-    core::VantagePoint vantage = make_vantage(world);
-    core::ParallelOptions popt;
-    popt.threads = static_cast<unsigned>(opt.ingest.threads);
-    core::ParallelAnalyzer analyzer{vantage, popt};
-    ingest::MappedSource source{trace, policy};
-    const auto report =
-        analyzer.analyze(opt.week, source, make_fetcher(world, opt.week));
-    if (!source.within_budget()) {
-      print_budget_exceeded(
-          opt, source.stats(),
-          ": " + util::with_thousands(source.stats().errors()) +
-              " corrupt records across " +
-              std::to_string(source.segments().size()) + " segments");
-      return 1;
-    }
-    return report_analysis(report, source.stats());
-  }
-
-  std::ifstream in{opt.in_path, std::ios::binary};
-  if (!in) {
-    std::cerr << opt.in_path << ": "
-              << sflow::MappedTrace::error_name(
-                     sflow::MappedTrace::Error::kOpenFailed)
-              << "\n";
-    return 4;
-  }
-  sflow::TraceReader reader{in, policy};
-  if (!reader.ok()) {
-    std::cerr << opt.in_path << ": not an ixpscope trace\n";
-    return 1;
-  }
   const auto world = build_world(opt);
   core::VantagePoint vantage = make_vantage(world);
   core::ParallelOptions popt;
   popt.threads = static_cast<unsigned>(opt.ingest.threads);
   core::ParallelAnalyzer analyzer{vantage, popt};
-  ingest::ReaderSource source{reader};
+  ingest::MappedSource source{trace, opt.ingest.policy()};
   const auto report =
       analyzer.analyze(opt.week, source, make_fetcher(world, opt.week));
-
-  if (!source.ok()) {
-    // The error budget was exhausted mid-trace: the report would be
-    // silently partial, so refuse to pretend otherwise.
-    print_budget_exceeded(opt, source.stats(),
-                          " after " +
-                              util::with_thousands(source.stats().samples) +
-                              " samples");
+  if (!source.within_budget()) {
+    // Over budget: the report covers only what survived the damage, so
+    // refuse it rather than pass it off as the trace's result.
+    print_budget_exceeded(
+        opt, source.stats(),
+        ": " + util::with_thousands(source.stats().errors()) +
+            " corrupt records across " +
+            std::to_string(source.segments().size()) + " segments");
     return 1;
   }
   return report_analysis(report, source.stats());
@@ -521,20 +468,21 @@ int cmd_analyze(const Options& opt) {
 
 int cmd_corrupt(const Options& opt) {
   if (opt.in_path.empty() || opt.out_path.empty()) return usage();
-  std::ifstream in{opt.in_path, std::ios::binary};
-  if (!in) {
-    std::cerr << "cannot read " << opt.in_path << "\n";
+  sflow::MappedTrace trace;
+  if (const int code = open_trace(opt.in_path, trace); code != 0) return code;
+
+  const sflow::FaultInjector injector{opt.seed};
+  std::vector<std::byte> corrupted;
+  const auto report = injector.corrupt(trace.bytes(), corrupted);
+  if (!report) {
+    std::cerr << opt.in_path
+              << ": damaged record framing (corrupt takes an intact trace)\n";
     return 1;
   }
   std::ofstream out{opt.out_path, std::ios::binary};
-  if (!out) {
+  if (!out.write(reinterpret_cast<const char*>(corrupted.data()),
+                 static_cast<std::streamsize>(corrupted.size()))) {
     std::cerr << "cannot write " << opt.out_path << "\n";
-    return 1;
-  }
-  const sflow::FaultInjector injector{opt.seed};
-  const auto report = injector.corrupt(in, out);
-  if (!report) {
-    std::cerr << opt.in_path << ": not an ixpscope trace\n";
     return 1;
   }
   util::Table table{"injected faults (seed " + std::to_string(opt.seed) + ")"};
@@ -685,12 +633,8 @@ int cmd_serve(const Options& opt) {
 int cmd_replay(const Options& opt) {
   if (opt.in_path.empty() || opt.connect_path.empty()) return usage();
 
-  sflow::MappedTrace trace = sflow::MappedTrace::open(opt.in_path);
-  if (!trace.ok()) {
-    std::cerr << opt.in_path << ": "
-              << sflow::MappedTrace::error_name(trace.error()) << "\n";
-    return trace.error() == sflow::MappedTrace::Error::kBadHeader ? 1 : 4;
-  }
+  sflow::MappedTrace trace;
+  if (const int code = open_trace(opt.in_path, trace); code != 0) return code;
 
   std::string error;
   auto sender = sflow::DatagramSender::connect_unix(opt.connect_path, &error);
@@ -699,7 +643,7 @@ int cmd_replay(const Options& opt) {
     return 1;
   }
 
-  // Walk the trace exactly as a lenient streamed analysis would and send
+  // Walk the trace exactly as a lenient 1-thread analysis would and send
   // each cleanly-decoded record as one datagram, framed with its original
   // offset so the service reproduces the offline stream keys. With
   // --agents N the sFlow agent field (payload bytes 4..8) is rewritten
