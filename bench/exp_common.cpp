@@ -70,27 +70,17 @@ core::WeeklyReport Context::run_week(int week) const {
   core::WeeklyReport report;
   std::uint64_t samples = 0;
   const auto t0 = std::chrono::steady_clock::now();
+  core::ParallelOptions options;
+  options.threads = static_cast<unsigned>(args.threads);
+  core::ParallelAnalyzer analyzer{vp, options};
   for (std::uint64_t r = 0; r < repeats; ++r) {
-    if (args.threads > 1) {
-      std::vector<sflow::FlowSample> stream;
-      (void)workload->generate_week(
-          week,
-          [&stream](const sflow::FlowSample& sample) { stream.push_back(sample); });
-      core::ParallelOptions options;
-      options.threads = static_cast<unsigned>(args.threads);
-      core::ParallelAnalyzer analyzer{vp, options};
-      ingest::SpanSource source{stream, options.batch_size};
-      report = analyzer.analyze(week, source, fetch);
-      samples += stream.size();
-    } else {
-      core::WeekSession session = vp.open_week(week);
-      (void)workload->generate_week(
-          week, [&session](const sflow::FlowSample& sample) {
-            session.observe(sample);
-          });
-      samples += session.samples_observed();
-      report = session.finish(fetch);
-    }
+    std::vector<sflow::FlowSample> stream;
+    (void)workload->generate_week(
+        week,
+        [&stream](const sflow::FlowSample& sample) { stream.push_back(sample); });
+    ingest::SpanSource source{stream, options.batch_size};
+    report = analyzer.analyze(week, source, fetch);
+    samples += stream.size();
   }
   const auto t1 = std::chrono::steady_clock::now();
 

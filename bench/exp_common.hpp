@@ -9,8 +9,9 @@
 // compared against the paper's absolute numbers.
 //
 // All bench binaries share the uniform command line of
-// bench::BenchArgs (`--json PATH --iters N --threads N`): --threads
-// runs the week analysis through the parallel engine, --iters repeats
+// bench::BenchArgs (`--json PATH --iters N --threads N`): every week
+// runs through the parallel engine, --threads sets its worker count
+// (the report is identical for any count), --iters repeats
 // each week that many times, --json records per-week timing as a
 // bench-v1 trajectory document.
 #pragma once

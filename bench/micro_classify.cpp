@@ -1,6 +1,6 @@
 // Micro-benchmarks: the per-sample measurement hot path — HTTP string
 // matching and the filter+dissect pipeline. (micro_hotpath carries the
-// flat-vs-legacy A/B; this binary tracks the production path alone.)
+// batch-level dissect, LaneFlags and shard-merge cases.)
 #include <cstring>
 #include <string>
 #include <vector>
@@ -68,12 +68,23 @@ int main(int argc, char** argv) {
     const classify::PeeringFilter filter{ixp, 45};
     classify::FilterCounters counters;
     classify::TrafficDissector dissector;
+    // Survivors are staged and ingested in the engine's batch size, the
+    // way WeekShard::observe_batch feeds the dissector.
+    constexpr std::size_t kBatch = 512;
+    classify::FrameBatch batch;
+    batch.reserve(kBatch);
     suite.run_case("filter_and_dissect", 5'000'000,
                    [&](std::uint64_t iters, int) {
                      for (std::uint64_t it = 0; it < iters; ++it) {
                        const auto peering = filter.filter(sample, counters);
-                       if (peering) dissector.ingest(*peering);
+                       if (peering) batch.push(*peering);
+                       if (batch.size() == kBatch) {
+                         dissector.ingest(batch);
+                         batch.clear();
+                       }
                      }
+                     dissector.ingest(batch);
+                     batch.clear();
                      return iters;
                    });
     bench::keep(dissector.summarize());

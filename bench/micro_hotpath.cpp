@@ -1,9 +1,7 @@
-// The zero-allocation hot-path benchmark: filter + dissect throughput on
-// the production (flat-table, string_view) path, A/B'd against a replica
-// of the pre-optimization path (node-based hash maps, allocating header
-// extraction) kept here as the fixed baseline. Both numbers land in the
-// JSON trajectory (--json BENCH_hotpath.json), so the speedup claim is
-// reproducible from one binary:
+// The zero-allocation hot-path benchmark: dissect and filter + dissect
+// throughput on the production (flat-table, string_view, FrameBatch)
+// path, the LaneFlags kernel per form, and the shard merge. Every number
+// lands in the JSON trajectory (--json BENCH_hotpath.json):
 //
 //   build/bench/micro_hotpath --json BENCH_hotpath.json
 //
@@ -14,10 +12,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -114,187 +110,6 @@ struct Fixture {
   }
 };
 
-// ---------------------------------------------------------------------
-// Pre-optimization replica: exactly the containers and copies the hot
-// path used before the flat rework — std::optional<std::string> header
-// extraction, node-based unordered_maps, std::string host evidence.
-// Kept verbatim-in-spirit so the A/B measures the data-structure change,
-// not a strawman.
-// ---------------------------------------------------------------------
-
-struct LegacyMatch {
-  classify::HttpIndication indication = classify::HttpIndication::kNone;
-  std::optional<std::string> host;
-  std::optional<std::string> path;
-};
-
-constexpr std::array<std::string_view, 8> kLegacyMethods{
-    "GET ", "HEAD ", "POST ", "PUT ", "DELETE ", "OPTIONS ", "TRACE ",
-    "CONNECT "};
-
-constexpr std::array<std::string_view, 10> kLegacyHeaderFields{
-    "Host:", "Server:", "Content-Type:", "Content-Length:", "User-Agent:",
-    "Accept:", "Set-Cookie:", "Cache-Control:", "Location:",
-    "Access-Control-Allow-Methods:"};
-
-bool legacy_starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
-bool legacy_request_line_has_version(std::string_view line) {
-  const std::size_t at = line.rfind("HTTP/1.");
-  if (at == std::string_view::npos) return false;
-  if (at + 8 > line.size()) return false;
-  const char minor = line[at + 7];
-  return minor == '0' || minor == '1';
-}
-
-std::string_view legacy_first_line(std::string_view text) {
-  const std::size_t eol = text.find("\r\n");
-  return eol == std::string_view::npos ? text : text.substr(0, eol);
-}
-
-std::optional<std::string> legacy_extract_header(std::string_view text,
-                                                 std::string_view field) {
-  const std::size_t at = text.find(field);
-  if (at == std::string_view::npos) return std::nullopt;
-  std::size_t begin = at + field.size();
-  while (begin < text.size() && text[begin] == ' ') ++begin;
-  std::size_t end = begin;
-  while (end < text.size() && text[end] != '\r' && text[end] != '\n') ++end;
-  if (end == begin) return std::nullopt;
-  return std::string{text.substr(begin, end - begin)};
-}
-
-// The pre-PR HttpMatcher::match, verbatim: allocating header extraction
-// and a substring search per header-field word on the miss path.
-LegacyMatch legacy_match_impl(std::string_view payload) {
-  LegacyMatch result;
-  if (payload.empty()) return result;
-
-  const std::string_view line = legacy_first_line(payload);
-
-  for (const std::string_view method : kLegacyMethods) {
-    if (!legacy_starts_with(line, method)) continue;
-    if (!legacy_request_line_has_version(line)) break;
-    result.indication = classify::HttpIndication::kRequest;
-    const std::size_t path_begin = method.size();
-    const std::size_t path_end = line.find(' ', path_begin);
-    if (path_end != std::string_view::npos && path_end > path_begin)
-      result.path = std::string{line.substr(path_begin, path_end - path_begin)};
-    result.host = legacy_extract_header(payload, "Host:");
-    return result;
-  }
-
-  if (legacy_starts_with(line, "HTTP/1.") && line.size() >= 12 &&
-      (line[7] == '0' || line[7] == '1') && line[8] == ' ' &&
-      std::isdigit(static_cast<unsigned char>(line[9])) &&
-      std::isdigit(static_cast<unsigned char>(line[10])) &&
-      std::isdigit(static_cast<unsigned char>(line[11]))) {
-    result.indication = classify::HttpIndication::kResponse;
-    result.host = legacy_extract_header(payload, "Host:");
-    return result;
-  }
-
-  for (const std::string_view field : kLegacyHeaderFields) {
-    const std::size_t at = payload.find(field);
-    if (at == std::string_view::npos) continue;
-    if (at != 0 && payload[at - 1] != '\n') continue;
-    result.indication = classify::HttpIndication::kHeaderOnly;
-    result.host = legacy_extract_header(payload, "Host:");
-    return result;
-  }
-  return result;
-}
-
-LegacyMatch legacy_match(std::span<const std::byte> payload) {
-  return legacy_match_impl(std::string_view{
-      reinterpret_cast<const char*>(payload.data()), payload.size()});
-}
-
-class LegacyDissector {
- public:
-  LegacyDissector() { activity_.reserve(1 << 16); }
-
-  void ingest(const classify::PeeringSample& sample) {
-    const sflow::ParsedFrame& frame = sample.frame;
-    const net::Ipv4Addr src = frame.ip->src;
-    const net::Ipv4Addr dst = frame.ip->dst;
-
-    classify::IpActivity& src_info = activity_[src];
-    classify::IpActivity& dst_info = activity_[dst];
-    src_info.samples += 1;
-    dst_info.samples += 1;
-    src_info.bytes += sample.expanded_bytes;
-    dst_info.bytes += sample.expanded_bytes;
-    total_bytes_ += sample.expanded_bytes;
-
-    std::uint16_t src_port = 0;
-    std::uint16_t dst_port = 0;
-    bool tcp = false;
-    if (frame.is_tcp()) {
-      src_port = frame.tcp->src_port;
-      dst_port = frame.tcp->dst_port;
-      tcp = true;
-    } else if (frame.is_udp()) {
-      src_port = frame.udp->src_port;
-      dst_port = frame.udp->dst_port;
-    }
-    if (tcp) {
-      if (src_port == 443) src_info.flags |= classify::kCandidate443;
-      if (dst_port == 443) dst_info.flags |= classify::kCandidate443;
-      if (src_port == 1935) src_info.flags |= classify::kSeenRtmp1935;
-      if (dst_port == 1935) dst_info.flags |= classify::kSeenRtmp1935;
-    }
-    if (!tcp || frame.payload.empty()) return;
-
-    const LegacyMatch match = legacy_match(frame.payload);
-    switch (match.indication) {
-      case classify::HttpIndication::kNone:
-        return;
-      case classify::HttpIndication::kRequest:
-        dst_info.flags |= classify::kSeenHttpServer |
-                          (dst_port == 8080 ? classify::kSeenPort8080
-                                            : classify::kSeenPort80);
-        src_info.flags |= classify::kSeenHttpClient;
-        if (match.host) note_host(dst, *match.host, sample.seq);
-        return;
-      case classify::HttpIndication::kResponse:
-        src_info.flags |= classify::kSeenHttpServer |
-                          (src_port == 8080 ? classify::kSeenPort8080
-                                            : classify::kSeenPort80);
-        dst_info.flags |= classify::kSeenHttpClient;
-        if (match.host) note_host(src, *match.host, sample.seq);
-        return;
-      case classify::HttpIndication::kHeaderOnly:
-        return;
-    }
-  }
-
-  [[nodiscard]] std::size_t unique_ips() const { return activity_.size(); }
-
- private:
-  static constexpr std::size_t kMaxHostsPerServer = 8;
-
-  void note_host(net::Ipv4Addr server, const std::string& host,
-                 std::uint64_t seq) {
-    auto& hosts = hosts_[server];
-    for (auto& seen : hosts) {
-      if (seen.first == host) {
-        seen.second = std::min(seen.second, seq);
-        return;
-      }
-    }
-    if (hosts.size() < kMaxHostsPerServer) hosts.emplace_back(host, seq);
-  }
-
-  std::unordered_map<net::Ipv4Addr, classify::IpActivity> activity_;
-  std::unordered_map<net::Ipv4Addr,
-                     std::vector<std::pair<std::string, std::uint64_t>>>
-      hosts_;
-  std::uint64_t total_bytes_ = 0;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -302,10 +117,9 @@ int main(int argc, char** argv) {
   bench::Suite suite{"hotpath", args};
   const Fixture fixture;
 
-  // The A/B isolates the dissect+observe loop — the part this PR moved
-  // onto flat tables and string_view extraction. Filtering and frame
-  // parsing are identical on both sides, so they run once up front; the
-  // pool outlives the PeeringSamples whose spans point into it.
+  // The dissect cases isolate the table-update loop: filtering and frame
+  // parsing run once up front; the pool outlives the PeeringSamples whose
+  // spans point into it.
   std::vector<classify::PeeringSample> peering;
   {
     const classify::PeeringFilter filter{fixture.ixp, kWeek};
@@ -378,7 +192,7 @@ int main(int argc, char** argv) {
   {
     constexpr std::uint32_t kMergeIps = 289'000;
     const auto fill = [&](std::uint32_t first) {
-      classify::TrafficDissector d;
+      classify::FrameBatch batch;
       std::uint32_t next = first;
       const auto addr = [](std::uint32_t i) {
         return net::Ipv4Addr{i * 0x9e3779b1u};  // odd multiplier: distinct
@@ -387,8 +201,10 @@ int main(int argc, char** argv) {
         classify::PeeringSample sample = peering[i % peering.size()];
         sample.frame.ip->src = addr(next++);
         sample.frame.ip->dst = addr(next++);
-        d.ingest(sample);
+        batch.push(sample);
       }
+      classify::TrafficDissector d;
+      d.ingest(batch);
       return d;
     };
     const classify::TrafficDissector left = fill(0);
@@ -424,20 +240,6 @@ int main(int argc, char** argv) {
     suite.add(std::move(result));
   }
 
-  // Pre-optimization baseline replica (see above).
-  {
-    LegacyDissector dissector;
-    suite.run_case(
-        "dissect_observe_legacy", 2000,
-        [&](std::uint64_t iters, int) {
-          for (std::uint64_t it = 0; it < iters; ++it)
-            for (const classify::PeeringSample& sample : peering)
-              dissector.ingest(sample);
-          return iters * peering.size();
-        });
-    bench::keep(dissector.unique_ips());
-  }
-
   // End-to-end context: filter + dissect together, as production runs
   // it — WeekShard::observe_batch over the engine's default batch size.
   {
@@ -461,22 +263,5 @@ int main(int argc, char** argv) {
     bench::keep(shard.dissector().summarize());
   }
 
-  const auto& results = suite.results();
-  double batched = 0.0;
-  double legacy = 0.0;
-  double batched_allocs = 0.0;
-  for (const auto& result : results) {
-    if (result.name == "dissect_observe_batched") {
-      batched = result.items_per_sec();
-      batched_allocs = result.allocs_per_item();
-    } else if (result.name == "dissect_observe_legacy") {
-      legacy = result.items_per_sec();
-    }
-  }
-  if (legacy > 0.0 && batched > 0.0)
-    std::printf(
-        "dissect+observe speedup batched vs legacy: %.2fx  (allocs/item "
-        "batched: %.4f)\n",
-        batched / legacy, batched_allocs);
   return 0;
 }

@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "analysis/blind_spots.hpp"
+#include "core/parallel_analyzer.hpp"
 #include "core/vantage_point.hpp"
 #include "dns/public_suffix.hpp"
 #include "gen/workload.hpp"
@@ -26,12 +27,15 @@ int main(int argc, char** argv) {
   core::VantagePoint vantage{
       model.ixp(),   model.routing(),  model.geo_db(), locality,
       model.dns_db(), dns::PublicSuffixList::builtin(), model.root_store()};
-  core::WeekSession session = vantage.open_week(45);
-  workload.generate_week(45,
-                         [&](const sflow::FlowSample& s) { session.observe(s); });
-  const auto report = session.finish([&](net::Ipv4Addr addr, int times) {
-    return model.fetch_chains(addr, times, 45);
-  });
+  std::vector<sflow::FlowSample> samples;
+  workload.generate_week(
+      45, [&](const sflow::FlowSample& s) { samples.push_back(s); });
+  core::ParallelAnalyzer analyzer{vantage};
+  ingest::SpanSource source{samples, core::ParallelOptions{}.batch_size};
+  const auto report =
+      analyzer.analyze(45, source, [&](net::Ipv4Addr addr, int times) {
+        return model.fetch_chains(addr, times, 45);
+      });
 
   // Domains recovered from the payload URIs.
   const auto& psl = dns::PublicSuffixList::builtin();

@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "analysis/churn_tracker.hpp"
+#include "core/parallel_analyzer.hpp"
 #include "core/vantage_point.hpp"
 #include "gen/internet.hpp"
 #include "gen/workload.hpp"
@@ -32,12 +33,15 @@ int main(int argc, char** argv) {
     core::VantagePoint vantage{
         model.ixp(),   model.routing(),  model.geo_db(), locality,
         model.dns_db(), dns::PublicSuffixList::builtin(), model.root_store()};
-    core::WeekSession session = vantage.open_week(week);
+    std::vector<sflow::FlowSample> samples;
     workload.generate_week(
-        week, [&](const sflow::FlowSample& s) { session.observe(s); });
-    const auto report = session.finish([&](net::Ipv4Addr addr, int times) {
-      return model.fetch_chains(addr, times, week);
-    });
+        week, [&](const sflow::FlowSample& s) { samples.push_back(s); });
+    core::ParallelAnalyzer analyzer{vantage};
+    ingest::SpanSource source{samples, core::ParallelOptions{}.batch_size};
+    const auto report =
+        analyzer.analyze(week, source, [&](net::Ipv4Addr addr, int times) {
+          return model.fetch_chains(addr, times, week);
+        });
     for (const auto& obs : report.servers) {
       tracker.observe(obs.addr.value(), week, geo::region_of(obs.country),
                       obs.bytes);

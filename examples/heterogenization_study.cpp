@@ -12,6 +12,7 @@
 
 #include "analysis/attribution.hpp"
 #include "analysis/heterogeneity.hpp"
+#include "core/parallel_analyzer.hpp"
 #include "core/vantage_point.hpp"
 #include "gen/internet.hpp"
 #include "gen/workload.hpp"
@@ -36,12 +37,15 @@ int main(int argc, char** argv) {
   core::VantagePoint vantage{
       model.ixp(),   model.routing(),  model.geo_db(), locality,
       model.dns_db(), dns::PublicSuffixList::builtin(), model.root_store()};
-  core::WeekSession session = vantage.open_week(45);
-  workload.generate_week(45,
-                         [&](const sflow::FlowSample& s) { session.observe(s); });
-  const auto report = session.finish([&](net::Ipv4Addr addr, int times) {
-    return model.fetch_chains(addr, times, 45);
-  });
+  std::vector<sflow::FlowSample> samples;
+  workload.generate_week(
+      45, [&](const sflow::FlowSample& s) { samples.push_back(s); });
+  core::ParallelAnalyzer analyzer{vantage};
+  ingest::SpanSource source{samples, core::ParallelOptions{}.batch_size};
+  const auto report =
+      analyzer.analyze(45, source, [&](net::Ipv4Addr addr, int times) {
+        return model.fetch_chains(addr, times, 45);
+      });
 
   // Cluster all identified servers by organization (§5.1).
   std::vector<classify::ServerMetadata> metadata;
@@ -70,8 +74,7 @@ int main(int argc, char** argv) {
         {*org, model.ases()[*model.orgs()[*org].home_as].asn}};
     analysis::AttributionPass pass{model.ixp(), 45, std::move(server_org),
                                    std::move(home)};
-    workload.generate_week(45,
-                           [&](const sflow::FlowSample& s) { pass.observe(s); });
+    for (const sflow::FlowSample& s : samples) pass.observe(s);
     std::cout << "  traffic not via own member link: "
               << util::percent(pass.indirect_share(*org), 1)
               << " (Akamai in the paper: 11.1%)\n";

@@ -6,10 +6,12 @@
 // This is the minimal end-to-end use of the library: InternetModel is the
 // world, Workload streams one week of sampled frames, VantagePoint is the
 // measurement pipeline (filtering -> dissection -> HTTPS probing ->
-// metadata). Everything is deterministic: run it twice, get the same
-// numbers.
+// metadata) and ParallelAnalyzer feeds it the week in batches.
+// Everything is deterministic: run it twice, or with more threads, and
+// get the same numbers.
 #include <iostream>
 
+#include "core/parallel_analyzer.hpp"
 #include "core/vantage_point.hpp"
 #include "gen/internet.hpp"
 #include "gen/workload.hpp"
@@ -35,12 +37,14 @@ int main() {
       model.ixp(),   model.routing(),  model.geo_db(), locality,
       model.dns_db(), dns::PublicSuffixList::builtin(), model.root_store()};
 
-  // 3. Stream week 45 through it.
-  core::WeekSession session = vantage.open_week(45);
+  // 3. Record week 45 and run it through the analysis engine.
+  std::vector<sflow::FlowSample> samples;
   workload.generate_week(
-      45, [&](const sflow::FlowSample& sample) { session.observe(sample); });
-  const core::WeeklyReport report = session.finish(
-      [&](net::Ipv4Addr addr, int times) {
+      45, [&](const sflow::FlowSample& sample) { samples.push_back(sample); });
+  core::ParallelAnalyzer analyzer{vantage};  // one worker thread
+  ingest::SpanSource source{samples, core::ParallelOptions{}.batch_size};
+  const core::WeeklyReport report = analyzer.analyze(
+      45, source, [&](net::Ipv4Addr addr, int times) {
         return model.fetch_chains(addr, times, 45);  // active measurement
       });
 

@@ -44,105 +44,6 @@ void TrafficDissector::note_host(net::Ipv4Addr server, std::string_view host,
   }
 }
 
-void TrafficDissector::ingest(const PeeringSample& sample) {
-  const sflow::ParsedFrame& frame = sample.frame;
-  std::uint16_t src_port = 0;
-  std::uint16_t dst_port = 0;
-  bool tcp = false;
-  if (frame.is_tcp()) {
-    src_port = frame.tcp->src_port;
-    dst_port = frame.tcp->dst_port;
-    tcp = true;
-  } else if (frame.is_udp()) {
-    src_port = frame.udp->src_port;
-    dst_port = frame.udp->dst_port;
-  }
-
-  // Both table touches are random-access; issue the prefetches first and
-  // run the payload match while the lines arrive.
-  activity_.prefetch(frame.ip->src);
-  activity_.prefetch(frame.ip->dst);
-
-  HttpMatch match;
-  if (tcp && !frame.payload.empty()) match = HttpMatcher::match(frame.payload);
-  ingest_fields(frame.ip->src, frame.ip->dst, src_port, dst_port, tcp,
-                match.indication, match.host, sample.expanded_bytes,
-                sample.seq);
-}
-
-void TrafficDissector::ingest_fields(net::Ipv4Addr src, net::Ipv4Addr dst,
-                                     std::uint16_t src_port,
-                                     std::uint16_t dst_port, bool tcp,
-                                     HttpIndication indication,
-                                     std::string_view host,
-                                     std::uint64_t expanded_bytes,
-                                     std::uint64_t seq) {
-  if (!host.empty())
-    hosts_.prefetch(indication == HttpIndication::kRequest ? dst : src);
-
-  // Up to two inserts follow; grow first so the second operator[] can
-  // never rehash out from under the first reference (src_info would
-  // dangle into the freed slot array — caught by ASan at bench scale).
-  activity_.reserve(activity_.size() + 2);
-  IpActivity& src_info = activity_[src];
-  IpActivity& dst_info = activity_[dst];
-  src_info.samples += 1;
-  dst_info.samples += 1;
-  src_info.bytes += expanded_bytes;
-  dst_info.bytes += expanded_bytes;
-  total_bytes_ += expanded_bytes;
-
-  // Port-based candidate evidence (HTTPS cannot be string-matched).
-  if (tcp) {
-    if (src_port == 443) src_info.flags |= kCandidate443;
-    if (dst_port == 443) dst_info.flags |= kCandidate443;
-    if (src_port == 1935) src_info.flags |= kSeenRtmp1935;
-    if (dst_port == 1935) dst_info.flags |= kSeenRtmp1935;
-  }
-
-  switch (indication) {
-    case HttpIndication::kNone:
-      return;
-    case HttpIndication::kRequest: {
-      dst_info.flags |= kSeenHttpServer;
-      if (dst_port == 8080)
-        dst_info.flags |= kSeenPort8080;
-      else
-        dst_info.flags |= kSeenPort80;
-      src_info.flags |= kSeenHttpClient;
-      if (!host.empty()) note_host(dst, host, seq);
-      return;
-    }
-    case HttpIndication::kResponse: {
-      src_info.flags |= kSeenHttpServer;
-      if (src_port == 8080)
-        src_info.flags |= kSeenPort8080;
-      else
-        src_info.flags |= kSeenPort80;
-      dst_info.flags |= kSeenHttpClient;
-      if (!host.empty()) note_host(src, host, seq);
-      return;
-    }
-    case HttpIndication::kHeaderOnly: {
-      // Direction unknown; fall back to the conventional server ports.
-      const bool src_serverish =
-          src_port == 80 || src_port == 8080 || src_port == 443;
-      const bool dst_serverish =
-          dst_port == 80 || dst_port == 8080 || dst_port == 443;
-      if (src_serverish && !dst_serverish) {
-        src_info.flags |= kSeenHttpServer | (src_port == 8080 ? kSeenPort8080
-                                                              : kSeenPort80);
-        dst_info.flags |= kSeenHttpClient;
-      } else if (dst_serverish && !src_serverish) {
-        dst_info.flags |= kSeenHttpServer | (dst_port == 8080 ? kSeenPort8080
-                                                              : kSeenPort80);
-        src_info.flags |= kSeenHttpClient;
-      }
-      return;
-    }
-  }
-}
-
 void TrafficDissector::ingest(const FrameBatch& batch) {
   const std::size_t n = batch.size();
   const net::Ipv4Addr* src = batch.src();
@@ -152,9 +53,10 @@ void TrafficDissector::ingest(const FrameBatch& batch) {
   const std::uint8_t* indication = batch.indication();
   const std::string_view* host = batch.host();
 
-  // Phase-split form (DESIGN.md §14), equivalent to per-sample
-  // ingest_fields in index order because every per-IP update is an OR
-  // or an add (both commute) and the host pass preserves sample order:
+  // Phase-split form (DESIGN.md §14), equivalent to applying the
+  // per-sample evidence rule in index order because every per-IP update
+  // is an OR or an add (both commute) and the host pass preserves sample
+  // order:
   //   A. lane-wise evidence bytes out of the SoA port/transport/
   //      indication arrays (LaneFlags, SSE2 where available) — all of the
   //      sample's data-dependent branching, hoisted out of the loop

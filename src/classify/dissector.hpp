@@ -85,15 +85,13 @@ class TrafficDissector {
  public:
   TrafficDissector();
 
-  /// Ingests one peering sample (output of PeeringFilter::filter). The
-  /// sample's `seq` orders Host-header first-seen tie-breaks.
-  void ingest(const PeeringSample& sample);
-
-  /// Structure-of-arrays form: equivalent to ingesting each staged
-  /// sample in order, but the per-sample fields were derived once at
-  /// filter time and stream out of FrameBatch's parallel arrays, and
-  /// the address arrays drive the prefetch lookahead directly. This is
-  /// the production shard path (WeekShard::observe_batch). Placed in
+  /// Ingests a batch of staged peering samples — the only way samples
+  /// reach the dissector. The per-sample fields (addresses, ports,
+  /// transport, bytes, seq and the HTTP match) were derived once at
+  /// filter time and stream out of FrameBatch's parallel arrays; each
+  /// sample's `seq` orders Host-header first-seen tie-breaks, and the
+  /// address arrays drive the prefetch lookahead directly. The shard
+  /// path (WeekShard::observe_batch) stages and drains it. Placed in
   /// .text.hot: the table-update loop is front-end sensitive, and
   /// grouping it with the other hot kernels keeps its placement stable
   /// as unrelated TUs move around the image.
@@ -151,15 +149,6 @@ class TrafficDissector {
 
   void note_host(net::Ipv4Addr server, std::string_view host,
                  std::uint64_t seq);
-
-  /// The per-sample update, shared by every ingest form: fields arrive
-  /// flat — including the HTTP match verdict, computed exactly once
-  /// upstream (at staging time on the batch path, inline on the
-  /// single-sample path) — so no path re-derives them from ParsedFrame.
-  void ingest_fields(net::Ipv4Addr src, net::Ipv4Addr dst,
-                     std::uint16_t src_port, std::uint16_t dst_port, bool tcp,
-                     HttpIndication indication, std::string_view host,
-                     std::uint64_t expanded_bytes, std::uint64_t seq);
 
   ActivityMap activity_;
   util::FlatHashMap<net::Ipv4Addr, std::vector<HostObservation>> hosts_;

@@ -10,9 +10,11 @@
 // spends itself purely on evidence-table updates, software-prefetching
 // the table slots of upcoming samples.
 //
-// Host views alias the FlowSample buffers the batch was filtered from:
-// a FrameBatch must be drained (ingested) before those samples go away.
-// WeekShard::observe_batch owns that lifetime.
+// FrameBatch is the only form in which samples reach the dissector
+// (TrafficDissector::ingest). Host views alias the FlowSample buffers
+// the batch was filtered from: a FrameBatch must be drained (ingested)
+// before those samples go away. WeekShard::observe_batch owns that
+// lifetime.
 #pragma once
 
 #include <cstddef>

@@ -17,9 +17,10 @@ constexpr std::uint8_t kResp =
 constexpr std::uint8_t kHdr =
     static_cast<std::uint8_t>(HttpIndication::kHeaderOnly);
 
-/// One sample, branch form — the semantics contract. Mirrors
-/// TrafficDissector::ingest_fields exactly: port evidence gated on TCP,
-/// indication evidence not (the matcher never fires on non-TCP anyway).
+/// One sample, branch form — the semantics contract of the discovery
+/// pass's evidence rule (tests/support/dissector_oracle restates it per
+/// sample): port evidence gated on TCP, indication evidence not (the
+/// matcher never fires on non-TCP anyway).
 inline void scalar_lane(std::uint16_t sp, std::uint16_t dp, std::uint8_t tcp,
                         std::uint8_t ind, std::uint8_t& sf,
                         std::uint8_t& df) noexcept {

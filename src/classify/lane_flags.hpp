@@ -1,13 +1,14 @@
 // LaneFlags — lane-wise evidence-bit extraction from FrameBatch arrays.
 //
-// The dissector's per-sample switch (request/response/header-only ×
-// port tests) costs more in branch mispredicts than in arithmetic: a
-// realistic traffic mix keeps every branch unpredictable. This kernel
-// re-states the whole decision as bitwise algebra over the SoA port /
-// transport / indication arrays and evaluates it 16 samples per step
-// (SSE2, chosen at compile time wherever the target has it), writing
-// one evidence byte per endpoint. The dissector's table-update pass
-// then runs with no data-dependent branches at all (DESIGN.md §14).
+// The discovery pass's evidence rule (request/response/header-only ×
+// port tests), written as a per-sample switch, costs more in branch
+// mispredicts than in arithmetic: a realistic traffic mix keeps every
+// branch unpredictable. This kernel states the whole decision as
+// bitwise algebra over the SoA port / transport / indication arrays and
+// evaluates it 16 samples per step (SSE2, chosen at compile time
+// wherever the target has it), writing one evidence byte per endpoint.
+// The dissector's table-update pass then runs with no data-dependent
+// branches at all (DESIGN.md §14).
 //
 // compute_scalar is the oracle: the SSE2 form is held byte-identical
 // to it by the differential fuzz suite

@@ -138,11 +138,6 @@ class WeekSession {
   WeekSession(const WeekSession&) = delete;
   WeekSession& operator=(const WeekSession&) = delete;
 
-  /// Ingests one sample at the next stream position.
-  void observe(const sflow::FlowSample& sample) {
-    shard_.observe(sample, next_seq_++);
-  }
-
   /// Ingests a batch occupying the next batch.size() stream positions.
   void observe_batch(std::span<const sflow::FlowSample> batch) {
     shard_.observe_batch(batch, next_seq_);

@@ -35,25 +35,13 @@ class WeekShard {
   WeekShard(const fabric::Ixp& ixp, int week)
       : filter_(ixp, week) {}
 
-  /// Runs one sample through the filter cascade and, when it survives to
-  /// peering, through the dissector. `seq` is the sample's global
-  /// position in the week's stream (it orders Host-header tie-breaks).
-  void observe(const sflow::FlowSample& sample, std::uint64_t seq) {
-    auto peering = filter_.filter(sample, counters_);
-    if (peering) {
-      peering->seq = seq;
-      dissector_.ingest(*peering);
-    }
-    ++samples_observed_;
-  }
-
-  /// Batch form: samples occupy stream positions
-  /// [first_seq, first_seq + batch.size()). Equivalent to observe() per
-  /// sample, but peering survivors have their hot fields derived once,
-  /// here, into a structure-of-arrays FrameBatch (reused across batches)
-  /// and handed to the dissector's batch ingest, which prefetches
-  /// upcoming table slots. The staged payload views point into `batch`,
-  /// so they must be drained before this call returns.
+  /// Runs a batch through the filter cascade; the samples occupy stream
+  /// positions [first_seq, first_seq + batch.size()) (a sample's position
+  /// orders Host-header tie-breaks). Peering survivors have their hot
+  /// fields derived once, here, into a structure-of-arrays FrameBatch
+  /// (reused across batches) and handed to the dissector's batch ingest,
+  /// which prefetches upcoming table slots. The staged payload views
+  /// point into `batch`, so they are drained before this call returns.
   void observe_batch(std::span<const sflow::FlowSample> batch,
                      std::uint64_t first_seq) {
     staged_.clear();

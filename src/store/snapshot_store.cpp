@@ -49,6 +49,17 @@ void store_le64(std::byte* p, std::uint64_t v) noexcept {
   store_le32(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
+#if IXPSCOPE_HAVE_POSIX_IO
+/// True when `path` still names the file open on `fd`: a temp swept (or
+/// swept and recreated) after `fd` was opened fails the check.
+bool names_open_file(const std::string& path, int fd) noexcept {
+  struct stat at_path {};
+  struct stat opened {};
+  return ::stat(path.c_str(), &at_path) == 0 && ::fstat(fd, &opened) == 0 &&
+         at_path.st_dev == opened.st_dev && at_path.st_ino == opened.st_ino;
+}
+#endif
+
 /// Per-section checksum. Covers the section's own id and length fields
 /// as well as the payload — a flipped bit anywhere in the 16-byte section
 /// record (outside the CRC word itself) must fail verification, not just
@@ -212,16 +223,38 @@ bool commit_snapshot(const std::string& path,
   };
 
 #if IXPSCOPE_HAVE_POSIX_IO
-  const int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return fail("cannot create " + temp);
-
   // Ownership mark for concurrent scanners: while this lock is held, the
   // temp belongs to a live commit and scan() leaves it alone. The lock
   // dies with the descriptor — on any exit, including a crash mid-write
   // (a real kill drops the whole process; the simulated InjectedCrash
   // path closes the fd below) — at which point the orphan becomes
   // sweepable. Advisory is enough: every accessor is this codebase.
-  (void)::flock(fd, LOCK_EX | LOCK_NB);
+  //
+  // Creating the file and locking it are two steps, so a scan can open
+  // the temp in between, take the lock first and unlink it. The writer
+  // therefore waits for the lock, then checks that the name still leads
+  // to the file it holds, and starts over with a fresh file if not.
+  // Truncation waits until the lock is ours: another commit of the same
+  // week in this process may be writing the same temp name.
+  int fd = -1;
+  for (;;) {
+    fd = ::open(temp.c_str(), O_WRONLY | O_CREAT, 0644);
+    if (fd < 0) return fail("cannot create " + temp);
+    int locked;
+    do {
+      locked = ::flock(fd, LOCK_EX);
+    } while (locked != 0 && errno == EINTR);
+    if (locked != 0) {
+      ::close(fd);
+      return fail("lock " + temp);
+    }
+    if (names_open_file(temp, fd)) break;
+    ::close(fd);
+  }
+  if (::ftruncate(fd, 0) != 0) {
+    ::close(fd);
+    return fail("truncate " + temp);
+  }
 
   const auto write_all = [&](std::span<const std::byte> bytes) {
     std::size_t done = 0;
@@ -458,17 +491,20 @@ std::span<const std::byte> SnapshotFile::section(std::uint32_t id) const noexcep
 }
 
 bool SnapshotStore::ensure_dir(std::string* error) const {
+  // Create first, then judge by the end state: runners started together
+  // on one fresh --dir race to create it, so a probe ahead of the create
+  // can see it missing and then present, and create_directories returns
+  // false in the process that lost.
   std::error_code ec;
-  if (std::filesystem::is_directory(dir_, ec)) return true;
-  if (std::filesystem::exists(dir_, ec)) {
+  std::filesystem::create_directories(dir_, ec);
+  std::error_code probe;
+  if (std::filesystem::is_directory(dir_, probe)) return true;
+  if (std::filesystem::exists(dir_, probe)) {
     if (error != nullptr) *error = dir_ + " exists and is not a directory";
     return false;
   }
-  if (!std::filesystem::create_directories(dir_, ec)) {
-    if (error != nullptr) *error = "cannot create " + dir_ + ": " + ec.message();
-    return false;
-  }
-  return true;
+  if (error != nullptr) *error = "cannot create " + dir_ + ": " + ec.message();
+  return false;
 }
 
 std::string SnapshotStore::path_for(int week) const {
@@ -531,7 +567,10 @@ SnapshotStore::ScanResult SnapshotStore::scan() const {
 #if IXPSCOPE_HAVE_POSIX_IO
       const int fd = ::open(temp_path.c_str(), O_RDONLY);
       if (fd >= 0) {
-        if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+        // Locked but no longer at its name: another scan swept it since
+        // our open, and the name may now be a live commit's new temp.
+        if (::flock(fd, LOCK_EX | LOCK_NB) != 0 ||
+            !names_open_file(temp_path, fd)) {
           ::close(fd);  // a live commit owns it — not ours to sweep
           continue;
         }

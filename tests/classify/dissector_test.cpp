@@ -15,8 +15,9 @@ namespace {
 
 using net::Ipv4Addr;
 
-/// Builds, parses, and ingests a sample in one scope: ParsedFrame's
-/// payload span is only valid while the capture buffer lives.
+/// Builds, parses, stages and ingests a sample in one scope: ParsedFrame's
+/// payload span (and the staged Host view into it) is only valid while
+/// the capture buffer lives.
 void ingest(TrafficDissector& d, Ipv4Addr src, Ipv4Addr dst,
             std::uint16_t src_port, std::uint16_t dst_port,
             const std::string& payload, std::uint64_t bytes = 1000,
@@ -36,7 +37,9 @@ void ingest(TrafficDissector& d, Ipv4Addr src, Ipv4Addr dst,
   sample.frame = *sflow::parse_frame(frame);
   sample.expanded_bytes = bytes;
   sample.seq = seq;
-  d.ingest(sample);
+  FrameBatch batch;
+  batch.push(sample);
+  d.ingest(batch);
 }
 
 const Ipv4Addr kServer{10, 0, 0, 1};

@@ -39,6 +39,12 @@ struct World {
   x509::RootStore roots;
 };
 
+/// Observes one sample at stream position `seq`: a one-sample batch.
+void observe_one(WeekShard& shard, const sflow::FlowSample& sample,
+                 std::size_t seq) {
+  shard.observe_batch({&sample, 1}, seq);
+}
+
 /// The per-IP finish_week: HTTPS sweep, per-address tally loop over
 /// activity().at() probes, then the metadata pass.
 WeeklyReport oracle_finish_week(const World& world, const WeekShard& shard,
@@ -324,7 +330,7 @@ TEST_F(AggregationOracleTest, RandomShardsEncodeLikeThePerIpOracle) {
     WeekSession session = vp.open_week(kWeek);
     WeekShard shard = session.make_shard();
     for (std::size_t i = 0; i < samples; ++i)
-      shard.observe(random_sample(rng, servers, clients), i);
+      observe_one(shard, random_sample(rng, servers, clients), i);
     const WeeklyReport want = oracle_finish_week(*world_, shard, no_fetch);
     session.absorb(std::move(shard));
     const WeeklyReport got = session.finish(no_fetch);
@@ -377,7 +383,7 @@ TEST_F(AggregationOracleTest, RecurringRouteServedInOneRunOnly) {
   WeekSession session = vp.open_week(kWeek);
   WeekShard shard = session.make_shard();
   for (std::size_t i = 0; i < 64; ++i)
-    shard.observe(random_sample(rng, servers, clients), i);
+    observe_one(shard, random_sample(rng, servers, clients), i);
   const WeeklyReport want = oracle_finish_week(*world_, shard, no_fetch);
   session.absorb(std::move(shard));
   const WeeklyReport got = session.finish(no_fetch);

@@ -147,6 +147,12 @@ std::unordered_map<net::Asn, net::Locality>* ParallelEngineTest::locality_ =
 std::vector<sflow::FlowSample>* ParallelEngineTest::samples_ = nullptr;
 WeeklyReport* ParallelEngineTest::baseline_ = nullptr;
 
+/// Observes one sample at stream position `seq`: a one-sample batch.
+void observe_one(WeekShard& shard, const sflow::FlowSample& sample,
+                 std::size_t seq) {
+  shard.observe_batch({&sample, 1}, seq);
+}
+
 /// Round-robin the stream over K shards, then absorb the shards in a
 /// rotated order. Any K and any absorb order must reproduce the baseline.
 WeeklyReport run_shard_split(VantagePoint& vp,
@@ -159,7 +165,7 @@ WeeklyReport run_shard_split(VantagePoint& vp,
   for (std::size_t k = 0; k < shard_count; ++k)
     shards.push_back(session.make_shard());
   for (std::size_t i = 0; i < samples.size(); ++i)
-    shards[i % shard_count].observe(samples[i], i);
+    observe_one(shards[i % shard_count], samples[i], i);
   std::rotate(shards.begin(),
               shards.begin() + static_cast<std::ptrdiff_t>(rotate % shard_count),
               shards.end());
@@ -189,7 +195,7 @@ TEST_F(ParallelEngineTest, PairwiseShardMergeIsAssociative) {
     std::vector<WeekShard> shards;
     for (int k = 0; k < 3; ++k) shards.push_back(session.make_shard());
     for (std::size_t i = 0; i < samples_->size(); ++i)
-      shards[i % 3].observe((*samples_)[i], i);
+      observe_one(shards[i % 3], (*samples_)[i], i);
     return shards;
   };
 
@@ -229,13 +235,13 @@ TEST_F(ParallelEngineTest, EmptyShardMergesMatchSingleShardState) {
   WeekSession session = vp.open_week(kWeek);
   WeekShard single = session.make_shard();
   for (std::size_t i = 0; i < samples_->size(); ++i)
-    single.observe((*samples_)[i], i);
+    observe_one(single, (*samples_)[i], i);
   const std::vector<std::byte> want = encoded(single);
   const std::vector<std::byte> empty = encoded(session.make_shard());
 
   WeekShard full = session.make_shard();
   for (std::size_t i = 0; i < samples_->size(); ++i)
-    full.observe((*samples_)[i], i);
+    observe_one(full, (*samples_)[i], i);
   WeekShard into_empty = session.make_shard();
   into_empty.merge(std::move(full));
   EXPECT_TRUE(encoded(into_empty) == want);
@@ -250,7 +256,7 @@ TEST_F(ParallelEngineTest, EmptyShardMergesMatchSingleShardState) {
   // ways: into a non-empty shard, and as the first shard of a session.
   WeekShard odd = session.make_shard();
   for (std::size_t i = 0; i < samples_->size(); ++i)
-    (i % 2 == 0 ? full : odd).observe((*samples_)[i], i);
+    observe_one(i % 2 == 0 ? full : odd, (*samples_)[i], i);
   WeekShard even_copy = full;
   odd.merge(std::move(full));
   EXPECT_TRUE(encoded(odd) == want);
@@ -260,7 +266,7 @@ TEST_F(ParallelEngineTest, EmptyShardMergesMatchSingleShardState) {
   reused.absorb(std::move(even_copy));
   WeekShard rest = session.make_shard();
   for (std::size_t i = 1; i < samples_->size(); i += 2)
-    rest.observe((*samples_)[i], i);
+    observe_one(rest, (*samples_)[i], i);
   reused.absorb(std::move(rest));
   expect_matches_baseline(reused.finish(fetcher()));
 }

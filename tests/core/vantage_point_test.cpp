@@ -65,6 +65,11 @@ class VantagePointTest : public ::testing::Test {
     return s;
   }
 
+  /// Observes one sample at the session's next stream position.
+  static void observe(WeekSession& session, const sflow::FlowSample& flow) {
+    session.observe_batch({&flow, 1});
+  }
+
   static std::vector<x509::CertificateChain> no_fetch(Ipv4Addr, int) {
     return {};
   }
@@ -81,8 +86,8 @@ TEST_F(VantagePointTest, AggregatesOneServerFlow) {
   auto vp = make();
   WeekSession session = vp.open_week(45);
   // Server 10.0.0.1 (DE, AS100) answers client 20.0.0.9 (US, AS200).
-  session.observe(sample(Ipv4Addr{10, 0, 0, 1}, Ipv4Addr{20, 0, 0, 9}, 80,
-                         40000, "HTTP/1.1 200 OK\r\nServer: t\r\n", 1000));
+  observe(session, sample(Ipv4Addr{10, 0, 0, 1}, Ipv4Addr{20, 0, 0, 9}, 80,
+                          40000, "HTTP/1.1 200 OK\r\nServer: t\r\n", 1000));
   const auto report = session.finish(no_fetch);
 
   EXPECT_EQ(report.week, 45);
@@ -124,8 +129,8 @@ TEST_F(VantagePointTest, AggregatesOneServerFlow) {
 TEST_F(VantagePointTest, HttpsFunnelThroughFetcher) {
   auto vp = make();
   WeekSession session = vp.open_week(45);
-  session.observe(sample(Ipv4Addr{10, 0, 0, 2}, Ipv4Addr{20, 0, 0, 9}, 443,
-                         40000, "", 1200));
+  observe(session, sample(Ipv4Addr{10, 0, 0, 2}, Ipv4Addr{20, 0, 0, 9}, 443,
+                          40000, "", 1200));
   const auto report = session.finish([](Ipv4Addr addr, int times) {
     std::vector<x509::CertificateChain> fetches;
     if (addr != Ipv4Addr{10, 0, 0, 2}) return fetches;
@@ -152,8 +157,8 @@ TEST_F(VantagePointTest, EachSessionStartsFresh) {
   auto vp = make();
   {
     WeekSession session = vp.open_week(45);
-    session.observe(sample(Ipv4Addr{10, 0, 0, 1}, Ipv4Addr{20, 0, 0, 9}, 80,
-                           40000, "HTTP/1.1 200 OK\r\n", 800));
+    observe(session, sample(Ipv4Addr{10, 0, 0, 1}, Ipv4Addr{20, 0, 0, 9}, 80,
+                            40000, "HTTP/1.1 200 OK\r\n", 800));
     (void)session.finish(no_fetch);
   }
   WeekSession session = vp.open_week(46);
@@ -164,34 +169,12 @@ TEST_F(VantagePointTest, EachSessionStartsFresh) {
   EXPECT_EQ(report.filters.total_samples(), 0u);
 }
 
-TEST_F(VantagePointTest, ObserveBatchMatchesPerSampleObserve) {
-  const std::vector<sflow::FlowSample> flows{
-      sample(Ipv4Addr{10, 0, 0, 1}, Ipv4Addr{20, 0, 0, 9}, 80, 40000,
-             "HTTP/1.1 200 OK\r\n", 900),
-      sample(Ipv4Addr{20, 0, 0, 9}, Ipv4Addr{10, 0, 0, 1}, 40000, 80,
-             "GET / HTTP/1.1\r\nHost: s1.example.com\r\n", 400)};
-
-  auto vp = make();
-  WeekSession one_by_one = vp.open_week(45);
-  for (const auto& flow : flows) one_by_one.observe(flow);
-  const auto expected = one_by_one.finish(no_fetch);
-
-  WeekSession batched = vp.open_week(45);
-  batched.observe_batch(flows);
-  const auto actual = batched.finish(no_fetch);
-
-  EXPECT_EQ(actual.filters, expected.filters);
-  EXPECT_EQ(actual.peering_ips, expected.peering_ips);
-  EXPECT_EQ(actual.server_ips, expected.server_ips);
-  EXPECT_EQ(actual.servers.size(), expected.servers.size());
-}
-
 // The minimal one-sample week through the session API.
 TEST_F(VantagePointTest, SingleSampleWeekProducesReport) {
   auto vp = make();
   WeekSession session = vp.open_week(45);
-  session.observe(sample(Ipv4Addr{10, 0, 0, 1}, Ipv4Addr{20, 0, 0, 9}, 80,
-                         40000, "HTTP/1.1 200 OK\r\n", 1000));
+  observe(session, sample(Ipv4Addr{10, 0, 0, 1}, Ipv4Addr{20, 0, 0, 9}, 80,
+                          40000, "HTTP/1.1 200 OK\r\n", 1000));
   const auto report = session.finish(no_fetch);
   EXPECT_EQ(report.week, 45);
   EXPECT_EQ(report.peering_ips, 2u);
@@ -202,8 +185,8 @@ TEST_F(VantagePointTest, UnroutedIpStillCountsAsPeeringIp) {
   auto vp = make();
   WeekSession session = vp.open_week(45);
   // 30.0.0.0/8 is not in the routing table or geo database.
-  session.observe(sample(Ipv4Addr{30, 0, 0, 1}, Ipv4Addr{20, 0, 0, 9}, 12345,
-                         22, "", 500));
+  observe(session, sample(Ipv4Addr{30, 0, 0, 1}, Ipv4Addr{20, 0, 0, 9}, 12345,
+                          22, "", 500));
   const auto report = session.finish(no_fetch);
   EXPECT_EQ(report.peering_ips, 2u);
   EXPECT_EQ(report.peering_ases, 1u);       // only the routed side

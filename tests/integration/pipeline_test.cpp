@@ -6,6 +6,7 @@
 
 #include "analysis/attribution.hpp"
 #include "analysis/heterogeneity.hpp"
+#include "core/parallel_analyzer.hpp"
 #include "core/vantage_point.hpp"
 #include "gen/internet.hpp"
 #include "gen/workload.hpp"
@@ -28,11 +29,13 @@ class PipelineTest : public ::testing::Test {
                           model_->geo_db(), *locality_,
                           model_->dns_db(), dns::PublicSuffixList::builtin(),
                           model_->root_store()};
-    core::WeekSession session = vp.open_week(45);
+    std::vector<sflow::FlowSample> samples;
     truth_ = new gen::WeeklyTruth{workload_->generate_week(
-        45, [&](const sflow::FlowSample& s) { session.observe(s); })};
-    report_ = new core::WeeklyReport{session.finish(
-        [&](net::Ipv4Addr addr, int times) {
+        45, [&](const sflow::FlowSample& s) { samples.push_back(s); })};
+    core::ParallelAnalyzer analyzer{vp};
+    ingest::SpanSource source{samples, core::ParallelOptions{}.batch_size};
+    report_ = new core::WeeklyReport{analyzer.analyze(
+        45, source, [&](net::Ipv4Addr addr, int times) {
           return model_->fetch_chains(addr, times, 45);
         })};
   }

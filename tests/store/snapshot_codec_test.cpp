@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -64,8 +65,10 @@ class SnapshotCodecTest : public ::testing::Test {
   static core::WeekShard observe_range(const core::WeekSession& session,
                                        std::size_t begin, std::size_t end) {
     core::WeekShard shard = session.make_shard();
-    for (std::size_t i = begin; i < end; ++i)
-      shard.observe((*samples_)[i], static_cast<std::uint64_t>(i));
+    shard.observe_batch(
+        std::span<const sflow::FlowSample>{*samples_}.subspan(begin,
+                                                             end - begin),
+        begin);
     return shard;
   }
 

@@ -14,10 +14,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/process_pool.hpp"
@@ -186,6 +189,70 @@ TEST(StoreRace, CommitsRacingScansLeaveOnlyValidSnapshots) {
   ASSERT_TRUE(scan.readable) << scan.error;
   EXPECT_TRUE(scan.quarantined.empty());
   EXPECT_EQ(scan.weeks.size(), 3u);
+}
+
+// Regression: commit_snapshot creates its temp, then locks it. A scan that
+// opens the temp in between can win the lock and sweep the file; the
+// writer must then commit through a fresh temp rather than fail its
+// rename. The window is replayed deterministically: the test plays that
+// scan on a temp carrying this process's name (open, lock, unlink,
+// close), holding the lock while the writer opens the same file, and
+// sweeps once the writer is past its open — at the mid-write hook, or
+// after a grace period when the writer waits for the lock instead.
+TEST(StoreRace, ScanThatLocksTheTempBeforeTheWriterCannotFailTheCommit) {
+  const TempDir dir{"sweep_before_lock"};
+  const SnapshotStore store{dir.path()};
+  std::string error;
+  ASSERT_TRUE(store.ensure_dir(&error)) << error;
+  const auto image = test_image();
+  const std::string path = store.path_for(45);
+  const std::string temp = path + ".tmp." + std::to_string(::getpid());
+  { std::ofstream out{temp, std::ios::binary}; out << "unlocked"; }
+  const int scanner_fd = ::open(temp.c_str(), O_RDONLY);
+  ASSERT_GE(scanner_fd, 0);
+  ASSERT_EQ(::flock(scanner_fd, LOCK_EX | LOCK_NB), 0);
+
+  std::promise<void> writer_mid_write;
+  std::promise<void> swept;
+  std::shared_future<void> swept_done = swept.get_future().share();
+  std::thread scanner{[&, reached = writer_mid_write.get_future()] {
+    (void)reached.wait_for(std::chrono::milliseconds(500));
+    ::unlink(temp.c_str());
+    ::close(scanner_fd);
+    swept.set_value();
+  }};
+  CommitHooks hooks;
+  hooks.mid_temp_write = [&](const std::string&) {
+    writer_mid_write.set_value();
+    swept_done.wait();
+  };
+  const bool committed = commit_snapshot(path, image, &error, &hooks);
+  scanner.join();
+  EXPECT_TRUE(committed) << error;
+
+  const auto scan = store.scan();
+  ASSERT_TRUE(scan.readable) << scan.error;
+  EXPECT_EQ(scan.weeks, std::vector<int>{45});
+  EXPECT_TRUE(scan.quarantined.empty());
+  EXPECT_EQ(scan.stale_temps_removed, 0u);
+}
+
+// Regression: two runners started on one fresh --dir both create it. The
+// loser of that race used to fail: it saw the directory missing and then
+// present ("exists and is not a directory"), or saw create_directories
+// report that it created nothing ("cannot create <dir>: Success").
+TEST(StoreRace, ProcessesCreatingTheStoreAtOnceAllSucceed) {
+  const TempDir dir{"ensure_dir"};
+  for (int round = 0; round < 20; ++round) {
+    const std::string path = dir.path() + "/round_" + std::to_string(round);
+    const auto statuses = core::ProcessPool::run(4, [&](int) -> int {
+      std::string error;
+      return SnapshotStore{path}.ensure_dir(&error) ? 0 : 1;
+    });
+    for (const auto& status : statuses)
+      EXPECT_TRUE(status.ok()) << "round " << round << " worker "
+                               << status.worker;
+  }
 }
 
 TEST(StoreRace, ScannersRacingScannersSweepEachOrphanExactlyOnce) {

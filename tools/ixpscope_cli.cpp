@@ -135,6 +135,7 @@ int usage() {
       "  replay   --in FILE --connect PATH       replay a trace into serve\n"
       "           [--agents N]         spread records over N synthetic agents\n"
       "  diff     --from A --to B      week-over-week change report\n"
+      "           [--threads N]        shard each week over N workers\n"
       "  weeks    --from A --to B --dir PATH     resumable longitudinal run\n"
       "                                one durable snapshot per week; re-runs\n"
       "                                resume past completed weeks\n"
@@ -694,14 +695,24 @@ int cmd_replay(const Options& opt) {
   return 0;
 }
 
+/// One generated week, in stream order.
+std::vector<sflow::FlowSample> generate_samples(const World& world, int week) {
+  std::vector<sflow::FlowSample> samples;
+  world.workload->generate_week(
+      week, [&](const sflow::FlowSample& s) { samples.push_back(s); });
+  return samples;
+}
+
 int cmd_diff(const Options& opt) {
   const auto world = build_world(opt);
   core::VantagePoint vantage = make_vantage(world);
+  core::ParallelOptions popt;
+  popt.threads = static_cast<unsigned>(opt.ingest.threads);
+  core::ParallelAnalyzer analyzer{vantage, popt};
   const auto run = [&](int week) {
-    core::WeekSession session = vantage.open_week(week);
-    world.workload->generate_week(
-        week, [&](const sflow::FlowSample& s) { session.observe(s); });
-    return session.finish(make_fetcher(world, week));
+    const auto samples = generate_samples(world, week);
+    ingest::SpanSource source{samples, popt.batch_size};
+    return analyzer.analyze(week, source, make_fetcher(world, week));
   };
   const auto earlier = run(opt.from_week);
   const auto later = run(opt.to_week);
@@ -806,10 +817,8 @@ int cmd_weeks(const Options& opt) {
 
   const auto make_source =
       [&](int week) -> std::unique_ptr<ingest::IngestSource> {
-    std::vector<sflow::FlowSample> samples;
-    world.workload->generate_week(
-        week, [&](const sflow::FlowSample& s) { samples.push_back(s); });
-    return std::make_unique<GeneratedWeekSource>(std::move(samples), 512);
+    return std::make_unique<GeneratedWeekSource>(generate_samples(world, week),
+                                                 512);
   };
   const auto fetcher_for = [&](int week) { return make_fetcher(world, week); };
 
