@@ -12,7 +12,9 @@
 //                      stay cheap, because a flooding agent pays it on
 //                      every datagram and the service must never stall
 //   decode_pump        the pump-worker hot path minus the shard: take,
-//                      decode_into the reused scratch, collector ingest
+//                      decode_into the reused scratch, bump the decode
+//                      counters (sequence gaps were already counted by
+//                      offer(), which this case also pays)
 //   serve_drain_N      the whole service end to end at the test scale:
 //                      offer every framed record, drain, publish — the
 //                      N-worker figure includes snapshot()'s fold and the
@@ -28,7 +30,6 @@
 #include "core/vantage_point.hpp"
 #include "gen/internet.hpp"
 #include "gen/workload.hpp"
-#include "sflow/collector.hpp"
 #include "sflow/datagram.hpp"
 #include "sflow/socket_intake.hpp"
 #include "util/rng.hpp"
@@ -121,8 +122,8 @@ int main(int argc, char** argv) {
 
   suite.run_case("decode_pump", 100, [&](std::uint64_t iters, int) {
     // The pump-worker inner loop without the shard: steady-state decode
-    // into a reused scratch datagram plus collector accounting.
-    sflow::Collector collector{sflow::Collector::FlowSink{}};
+    // into a reused scratch datagram plus the workers' shared counters.
+    core::DecodeCounters counters;
     sflow::Datagram scratch;
     sflow::AgentQueues queues{/*per_agent_capacity=*/kPoolDatagrams};
     sflow::DatagramEnvelope envelope;
@@ -131,13 +132,15 @@ int main(int argc, char** argv) {
       for (const auto& payload : payloads)
         (void)queues.offer(sflow::parse_frame(payload));
       while (queues.try_take(envelope)) {
-        if (sflow::decode_into(envelope.payload, scratch)) {
-          collector.ingest(scratch);
-          items += scratch.samples.size();
+        if (!sflow::decode_into(envelope.payload, scratch)) {
+          counters.decode_errors.fetch_add(1, std::memory_order_relaxed);
+          continue;
         }
+        counters.count(scratch);
+        items += scratch.samples.size();
       }
     }
-    bench::keep(collector.stats().datagrams);
+    bench::keep(counters.datagrams.load());
     return items;
   });
 
@@ -172,7 +175,7 @@ int main(int argc, char** argv) {
                   sflow::encode_replay_frame(d * 4096, payloads[d])));
             }
             const auto snap = service.drain();
-            items += snap->accounting.collector.flow_samples;
+            items += snap->accounting.flow_samples;
             bench::keep(snap->report.peering_ips);
           }
           return items;

@@ -12,10 +12,13 @@
 // for a parallel plan (split()); a splittable source — a mapped trace, an
 // in-memory span — hands back sub-sources that workers claim and decode
 // concurrently with no sequence handoff, because every batch carries its
-// own position-derived stream key. A serial source — the collector
-// service's live socket feed — is pumped by the calling thread through a
-// bounded queue while the workers run the hot path (filtering, HTTP
-// matching, evidence accumulation).
+// own position-derived stream key. A serial source (no split() plan) is
+// pumped by the calling thread through a bounded queue while the workers
+// run the hot path (filtering, HTTP matching, evidence accumulation). The
+// serve service does not use this path — it runs its own pump workers over
+// LiveQueueSource — so today the only serial source driven through it is
+// parallel_fault_test's SerialSource; ROADMAP item 1(b) plans a production
+// caller, a generated week pulled batch by batch.
 //
 // The engine exposes its two halves separately: reduce() is the
 // observation phase alone — fan out, merge, hand back the week's fully
@@ -67,9 +70,9 @@ class ParallelAnalyzer {
   /// Analyzes one week pulled from `source` — the single entry point for
   /// every input shape. The source's split() decides between concurrent
   /// claim-and-decode (mapped traces, spans) and a pumped bounded queue
-  /// (live feeds); either way the
-  /// report is byte-identical for any thread count. Check the source's
-  /// ok()/stats() afterwards for ingest health.
+  /// (serial sources); either way the report is byte-identical for any
+  /// thread count. Check the source's ok()/stats() afterwards for ingest
+  /// health.
   [[nodiscard]] WeeklyReport analyze(int week, ingest::IngestSource& source,
                                      const classify::ChainFetcher& fetch);
 

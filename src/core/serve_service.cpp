@@ -19,13 +19,10 @@ ingest::SourceStatus LiveQueueSource::next_batch(ingest::SampleBatch& out) {
     if (!sflow::decode_into(envelope_.payload, scratch_)) {
       ++stats_.decode_errors;
       stats_.bytes_skipped += 4 + envelope_.payload.size();
-      decode_errors_->fetch_add(1, std::memory_order_relaxed);
+      counters_->decode_errors.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    {
-      std::lock_guard lock{*collector_mutex_};
-      collector_->ingest(scratch_);
-    }
+    counters_->count(scratch_);
     ++stats_.datagrams;
     stats_.samples += scratch_.samples.size();
     // Accounted like a trace record: 4-byte length prefix plus payload —
@@ -50,14 +47,8 @@ ServeService::ServeService(VantagePoint& vantage, classify::ChainFetcher fetch,
       fetch_(std::move(fetch)),
       options_(options),
       queues_(options.queue_capacity, options.max_agents),
-      collector_(sflow::Collector::FlowSink{}, sflow::Collector::CounterSink{},
-                 options.max_agents),
       session_(vantage.open_week(options.week)) {
-  collector_.set_eviction_hook(
-      [this](net::Ipv4Addr agent, std::uint32_t last_sequence) {
-        sequence_evictions_.fetch_add(1, std::memory_order_relaxed);
-        if (options_.eviction_log) options_.eviction_log(agent, last_sequence);
-      });
+  queues_.set_eviction_hook(options_.eviction_log);
 }
 
 ServeService::~ServeService() {
@@ -73,9 +64,8 @@ void ServeService::start() {
   workers_.reserve(threads);
   for (unsigned t = 0; t < threads; ++t) {
     slots_.push_back(std::make_unique<WorkerSlot>(session_.make_shard()));
-    sources_.push_back(std::make_unique<LiveQueueSource>(
-        queues_, collector_, collector_mutex_, virtual_offset_,
-        decode_errors_));
+    sources_.push_back(
+        std::make_unique<LiveQueueSource>(queues_, virtual_offset_, decoded_));
   }
   for (unsigned t = 0; t < threads; ++t) {
     workers_.emplace_back([this, t] { worker_loop(t); });
@@ -168,12 +158,11 @@ std::shared_ptr<const ServeSnapshot> ServeService::drain() {
 ServeAccounting ServeService::accounting() const {
   ServeAccounting out;
   out.intake = queues_.stats();
-  {
-    std::lock_guard lock{collector_mutex_};
-    out.collector = collector_.stats();
-  }
-  out.decode_errors = decode_errors_.load(std::memory_order_relaxed);
-  out.sequence_evictions = sequence_evictions_.load(std::memory_order_relaxed);
+  out.datagrams = decoded_.datagrams.load(std::memory_order_relaxed);
+  out.flow_samples = decoded_.flow_samples.load(std::memory_order_relaxed);
+  out.counter_samples =
+      decoded_.counter_samples.load(std::memory_order_relaxed);
+  out.decode_errors = decoded_.decode_errors.load(std::memory_order_relaxed);
   return out;
 }
 

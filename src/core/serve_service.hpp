@@ -4,7 +4,8 @@
 // same stream one datagram at a time, from many concurrent agents, with
 // no end in sight. The pieces:
 //
-//   socket/inject -> AgentQueues (bounded, drop-counting)
+//   socket/inject -> AgentQueues (bounded, drop-counting; the one
+//                    per-agent table, sequence gaps included)
 //        -> N pump workers, each pulling through a LiveQueueSource
 //           (the same ingest::IngestSource API the offline analyzer
 //           consumes) into a per-worker WeekShard
@@ -42,7 +43,6 @@
 #include "core/parallel_analyzer.hpp"
 #include "core/vantage_point.hpp"
 #include "ingest/ingest_source.hpp"
-#include "sflow/collector.hpp"
 #include "sflow/socket_intake.hpp"
 
 namespace ixp::core {
@@ -54,27 +54,45 @@ struct ServeOptions {
   /// Per-agent bound on queued datagrams; beyond it the agent's own
   /// datagrams are dropped and counted (the service never stalls intake).
   std::size_t queue_capacity = sflow::AgentQueues::kDefaultCapacity;
-  /// Cap on tracked agents in the intake accounting and the collector's
-  /// sequence tracking (FIFO eviction beyond it).
+  /// Cap on agent rows in the intake table (FIFO eviction beyond it).
   std::size_t max_agents = sflow::AgentQueues::kDefaultMaxAgents;
   /// Published report covers the last `window_epochs` snapshot intervals;
   /// 0 = cumulative since start.
   std::size_t window_epochs = 0;
-  /// Observer for collector sequence-tracking evictions (agent cap hit);
-  /// also counted in ServeAccounting. Runs on a pump worker thread.
-  sflow::Collector::EvictionHook eviction_log;
+  /// Observer for agent-row evictions (agent cap hit); also counted in
+  /// ServeAccounting::intake. Runs on the thread calling offer().
+  sflow::AgentQueues::EvictionHook eviction_log;
 };
 
 /// Everything the service knows about where datagrams went. The exact-sum
 /// invariants, checked by the overload tests:
 ///   per agent and total: received == taken + dropped
-///   total taken == collector.datagrams + decode_errors
+///   total taken == datagrams + decode_errors
+/// Sequence gaps (datagrams an agent sent that never arrived) are the
+/// intake rows' `lost` counters.
 struct ServeAccounting {
   sflow::AgentQueuesStats intake;
-  sflow::CollectorStats collector;
+  /// Datagrams the pump workers decoded, and the samples they carried.
+  std::uint64_t datagrams = 0;
+  std::uint64_t flow_samples = 0;
+  std::uint64_t counter_samples = 0;
   std::uint64_t decode_errors = 0;
-  /// Collector sequence-tracking rows evicted via the agent cap.
-  std::uint64_t sequence_evictions = 0;
+};
+
+/// The pump workers' shared decode tallies behind ServeAccounting.
+struct DecodeCounters {
+  std::atomic<std::uint64_t> datagrams{0};
+  std::atomic<std::uint64_t> flow_samples{0};
+  std::atomic<std::uint64_t> counter_samples{0};
+  std::atomic<std::uint64_t> decode_errors{0};
+
+  /// Tallies one successfully decoded datagram.
+  void count(const sflow::Datagram& datagram) {
+    datagrams.fetch_add(1, std::memory_order_relaxed);
+    flow_samples.fetch_add(datagram.samples.size(), std::memory_order_relaxed);
+    counter_samples.fetch_add(datagram.counters.size(),
+                              std::memory_order_relaxed);
+  }
 };
 
 struct ServeSnapshot {
@@ -102,15 +120,12 @@ struct ServeSnapshot {
 /// payload).
 class LiveQueueSource final : public ingest::IngestSource {
  public:
-  LiveQueueSource(sflow::AgentQueues& queues, sflow::Collector& collector,
-                  std::mutex& collector_mutex,
+  LiveQueueSource(sflow::AgentQueues& queues,
                   std::atomic<std::uint64_t>& virtual_offset,
-                  std::atomic<std::uint64_t>& decode_errors)
+                  DecodeCounters& counters)
       : queues_(&queues),
-        collector_(&collector),
-        collector_mutex_(&collector_mutex),
         virtual_offset_(&virtual_offset),
-        decode_errors_(&decode_errors) {}
+        counters_(&counters) {}
 
   ingest::SourceStatus next_batch(ingest::SampleBatch& out) override;
 
@@ -120,10 +135,8 @@ class LiveQueueSource final : public ingest::IngestSource {
 
  private:
   sflow::AgentQueues* queues_;
-  sflow::Collector* collector_;
-  std::mutex* collector_mutex_;
   std::atomic<std::uint64_t>* virtual_offset_;
-  std::atomic<std::uint64_t>* decode_errors_;
+  DecodeCounters* counters_;
   sflow::DatagramEnvelope envelope_;
   sflow::Datagram scratch_;
   sflow::ReaderStats stats_;
@@ -187,10 +200,7 @@ class ServeService {
   ServeOptions options_;
 
   sflow::AgentQueues queues_;
-  sflow::Collector collector_;
-  mutable std::mutex collector_mutex_;
-  std::atomic<std::uint64_t> sequence_evictions_{0};
-  std::atomic<std::uint64_t> decode_errors_{0};
+  DecodeCounters decoded_;
   /// Virtual trace offset for unframed (live) datagrams: starts where a
   /// fresh trace's first record would, advances by the bytes TraceWriter
   /// would have written — so live keys are exactly the keys a recorded

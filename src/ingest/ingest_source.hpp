@@ -1,11 +1,12 @@
 // IngestSource — the one way sample streams enter the analysis engine.
 //
 // Anything that can deliver batches of FlowSamples with stream-position
-// keys is a source, and the analyzer, the serve event loop, and the CLI
+// keys is a source, and the analyzer, the serve pump workers, and the CLI
 // all consume this single API instead of one code path per input shape.
 // Three adapters ship: SpanSource (an in-memory sample span), MappedSource
 // (a recorded trace, decoded by TraceCursor) and core::LiveQueueSource
-// (the collector service's live socket feed).
+// (the collector service's live socket feed, pulled directly by serve's
+// own workers rather than through ParallelAnalyzer).
 //
 // The contract has three parts:
 //
@@ -28,11 +29,13 @@
 //     trace, a span) cuts its remainder into up to `want` independently
 //     consumable sub-sources; worker threads claim and drain them with
 //     no cross-worker sequence handoff, because every batch carries its
-//     own position-derived key. A serial source (a live socket feed)
-//     returns an empty vector and the analyzer pumps it from one thread
-//     instead. Sub-sources borrow the parent (which must outlive them)
-//     and partition its accounting; after a split() the parent itself
-//     must not be pulled again.
+//     own position-derived key. A serial source returns an empty vector
+//     and the analyzer pumps it from one thread instead; the only such
+//     source driven through the analyzer today is parallel_fault_test's
+//     SerialSource, and ROADMAP item 1(b) plans a production one (a
+//     generated week). Sub-sources borrow the parent (which must outlive
+//     them) and partition its accounting; after a split() the parent
+//     itself must not be pulled again.
 #pragma once
 
 #include <cstdint>

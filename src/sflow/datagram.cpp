@@ -58,13 +58,13 @@ bool decode_into(std::span<const std::byte> bytes, Datagram& out) {
   out.counters.clear();
   const std::byte* const p = bytes.data();
   const std::size_t size = bytes.size();
-  if (size < 20) return false;
+  if (size < Datagram::kHeaderBytes) return false;
   if (load_be32(p) != Datagram::kVersion) return false;
   out.agent = net::Ipv4Addr{load_be32(p + 4)};
   out.sequence = load_be32(p + 8);
   out.uptime_ms = load_be32(p + 12);
   const std::uint32_t count = load_be32(p + 16);
-  std::size_t at = 20;
+  std::size_t at = Datagram::kHeaderBytes;
 
   // Each sample occupies at least its 16 fixed header bytes, so an
   // implausible count is rejected before any storage is touched.

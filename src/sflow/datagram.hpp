@@ -58,6 +58,8 @@ struct CounterSample {
 
 struct Datagram {
   static constexpr std::uint32_t kVersion = 5;
+  /// version | agent | sequence | uptime | nsamples, all u32.
+  static constexpr std::size_t kHeaderBytes = 20;
 
   net::Ipv4Addr agent;       // exporting switch
   std::uint32_t sequence = 0;  // datagram sequence number

@@ -68,69 +68,93 @@ DatagramEnvelope parse_frame(std::span<const std::byte> bytes) {
 
 // ---- AgentQueues ----------------------------------------------------------
 
-AgentQueues::Row& AgentQueues::row_for(net::Ipv4Addr agent) {
+AgentQueues::Row& AgentQueues::row_for(net::Ipv4Addr agent,
+                                       std::optional<Eviction>& evicted) {
   const auto [it, first_time] = rows_.try_emplace(agent, Row{});
-  if (first_time) {
-    arrival_order_.push_back(agent);
-    if (rows_.size() > max_agents_) {
-      const net::Ipv4Addr victim = arrival_order_.front();
-      arrival_order_.pop_front();
-      if (const auto found = rows_.find(victim); found != rows_.end()) {
-        // Fold the counters so totals stay exact; in-flight envelopes of
-        // the victim keep flowing (take() tolerates a missing row).
-        evicted_ += found->second.counters;
-        rows_.erase(victim);
-      }
-      ++evicted_agents_;
-    }
-  }
-  // try_emplace's iterator can be stale after the erase-triggered shift;
-  // re-find to be safe.
+  if (!first_time) return it->second;
+  it->second.id = next_row_id_++;
+  arrival_order_.push_back(agent);
+  if (rows_.size() <= max_agents_) return it->second;
+
+  // Over the cap: evict the longest-tracked row. Its counters fold into
+  // evicted_ so totals stay exact; in-flight envelopes of the victim keep
+  // flowing and are credited to evicted_ when taken.
+  const net::Ipv4Addr victim = arrival_order_.front();
+  arrival_order_.pop_front();
+  const Row& gone = rows_.find(victim)->second;
+  evicted_ += gone.counters;
+  evicted = Eviction{victim, gone.last_sequence.value_or(0)};
+  rows_.erase(victim);
+  ++evicted_agents_;
+  // Backward-shift deletion may have moved the new row.
   return rows_.find(agent)->second;
 }
 
 bool AgentQueues::offer(DatagramEnvelope&& envelope) {
+  // Only a header decode_into() would accept carries a sequence number.
+  std::optional<std::uint32_t> sequence;
+  if (const std::span<const std::byte> payload{envelope.payload};
+      payload.size() >= Datagram::kHeaderBytes &&
+      load_be32(payload.data()) == Datagram::kVersion) {
+    sequence = load_be32(payload.data() + 8);
+  }
+
+  std::optional<Eviction> evicted;
+  bool accepted = false;
   {
     std::lock_guard lock{mutex_};
-    Row& row = row_for(envelope.agent);
+    Row& row = row_for(envelope.agent, evicted);
     ++row.counters.received;
+    if (sequence && !row.last_sequence) {
+      row.last_sequence = sequence;
+    } else if (sequence) {
+      // Only forward gaps count (the standard collector heuristic): a
+      // reordered datagram shows up as a gap followed by a late arrival,
+      // and the late arrival neither adds a gap nor moves the sequence
+      // back.
+      const std::uint32_t expected = *row.last_sequence + 1;
+      if (*sequence > expected) row.counters.lost += *sequence - expected;
+      if (*sequence >= expected) row.last_sequence = sequence;
+    }
     if (closed_ || row.queued >= capacity_) {
       ++row.counters.dropped;
-      return false;
+    } else {
+      ++row.queued;
+      fifo_.emplace_back(std::move(envelope), row.id);
+      accepted = true;
     }
-    ++row.queued;
-    fifo_.push_back(std::move(envelope));
   }
-  not_empty_.notify_one();
-  return true;
+  if (evicted && eviction_hook_)
+    eviction_hook_(evicted->agent, evicted->last_sequence);
+  if (accepted) not_empty_.notify_one();
+  return accepted;
+}
+
+void AgentQueues::pop_front(DatagramEnvelope& out) {
+  auto& [envelope, row_id] = fifo_.front();
+  out = std::move(envelope);
+  const auto found = rows_.find(out.agent);
+  if (found != rows_.end() && found->second.id == row_id) {
+    ++found->second.counters.taken;
+    --found->second.queued;
+  } else {
+    ++evicted_.taken;  // the row it was counted in was evicted meanwhile
+  }
+  fifo_.pop_front();
 }
 
 bool AgentQueues::take(DatagramEnvelope& out) {
   std::unique_lock lock{mutex_};
   not_empty_.wait(lock, [&] { return !fifo_.empty() || closed_; });
   if (fifo_.empty()) return false;
-  out = std::move(fifo_.front());
-  fifo_.pop_front();
-  if (const auto found = rows_.find(out.agent); found != rows_.end()) {
-    ++found->second.counters.taken;
-    if (found->second.queued > 0) --found->second.queued;
-  } else {
-    ++evicted_.taken;  // sender's row was evicted while this sat queued
-  }
+  pop_front(out);
   return true;
 }
 
 bool AgentQueues::try_take(DatagramEnvelope& out) {
   std::lock_guard lock{mutex_};
   if (fifo_.empty()) return false;
-  out = std::move(fifo_.front());
-  fifo_.pop_front();
-  if (const auto found = rows_.find(out.agent); found != rows_.end()) {
-    ++found->second.counters.taken;
-    if (found->second.queued > 0) --found->second.queued;
-  } else {
-    ++evicted_.taken;
-  }
+  pop_front(out);
   return true;
 }
 

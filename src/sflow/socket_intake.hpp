@@ -12,12 +12,15 @@
 //     shapes are self-discriminating and agents need no configuration.
 //
 //   * AgentQueues. The bounded hand-off between socket readers and the
-//     analysis workers. offer() NEVER blocks: when an agent's queue slice
-//     is full the datagram is dropped and counted against that agent —
-//     a flooding agent loses its own datagrams, not the service, and not
-//     its neighbors'. take() blocks until work arrives or close() is
-//     called, then drains what remains (the clean-shutdown path). Exact
-//     invariant, per agent and in total: received == taken + dropped.
+//     analysis workers, and the service's one per-agent table. offer()
+//     NEVER blocks: when an agent's queue slice is full the datagram is
+//     dropped and counted against that agent — a flooding agent loses its
+//     own datagrams, not the service, and not its neighbors'. take()
+//     blocks until work arrives or close() is called, then drains what
+//     remains (the clean-shutdown path). Exact invariant, per agent and in
+//     total: received == taken + dropped. offer() also tracks each
+//     agent's sFlow sequence number in arrival order and counts forward
+//     gaps as `lost`: datagrams the agent sent that never arrived.
 //
 //   * SocketIntake / DatagramSender. Thin POSIX wrappers: a UDP socket on
 //     127.0.0.1 and/or a Unix datagram socket, drained by poll_once();
@@ -31,8 +34,10 @@
 #include <functional>
 #include <mutex>
 #include <condition_variable>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sflow/datagram.hpp"
@@ -71,16 +76,20 @@ struct DatagramEnvelope {
 [[nodiscard]] DatagramEnvelope parse_frame(std::span<const std::byte> bytes);
 
 /// Per-agent intake counters. The exact-accounting invariant the overload
-/// tests pin down: received == taken + dropped, always.
+/// tests pin down: received == taken + dropped, always. `lost` sits
+/// outside it: sequence numbers the agent skipped, i.e. datagrams that
+/// never reached offer() at all.
 struct AgentIntakeCounters {
   std::uint64_t received = 0;
   std::uint64_t dropped = 0;
   std::uint64_t taken = 0;
+  std::uint64_t lost = 0;
 
   AgentIntakeCounters& operator+=(const AgentIntakeCounters& other) {
     received += other.received;
     dropped += other.dropped;
     taken += other.taken;
+    lost += other.lost;
     return *this;
   }
   friend bool operator==(const AgentIntakeCounters&,
@@ -112,6 +121,10 @@ struct AgentQueuesStats {
 class AgentQueues {
  public:
   static constexpr std::size_t kDefaultCapacity = 1024;
+  /// Agent rows kept before oldest-first eviction. A real fabric has
+  /// hundreds of agents; the cap only matters when forged agent addresses
+  /// flood the service, which must not be able to grow memory without
+  /// bound.
   static constexpr std::size_t kDefaultMaxAgents = 4096;
 
   explicit AgentQueues(std::size_t per_agent_capacity = kDefaultCapacity,
@@ -122,6 +135,10 @@ class AgentQueues {
   /// Enqueues if the sender's slice has room; otherwise counts a drop and
   /// returns false. Never blocks — the service must shed load rather than
   /// stall the socket readers. After close(), everything is a drop.
+  /// Either way, a payload with a well-formed sFlow header (>= 20 bytes,
+  /// version 5) advances the agent's sequence: a forward jump counts the
+  /// skipped numbers as lost, a late arrival counts nothing, and an
+  /// agent whose row was evicted starts afresh.
   bool offer(DatagramEnvelope&& envelope);
 
   /// Blocks until an envelope is available or the queues are closed and
@@ -140,24 +157,51 @@ class AgentQueues {
   [[nodiscard]] std::size_t queued() const;
   [[nodiscard]] AgentQueuesStats stats() const;
 
+  /// Called once per row evicted to honor the agent cap, with the agent
+  /// and the last sequence number its row had reached (0 if it never
+  /// sent a well-formed header). Runs on the offering thread after the
+  /// queue lock is released. Set it before the first offer().
+  using EvictionHook =
+      std::function<void(net::Ipv4Addr agent, std::uint32_t last_sequence)>;
+  void set_eviction_hook(EvictionHook hook) { eviction_hook_ = std::move(hook); }
+
  private:
   struct Row {
+    /// Distinguishes this row from an earlier, evicted row of the same
+    /// agent, so envelopes queued under that row are not credited here.
+    std::uint64_t id = 0;
     AgentIntakeCounters counters;
     std::size_t queued = 0;
+    /// Empty until the agent sends a well-formed header.
+    std::optional<std::uint32_t> last_sequence;
   };
 
-  Row& row_for(net::Ipv4Addr agent);  // callers hold mutex_
+  struct Eviction {
+    net::Ipv4Addr agent;
+    std::uint32_t last_sequence = 0;
+  };
+
+  /// The agent's row, created on first sight. Creating one past the cap
+  /// evicts the oldest row and reports it in `evicted`. Callers hold
+  /// mutex_.
+  Row& row_for(net::Ipv4Addr agent, std::optional<Eviction>& evicted);
+  /// Pops the FIFO head into `out` and credits its agent. Callers hold
+  /// mutex_ and have checked the FIFO is non-empty.
+  void pop_front(DatagramEnvelope& out);
 
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
-  std::deque<DatagramEnvelope> fifo_;
+  /// Queued envelopes, each with the id of the row it was counted in.
+  std::deque<std::pair<DatagramEnvelope, std::uint64_t>> fifo_;
   util::FlatHashMap<net::Ipv4Addr, Row> rows_;
   std::deque<net::Ipv4Addr> arrival_order_;
   std::size_t capacity_;
   std::size_t max_agents_;
+  std::uint64_t next_row_id_ = 0;
   std::uint64_t evicted_agents_ = 0;
   AgentIntakeCounters evicted_;
   bool closed_ = false;
+  EvictionHook eviction_hook_;
 };
 
 /// Receiving side: a UDP socket on 127.0.0.1 and/or a Unix datagram

@@ -1,7 +1,7 @@
 // The intake layer under the collector service: replay framing, the
 // bounded per-agent queues with their exact-accounting invariant
-// (received == taken + dropped, per agent and in total), and the POSIX
-// socket round trip. Socket tests skip cleanly where the environment
+// (received == taken + dropped, per agent and in total) and offer-time
+// sequence-gap tracking, and the POSIX socket round trip. Socket tests skip cleanly where the environment
 // forbids binding; everything else exercises the same code paths through
 // parse_frame() and AgentQueues directly.
 #include "sflow/socket_intake.hpp"
@@ -13,9 +13,9 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "sflow/collector.hpp"
 #include "sflow/datagram.hpp"
 
 namespace ixp::sflow {
@@ -119,6 +119,9 @@ TEST(AgentQueues, FloodingAgentShedsOnlyItsOwnDatagrams) {
   EXPECT_EQ(stats.rows[0].counters.received, 5u);
   EXPECT_EQ(stats.rows[0].counters.dropped, 3u);
   EXPECT_EQ(stats.rows[0].counters.taken, 2u);
+  // Gaps are counted at offer time, so a shed datagram still advanced
+  // its agent's sequence: it counts once, as dropped, never as lost.
+  EXPECT_EQ(stats.rows[0].counters.lost, 0u);
   EXPECT_EQ(stats.rows[1].agent, b);
   EXPECT_EQ(stats.rows[1].counters.dropped, 0u);
   for (const auto& row : stats.rows) {
@@ -174,28 +177,61 @@ TEST(AgentQueues, CloseWakesABlockedTaker) {
 
 TEST(AgentQueues, AgentRowEvictionFoldsCountersIntoTotals) {
   // Row cap of 2: a third agent evicts the first row, but its counters
-  // fold into the evicted bucket — the totals never lose a datagram,
-  // even for envelopes taken after their agent's row is gone.
+  // (its sequence gap included) fold into the evicted bucket — the totals
+  // never lose a datagram, even for envelopes taken after their agent's
+  // row is gone.
   AgentQueues queues{/*per_agent_capacity=*/8, /*max_agents=*/2};
   const Ipv4Addr a{1, 1, 1, 1};
   const Ipv4Addr b{2, 2, 2, 2};
   const Ipv4Addr c{3, 3, 3, 3};
   queues.offer(envelope_for(a, 0));
+  queues.offer(envelope_for(a, 4));  // 3 lost
   queues.offer(envelope_for(b, 0));
-  queues.offer(envelope_for(c, 0));  // evicts a's row; a's envelope queued
+  queues.offer(envelope_for(c, 0));  // evicts a's row; a's envelopes queued
 
   DatagramEnvelope out;
   std::uint64_t taken = 0;
   while (queues.try_take(out)) ++taken;
-  EXPECT_EQ(taken, 3u);
+  EXPECT_EQ(taken, 4u);
 
   const auto stats = queues.stats();
   EXPECT_EQ(stats.evicted_agents, 1u);
   ASSERT_EQ(stats.rows.size(), 2u);
+  EXPECT_EQ(stats.evicted.lost, 3u);
   const auto totals = stats.totals();
-  EXPECT_EQ(totals.received, 3u);
-  EXPECT_EQ(totals.taken, 3u);
+  EXPECT_EQ(totals.received, 4u);
+  EXPECT_EQ(totals.taken, 4u);
   EXPECT_EQ(totals.dropped, 0u);
+  EXPECT_EQ(totals.lost, 3u);
+}
+
+TEST(AgentQueues, ReturningAgentDoesNotInheritInFlightEnvelopes) {
+  // An evicted agent that comes back gets a fresh row. Envelopes still
+  // queued under its old row were counted in the evicted bucket, so
+  // taking them must credit that bucket, not the new row — otherwise the
+  // new row reads taken > received and its slice bound goes wrong.
+  AgentQueues queues{/*per_agent_capacity=*/1, /*max_agents=*/1};
+  const Ipv4Addr a{1, 1, 1, 1};
+  const Ipv4Addr b{2, 2, 2, 2};
+  EXPECT_TRUE(queues.offer(envelope_for(a, 0)));
+  EXPECT_TRUE(queues.offer(envelope_for(b, 0)));  // evicts a
+  EXPECT_TRUE(queues.offer(envelope_for(a, 1)));  // evicts b; a's new row
+
+  DatagramEnvelope out;
+  ASSERT_TRUE(queues.try_take(out));  // a's first, from the evicted row
+  // The new row's one slot is still taken by its own envelope.
+  EXPECT_FALSE(queues.offer(envelope_for(a, 2)));
+  while (queues.try_take(out)) {
+  }
+
+  const auto stats = queues.stats();
+  ASSERT_EQ(stats.rows.size(), 1u);
+  EXPECT_EQ(stats.rows[0].agent, a);
+  EXPECT_EQ(stats.rows[0].counters.received, 2u);
+  EXPECT_EQ(stats.rows[0].counters.taken, 1u);
+  EXPECT_EQ(stats.rows[0].counters.dropped, 1u);
+  EXPECT_EQ(stats.evicted.received, 2u);
+  EXPECT_EQ(stats.evicted.taken, 2u);
 }
 
 TEST(AgentQueues, FloodAcrossManyEvictionsKeepsExactAccounting) {
@@ -238,6 +274,130 @@ TEST(AgentQueues, FloodAcrossManyEvictionsKeepsExactAccounting) {
   EXPECT_EQ(totals.taken, taken);
   EXPECT_EQ(totals.dropped, offered - accepted);
   EXPECT_EQ(totals.received, totals.taken + totals.dropped);
+}
+
+TEST(AgentQueues, CountsSequenceGapsPerAgent) {
+  AgentQueues queues;
+  const Ipv4Addr a{1, 1, 1, 1};
+  const Ipv4Addr b{2, 2, 2, 2};
+  queues.offer(envelope_for(a, 0));
+  queues.offer(envelope_for(a, 1));
+  queues.offer(envelope_for(a, 5));   // 3 lost (2, 3, 4)
+  queues.offer(envelope_for(b, 10));  // first from b: no gap
+  queues.offer(envelope_for(b, 11));
+  const auto stats = queues.stats();
+  ASSERT_EQ(stats.rows.size(), 2u);
+  EXPECT_EQ(stats.rows[0].counters.lost, 3u);
+  EXPECT_EQ(stats.rows[1].counters.lost, 0u);
+  EXPECT_EQ(stats.totals().lost, 3u);
+}
+
+TEST(AgentQueues, ReorderedDatagramIsNotAGap) {
+  AgentQueues queues;
+  const Ipv4Addr a{1, 1, 1, 1};
+  queues.offer(envelope_for(a, 0));
+  queues.offer(envelope_for(a, 2));  // gap of 1
+  queues.offer(envelope_for(a, 1));  // late arrival: no extra gap
+  queues.offer(envelope_for(a, 3));  // continues from 2: no gap
+  EXPECT_EQ(queues.stats().totals().lost, 1u);
+}
+
+TEST(AgentQueues, EvictedAgentComesBackWithoutPhantomGap) {
+  // Cap of 2 rows: a third agent evicts the oldest, and a re-appearing
+  // evicted agent restarts from scratch — no phantom gap from its
+  // pre-eviction sequence number.
+  AgentQueues queues{/*per_agent_capacity=*/8, /*max_agents=*/2};
+  const Ipv4Addr a{1, 1, 1, 1};
+  const Ipv4Addr b{2, 2, 2, 2};
+  const Ipv4Addr c{3, 3, 3, 3};
+  queues.offer(envelope_for(a, 0));
+  queues.offer(envelope_for(b, 0));
+  queues.offer(envelope_for(c, 0));  // evicts a (oldest)
+  auto stats = queues.stats();
+  EXPECT_EQ(stats.rows.size(), 2u);
+  EXPECT_EQ(stats.evicted_agents, 1u);
+
+  queues.offer(envelope_for(a, 1000));  // evicts b
+  stats = queues.stats();
+  EXPECT_EQ(stats.rows.size(), 2u);
+  EXPECT_EQ(stats.evicted_agents, 2u);
+  EXPECT_EQ(stats.totals().lost, 0u);
+}
+
+TEST(AgentQueues, FloodOfForgedAgentsStaysBounded) {
+  AgentQueues queues{/*per_agent_capacity=*/4, /*max_agents=*/16};
+  for (std::uint32_t i = 0; i < 1000; ++i)
+    queues.offer(envelope_for(Ipv4Addr{10, 0,
+                                       static_cast<std::uint8_t>(i >> 8),
+                                       static_cast<std::uint8_t>(i)},
+                              0));
+  const auto stats = queues.stats();
+  EXPECT_EQ(stats.rows.size(), 16u);
+  EXPECT_EQ(stats.evicted_agents, 1000u - 16u);
+  EXPECT_EQ(stats.totals().received, 1000u);
+}
+
+TEST(AgentQueues, EvictionHookObservesVictimAndLastSequence) {
+  // The serve service logs evictions through this hook; it must fire once
+  // per evicted row with the FIFO victim and the sequence number its row
+  // had reached.
+  AgentQueues queues{/*per_agent_capacity=*/8, /*max_agents=*/2};
+  std::vector<std::pair<Ipv4Addr, std::uint32_t>> evictions;
+  queues.set_eviction_hook([&](Ipv4Addr agent, std::uint32_t last_seq) {
+    evictions.emplace_back(agent, last_seq);
+  });
+
+  const Ipv4Addr a{1, 1, 1, 1};
+  const Ipv4Addr b{2, 2, 2, 2};
+  const Ipv4Addr c{3, 3, 3, 3};
+  queues.offer(envelope_for(a, 5));
+  queues.offer(envelope_for(a, 6));  // advances a's sequence
+  queues.offer(envelope_for(b, 0));
+  EXPECT_TRUE(evictions.empty());  // at the cap, nothing over it yet
+
+  queues.offer(envelope_for(c, 0));  // evicts a (oldest)
+  ASSERT_EQ(evictions.size(), 1u);
+  EXPECT_EQ(evictions[0].first, a);
+  EXPECT_EQ(evictions[0].second, 6u);
+
+  queues.offer(envelope_for(a, 100));  // evicts b
+  ASSERT_EQ(evictions.size(), 2u);
+  EXPECT_EQ(evictions[1].first, b);
+  EXPECT_EQ(evictions[1].second, 0u);
+  EXPECT_EQ(queues.stats().evicted_agents, 2u);
+}
+
+TEST(AgentQueues, ShortOrJunkPayloadNeverTouchesSequence) {
+  // Only a well-formed sFlow header (>= 20 bytes, version 5) carries a
+  // sequence number. Anything else is received and queued like any
+  // datagram, but leaves the agent's sequence state alone.
+  AgentQueues queues;
+  const Ipv4Addr a{1, 1, 1, 1};
+  auto short_payload = payload_for(a, 100);
+  short_payload.resize(12);  // version, agent, sequence — no full header
+  auto wrong_version = payload_for(a, 200);
+  wrong_version[3] = std::byte{6};
+  auto truncated_body = payload_for(a, 1);
+  truncated_body.resize(20);  // header intact, samples cut off
+
+  queues.offer(parse_frame(short_payload));
+  queues.offer(parse_frame(wrong_version));
+  queues.offer(envelope_for(a, 0));  // first sequence: no gap
+  queues.offer(parse_frame(short_payload));
+  queues.offer(parse_frame(wrong_version));
+  queues.offer(parse_frame(truncated_body));  // seq 1: arrived, no gap
+  queues.offer(envelope_for(a, 2));
+  queues.offer(parse_frame(std::vector<std::byte>(9)));  // agent 0.0.0.0
+
+  const auto stats = queues.stats();
+  ASSERT_EQ(stats.rows.size(), 2u);
+  EXPECT_EQ(stats.rows[0].agent, a);
+  EXPECT_EQ(stats.rows[0].counters.received, 7u);
+  EXPECT_EQ(stats.rows[0].counters.lost, 0u);
+  EXPECT_EQ(stats.rows[1].agent, Ipv4Addr{});
+  EXPECT_EQ(stats.rows[1].counters.received, 1u);
+  EXPECT_EQ(stats.totals().lost, 0u);
+  EXPECT_EQ(queues.queued(), 8u);
 }
 
 std::string temp_socket_path(const char* tag) {
@@ -304,8 +464,9 @@ TEST(SocketIntake, UdpRoundTripOnEphemeralPort) {
   EXPECT_EQ(received[0].payload, payload);
 }
 
-/// The full intake -> queues -> collector chain without the analysis
-/// engine: everything taken decodes and lands in collector accounting.
+/// The full intake -> queues -> decode chain without the analysis
+/// engine, as a pump worker runs it: everything taken either decodes or
+/// counts as a decode error.
 TEST(SocketIntake, QueuesFeedCollectorExactly) {
   AgentQueues queues;
   for (std::uint32_t i = 0; i < 10; ++i)
@@ -313,18 +474,26 @@ TEST(SocketIntake, QueuesFeedCollectorExactly) {
   queues.offer(parse_frame(std::vector<std::byte>(9)));  // undecodable junk
   queues.close();
 
-  Collector collector{[](const FlowSample&) {}};
+  Datagram scratch;
+  std::uint64_t datagrams = 0;
+  std::uint64_t flow_samples = 0;
   std::uint64_t decode_errors = 0;
   DatagramEnvelope envelope;
   while (queues.take(envelope)) {
-    if (!collector.ingest(std::span<const std::byte>{envelope.payload}))
+    if (decode_into(envelope.payload, scratch)) {
+      ++datagrams;
+      flow_samples += scratch.samples.size();
+    } else {
       ++decode_errors;
+    }
   }
   const auto totals = queues.stats().totals();
   EXPECT_EQ(totals.taken, 11u);
-  EXPECT_EQ(collector.stats().datagrams + decode_errors, totals.taken);
-  EXPECT_EQ(collector.stats().datagrams, 10u);
+  EXPECT_EQ(datagrams + decode_errors, totals.taken);
+  EXPECT_EQ(datagrams, 10u);
+  EXPECT_EQ(flow_samples, 10u);
   EXPECT_EQ(decode_errors, 1u);
+  EXPECT_EQ(totals.lost, 0u);
 }
 
 }  // namespace

@@ -508,35 +508,28 @@ extern "C" void handle_stop_signal(int) { g_stop_requested = 1; }
 
 void print_serve_accounting(const core::ServeAccounting& accounting) {
   util::Table agents{"per-agent intake"};
-  agents.header({"agent", "received", "processed", "dropped"});
-  for (const auto& row : accounting.intake.rows) {
-    agents.row({row.agent.to_string(),
-                util::with_thousands(row.counters.received),
-                util::with_thousands(row.counters.taken),
-                util::with_thousands(row.counters.dropped)});
-  }
-  const auto totals = accounting.intake.totals();
-  agents.row({"total", util::with_thousands(totals.received),
-              util::with_thousands(totals.taken),
-              util::with_thousands(totals.dropped)});
+  agents.header({"agent", "received", "processed", "dropped", "lost"});
+  const auto add_row = [&agents](std::string label,
+                                 const sflow::AgentIntakeCounters& c) {
+    agents.row({std::move(label), util::with_thousands(c.received),
+                util::with_thousands(c.taken), util::with_thousands(c.dropped),
+                util::with_thousands(c.lost)});
+  };
+  for (const auto& row : accounting.intake.rows)
+    add_row(row.agent.to_string(), row.counters);
+  add_row("total", accounting.intake.totals());
   agents.print(std::cout);
 
   util::Table service{"service accounting"};
   service.header({"counter", "value"});
-  service.row({"datagrams decoded",
-               util::with_thousands(accounting.collector.datagrams)});
+  service.row({"datagrams decoded", util::with_thousands(accounting.datagrams)});
   service.row({"decode errors", util::with_thousands(accounting.decode_errors)});
-  service.row({"flow samples",
-               util::with_thousands(accounting.collector.flow_samples)});
+  service.row({"flow samples", util::with_thousands(accounting.flow_samples)});
   service.row({"counter samples",
-               util::with_thousands(accounting.collector.counter_samples)});
-  service.row({"lost datagrams (seq gaps)",
-               util::with_thousands(accounting.collector.lost_datagrams)});
-  service.row({"live agents", util::with_thousands(accounting.collector.agents)});
+               util::with_thousands(accounting.counter_samples)});
+  service.row({"live agents", util::with_thousands(accounting.intake.rows.size())});
   service.row({"agent rows evicted",
                util::with_thousands(accounting.intake.evicted_agents)});
-  service.row({"sequence evictions",
-               util::with_thousands(accounting.sequence_evictions)});
   service.print(std::cout);
 }
 
@@ -568,7 +561,7 @@ int cmd_serve(const Options& opt) {
   sopt.max_agents = opt.max_agents;
   sopt.window_epochs = opt.window_epochs;
   sopt.eviction_log = [](net::Ipv4Addr agent, std::uint32_t last_sequence) {
-    std::cerr << "serve: evicted sequence tracking for agent "
+    std::cerr << "serve: evicted the row of agent "
               << agent.to_string() << " (last seq " << last_sequence << ")\n";
   };
   core::ServeService service{vantage, make_fetcher(world, opt.week), sopt};
