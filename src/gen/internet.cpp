@@ -361,6 +361,12 @@ void InternetModel::build_ases_and_prefixes(util::Rng& rng) {
   // AS's client weight* (an even per-address split would park most
   // clients in far-away eyeballs), drawn from the upper 3/4 of the
   // prefix (the lower quarter is reserved for server allocation).
+  struct ClientRange {
+    std::uint64_t end;  // cumulative slots up to and including this prefix
+    net::Ipv4Prefix prefix;
+    std::uint32_t as_index;
+  };
+  std::vector<ClientRange> ranges;
   std::uint64_t cumulative = 0;
   const double slot_budget = 3.0 * static_cast<double>(cfg_.client_pool);
   for (std::uint32_t p = 0; p < prefixes_.size(); ++p) {
@@ -371,9 +377,34 @@ void InternetModel::build_ases_and_prefixes(util::Rng& rng) {
     const std::uint64_t capacity = std::min<std::uint64_t>(
         prefixes_[p].prefix.size() * 3 / 4,
         std::max<std::uint64_t>(2, static_cast<std::uint64_t>(share * slot_budget)));
-    client_prefix_ids_.push_back(p);
     cumulative += capacity;
-    client_capacity_cum_.push_back(cumulative);
+    ranges.push_back({cumulative, prefixes_[p].prefix, prefixes_[p].as_index});
+  }
+
+  // Client k hashes to a slot in [0, cumulative) and lives in the range
+  // holding that slot. A guide table (one bucket per range, each pointing
+  // at the first range ending past the bucket's start) turns the search
+  // into a short forward scan.
+  client_addrs_.assign(cfg_.client_pool, ClientAddr{});
+  if (ranges.empty()) return;
+  const std::uint64_t width = (cumulative + ranges.size() - 1) / ranges.size();
+  std::vector<std::uint32_t> guide((cumulative + width - 1) / width);
+  std::uint32_t r = 0;
+  for (std::size_t b = 0; b < guide.size(); ++b) {
+    while (ranges[r].end <= b * width) ++r;
+    guide[b] = r;
+  }
+  for (std::uint64_t k = 0; k < client_addrs_.size(); ++k) {
+    const std::uint64_t slot =
+        util::mix64(cfg_.seed ^ 0xc11e47ull ^ k) % cumulative;
+    std::uint32_t i = guide[slot / width];
+    while (ranges[i].end <= slot) ++i;
+    const std::uint64_t before = i == 0 ? 0 : ranges[i - 1].end;
+    const ClientRange& range = ranges[i];
+    const std::uint64_t offset = range.prefix.size() / 4 + (slot - before);
+    client_addrs_[k] = {
+        range.prefix.address_at(std::min(offset, range.prefix.size() - 2)),
+        range.as_index};
   }
 }
 
@@ -553,20 +584,6 @@ bool InternetModel::server_active(std::uint32_t server_index, int week) const {
     }
   }
   return false;
-}
-
-net::Ipv4Addr InternetModel::client_addr(std::uint64_t k) const {
-  if (client_capacity_cum_.empty()) return net::Ipv4Addr{0};
-  const std::uint64_t total = client_capacity_cum_.back();
-  const std::uint64_t slot = util::mix64(cfg_.seed ^ 0xc11e47ull ^ k) % total;
-  const auto it = std::upper_bound(client_capacity_cum_.begin(),
-                                   client_capacity_cum_.end(), slot);
-  const std::size_t i =
-      static_cast<std::size_t>(it - client_capacity_cum_.begin());
-  const std::uint64_t before = i == 0 ? 0 : client_capacity_cum_[i - 1];
-  const net::Ipv4Prefix prefix = prefixes_[client_prefix_ids_[i]].prefix;
-  const std::uint64_t offset = prefix.size() / 4 + (slot - before);
-  return prefix.address_at(std::min(offset, prefix.size() - 2));
 }
 
 std::optional<std::uint32_t> InternetModel::server_by_addr(

@@ -206,8 +206,18 @@ class InternetModel {
   /// Deterministic: recurrent servers hash (seed, server, week).
   [[nodiscard]] bool server_active(std::uint32_t server_index, int week) const;
 
-  /// The k-th client IP of the pool (deterministic, stable mapping).
-  [[nodiscard]] net::Ipv4Addr client_addr(std::uint64_t k) const;
+  /// One client of the Web client pool: its address and the index (into
+  /// ases()) of the AS that originates it.
+  struct ClientAddr {
+    net::Ipv4Addr addr;
+    std::uint32_t as_index = 0;
+  };
+
+  /// The k-th client of the pool, k < config().client_pool (deterministic,
+  /// stable mapping; one table read).
+  [[nodiscard]] const ClientAddr& client_addr(std::uint64_t k) const noexcept {
+    return client_addrs_[k];
+  }
 
   /// Index lookup: server by IP (visible and blind alike).
   [[nodiscard]] std::optional<std::uint32_t> server_by_addr(net::Ipv4Addr addr) const;
@@ -311,8 +321,7 @@ class InternetModel {
   /// by resolve_site to hand resolvers their in-network servers.
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> content_as_servers_;
   std::vector<std::vector<std::uint32_t>> org_servers_;
-  std::vector<std::uint64_t> client_capacity_cum_;  // cumulative client slots
-  std::vector<std::uint32_t> client_prefix_ids_;
+  std::vector<ClientAddr> client_addrs_;  // per client-pool index k
   std::uint32_t reseller_as_ = 0;
   std::size_t visible_server_count_ = 0;
   std::vector<std::uint64_t> as_capacity_;   // usable addresses per AS
@@ -322,8 +331,6 @@ class InternetModel {
   std::size_t member_end_ = 0;  // ases_[0, member_end_) hold the members
   std::size_t near_end_ = 0;    // ases_[member_end_, near_end_) are distance 1
   std::optional<std::uint32_t> sandy_org_;  // the hurricane case-study cloud
-
-  friend class Workload;
 };
 
 }  // namespace ixp::gen

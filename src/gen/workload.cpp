@@ -55,18 +55,14 @@ Workload::Workload(const InternetModel& model) : model_(&model) {
     total_weight += prefix_weights[p];
   }
   prefix_sampler_ = std::make_unique<util::WeightedSampler>(byte_weights);
-  prefix_active_hosts_.resize(prefixes.size());
-  background_cum_.resize(prefixes.size());
-  std::uint64_t cumulative = 0;
+  background_prefixes_.resize(prefixes.size());
   for (std::size_t p = 0; p < prefixes.size(); ++p) {
     const double share =
         total_weight > 0.0 ? prefix_weights[p] / total_weight : 0.0;
     const auto hosts = static_cast<std::uint32_t>(std::max<double>(
         2.0, std::min<double>(static_cast<double>(prefixes[p].prefix.size()) * 0.6,
                               share * static_cast<double>(pool))));
-    prefix_active_hosts_[p] = hosts;
-    cumulative += hosts;
-    background_cum_[p] = cumulative;
+    background_prefixes_[p] = {prefixes[p].prefix, prefixes[p].as_index, hosts};
   }
 
   for (std::uint32_t rank = 0; rank < model.sites().size(); ++rank) {
@@ -77,8 +73,10 @@ Workload::Workload(const InternetModel& model) : model_(&model) {
   for (const fabric::Member& member : model.ixp().all_members()) {
     if (member.join_week > model.config().first_week) continue;
     if (member.kind == fabric::MemberKind::kTier1 ||
-        member.kind == fabric::MemberKind::kTransit)
-      transit_macs_.push_back(member.port_mac);
+        member.kind == fabric::MemberKind::kTransit) {
+      const fabric::Member* port = model.ixp().member_by_mac(member.port_mac);
+      transits_.push_back({member.port_mac, port != nullptr ? port->port_id : 0});
+    }
   }
 
   // Offsite damping per org: choose the factor so that the org's
@@ -111,29 +109,12 @@ std::pair<net::Ipv4Addr, std::uint32_t> Workload::background_pick(
   // Prefix by AS activity weight (Table 3's IP shares), then one of the
   // prefix's deterministic active hosts.
   const std::size_t p = prefix_sampler_->sample(rng);
-  const std::uint64_t j = rng.next_below(prefix_active_hosts_[p]);
-  const net::Ipv4Prefix prefix = model_->prefixes()[p].prefix;
+  const BackgroundPrefix& entry = background_prefixes_[p];
+  const std::uint64_t j = rng.next_below(entry.active_hosts);
   const std::uint64_t h = util::mix64(
       model_->config().seed ^ (static_cast<std::uint64_t>(p) << 24) ^ j);
-  return {prefix.address_at(1 + h % (prefix.size() - 2)),
-          model_->prefixes()[p].as_index};
-}
-
-std::pair<net::Ipv4Addr, std::uint32_t> Workload::client_pick(
-    util::Rng& rng) const {
-  const InternetModel& model = *model_;
-  const std::uint64_t k = rng.next_below(model.config().client_pool);
-  const std::uint64_t total = model.client_capacity_cum_.back();
-  const std::uint64_t slot = util::mix64(model.config().seed ^ 0xc11e47ull ^ k) % total;
-  const auto it = std::upper_bound(model.client_capacity_cum_.begin(),
-                                   model.client_capacity_cum_.end(), slot);
-  const auto i = static_cast<std::size_t>(it - model.client_capacity_cum_.begin());
-  const std::uint64_t before = i == 0 ? 0 : model.client_capacity_cum_[i - 1];
-  const std::uint32_t prefix_id = model.client_prefix_ids_[i];
-  const net::Ipv4Prefix prefix = model.prefixes()[prefix_id].prefix;
-  const std::uint64_t offset = prefix.size() / 4 + (slot - before);
-  return {prefix.address_at(std::min(offset, prefix.size() - 2)),
-          model.prefixes()[prefix_id].as_index};
+  return {entry.prefix.address_at(1 + h % (entry.prefix.size() - 2)),
+          entry.as_index};
 }
 
 const dns::DnsName& Workload::flow_host(const ServerRecord& server,
@@ -150,38 +131,19 @@ const dns::DnsName& Workload::flow_host(const ServerRecord& server,
   return model_->sites()[it->second[std::min(pick, it->second.size() - 1)]].domain;
 }
 
-void Workload::apply_routing_indirection(sflow::FrameSpec& spec,
-                                         const ServerRecord& server,
-                                         bool response_dir,
-                                         util::Rng& rng) const {
-  if (transit_macs_.empty()) return;
+const Workload::EntryPort* Workload::routing_detour(const ServerRecord& server,
+                                                    util::Rng& rng) const {
+  if (transits_.empty()) return nullptr;
   const OrgRecord& org = model_->orgs()[server.org];
-  if (org.indirect_link_fraction <= 0.0) return;
-  if (!org.home_as || server.host_as != *org.home_as) return;  // already indirect
+  if (org.indirect_link_fraction <= 0.0) return nullptr;
+  if (!org.home_as || server.host_as != *org.home_as) return nullptr;  // already indirect
   // Orgs with third-party deployments get their indirection from server
   // placement; the transit detour models single-footprint players
   // (CloudFlare's data centers, EC2) whose bytes still arrive over other
   // members' ports at peak times (§5.3).
-  if (org_has_offsite_[server.org]) return;
-  if (!rng.next_bool(org.indirect_link_fraction)) return;
-  const sflow::MacAddr detour =
-      transit_macs_[rng.next_below(transit_macs_.size())];
-  (response_dir ? spec.src_mac : spec.dst_mac) = detour;
-}
-
-net::Ipv4Addr Workload::background_addr(std::uint64_t k) const {
-  const std::uint64_t total = background_cum_.back();
-  const std::uint64_t slot = k % total;
-  const auto it =
-      std::upper_bound(background_cum_.begin(), background_cum_.end(), slot);
-  const auto p = static_cast<std::size_t>(it - background_cum_.begin());
-  const std::uint64_t before = p == 0 ? 0 : background_cum_[p - 1];
-  const std::uint64_t j = slot - before;
-  const net::Ipv4Prefix prefix = model_->prefixes()[p].prefix;
-  // Deterministic "active host" for slot (p, j).
-  const std::uint64_t h =
-      util::mix64(model_->config().seed ^ (static_cast<std::uint64_t>(p) << 24) ^ j);
-  return prefix.address_at(1 + h % (prefix.size() - 2));
+  if (org_has_offsite_[server.org]) return nullptr;
+  if (!rng.next_bool(org.indirect_link_fraction)) return nullptr;
+  return &transits_[rng.next_below(transits_.size())];
 }
 
 sflow::MacAddr Workload::entry_mac(std::uint32_t as_index, int week) const {
@@ -191,9 +153,20 @@ sflow::MacAddr Workload::entry_mac(std::uint32_t as_index, int week) const {
     return fabric::Ixp::port_mac_for(entry.asn);
   // Entry member not on the fabric yet (a later joiner): until it joins,
   // its traffic reaches the IXP through a transit member.
-  if (!transit_macs_.empty())
-    return transit_macs_[entry.asn.value() % transit_macs_.size()];
+  if (!transits_.empty())
+    return transits_[entry.asn.value() % transits_.size()].mac;
   return sflow::MacAddr::from_id(0xD00D00000000ULL + entry.asn.value());
+}
+
+std::vector<Workload::EntryPort> Workload::entry_ports(int week) const {
+  const std::size_t n = model_->ases().size();
+  std::vector<EntryPort> ports(n);
+  for (std::uint32_t a = 0; a < n; ++a) {
+    const sflow::MacAddr mac = entry_mac(a, week);
+    const fabric::Member* member = model_->ixp().member_by_mac(mac);
+    ports[a] = {mac, member != nullptr ? member->port_id : 0};
+  }
+  return ports;
 }
 
 std::vector<std::uint32_t> Workload::active_visible_servers(int week) const {
@@ -250,22 +223,18 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
   const util::WeightedSampler server_sampler{active.weights};
 
   // --- sample emission helpers ----------------------------------------------
+  // Each section builds its frame straight into `sample.frame`.
   sflow::FlowSample sample;
   sample.sampling_rate = sflow::kPaperSamplingRate;
   std::uint32_t sequence = 0;
-  const auto emit = [&](const sflow::SampledFrame& frame,
-                        std::uint32_t ingress_port) {
+  const auto emit = [&](std::uint32_t ingress_port) {
     sample.sequence = sequence++;
     sample.source_port = ingress_port;
-    sample.frame = frame;
     sink(sample);
     ++truth.total_samples;
   };
 
-  const auto ingress_port_of = [&](sflow::MacAddr mac) -> std::uint32_t {
-    const fabric::Member* member = model.ixp().member_by_mac(mac);
-    return member != nullptr ? member->port_id : 0;
-  };
+  const std::vector<EntryPort> ports = entry_ports(week);
 
   const double growth = growth_factor(week);
   const auto background_n =
@@ -294,7 +263,10 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
       client_ip = initiator.addr;
       client_as = initiator.host_as;
     } else {
-      std::tie(client_ip, client_as) = client_pick(rng);
+      const InternetModel::ClientAddr& client =
+          model.client_addr(rng.next_below(cfg.client_pool));
+      client_ip = client.addr;
+      client_as = client.as_index;
     }
 
     // Port / protocol choice.
@@ -321,25 +293,30 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
         static_cast<std::uint16_t>(32768 + rng.next_below(28000));
 
     sflow::FrameSpec spec;
+    // Indirect link usage (Fig. 7): servers hosted outside the org's home
+    // AS enter via that AS's member; servers at home occasionally route
+    // via a transit member.
+    EntryPort src_entry;
+    EntryPort dst_entry;
     if (response_dir) {
       spec.src_ip = server.addr;
       spec.dst_ip = client_ip;
       spec.src_port = server_port;
       spec.dst_port = client_port;
-      // Indirect link usage (Fig. 7): servers hosted outside the org's
-      // home AS enter via that AS's member; servers at home occasionally
-      // route via a transit member.
-      spec.src_mac = entry_mac(server.host_as, week);
-      spec.dst_mac = entry_mac(client_as, week);
+      src_entry = ports[server.host_as];
+      dst_entry = ports[client_as];
     } else {
       spec.src_ip = client_ip;
       spec.dst_ip = server.addr;
       spec.src_port = client_port;
       spec.dst_port = server_port;
-      spec.src_mac = entry_mac(client_as, week);
-      spec.dst_mac = entry_mac(server.host_as, week);
+      src_entry = ports[client_as];
+      dst_entry = ports[server.host_as];
     }
-    apply_routing_indirection(spec, server, response_dir, rng);
+    if (const EntryPort* detour = routing_detour(server, rng))
+      (response_dir ? src_entry : dst_entry) = *detour;
+    spec.src_mac = src_entry.mac;
+    spec.dst_mac = dst_entry.mac;
 
     // Frame + payload.
     std::size_t payload_len = 0;
@@ -371,12 +348,10 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
               static_cast<unsigned>(rng.next_below(100000))));
         } else {
           const char* host_text;
-          std::string host_buffer;
           if (rng.next_bool(0.02)) {
             host_text = rng.next_bool(0.5) ? "203.0.113.9" : "intranet";
           } else {
-            host_buffer = flow_host(server, rng).text();
-            host_text = host_buffer.c_str();
+            host_text = flow_host(server, rng).text().c_str();
           }
           payload_len = static_cast<std::size_t>(std::snprintf(
               payload, sizeof payload,
@@ -389,17 +364,16 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
     payload_total = std::max(payload_total, payload_len);
     spec.frame_length = wire_len;
 
-    const sflow::SampledFrame frame =
+    sample.frame =
         sflow::build_tcp_frame(spec, as_bytes(payload, payload_len),
                                payload_total,
                                sflow::TcpHeader::kAck | sflow::TcpHeader::kPsh);
-    emit(frame, ingress_port_of(spec.src_mac));
+    emit(src_entry.port);
 
     const double bytes = static_cast<double>(wire_len) * sample.sampling_rate;
     truth.peering_bytes += bytes;
     truth.tcp_bytes += bytes;
     truth.server_bytes += bytes;
-    truth.org_bytes[server.org] += bytes;
     ++truth.peering_samples;
   }
 
@@ -413,8 +387,8 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
     sflow::FrameSpec spec;
     spec.src_ip = src;
     spec.dst_ip = dst;
-    spec.src_mac = entry_mac(src_as, week);
-    spec.dst_mac = entry_mac(dst_as, week);
+    spec.src_mac = ports[src_as].mac;
+    spec.dst_mac = ports[dst_as].mac;
     spec.src_port = static_cast<std::uint16_t>(1024 + rng.next_below(60000));
     spec.dst_port = static_cast<std::uint16_t>(1024 + rng.next_below(60000));
 
@@ -428,10 +402,9 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
     spec.frame_length = wire_len;
     const std::size_t l4_header = udp ? 8u : 20u;
     const std::size_t payload_total = wire_len - 34 - l4_header;
-    const sflow::SampledFrame frame =
-        udp ? sflow::build_udp_frame(spec, {}, payload_total)
-            : sflow::build_tcp_frame(spec, {}, payload_total);
-    emit(frame, ingress_port_of(spec.src_mac));
+    sample.frame = udp ? sflow::build_udp_frame(spec, {}, payload_total)
+                       : sflow::build_tcp_frame(spec, {}, payload_total);
+    emit(ports[src_as].port);
 
     const double bytes = static_cast<double>(wire_len) * sample.sampling_rate;
     truth.peering_bytes += bytes;
@@ -450,15 +423,14 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
     sflow::FrameSpec spec;
     spec.src_ip = src;
     spec.dst_ip = dst;
-    spec.src_mac = entry_mac(src_as, week);
-    spec.dst_mac = entry_mac(dst_as, week);
+    spec.src_mac = ports[src_as].mac;
+    spec.dst_mac = ports[dst_as].mac;
     const sflow::IpProto proto =
         rng.next_bool(0.8) ? sflow::IpProto::kIcmp
                            : (rng.next_bool(0.5) ? sflow::IpProto::kGre
                                                  : sflow::IpProto::kEsp);
-    const sflow::SampledFrame frame =
-        sflow::build_ipv4_frame(spec, proto, 80 + rng.next_below(1100));
-    emit(frame, ingress_port_of(spec.src_mac));
+    sample.frame = sflow::build_ipv4_frame(spec, proto, 80 + rng.next_below(1100));
+    emit(ports[src_as].port);
     truth.non_tcp_udp_samples += 1;
   }
 
@@ -474,9 +446,9 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
   for (std::uint64_t i = 0; i < non_ipv4_n; ++i) {
     const sflow::EtherType type = rng.next_bool(0.93) ? sflow::EtherType::kIpv6
                                                       : sflow::EtherType::kArp;
-    const sflow::SampledFrame frame = sflow::build_other_frame(
-        member_mac(), member_mac(), type, 80 + rng.next_below(1200));
-    emit(frame, 0);
+    sample.frame = sflow::build_other_frame(member_mac(), member_mac(), type,
+                                            80 + rng.next_below(1200));
+    emit(0);
     truth.non_ipv4_samples += 1;
   }
 
@@ -501,8 +473,8 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
       spec.dst_mac = member_mac();
     }
     spec.frame_length = static_cast<std::uint16_t>(100 + rng.next_below(1200));
-    const sflow::SampledFrame frame = sflow::build_tcp_frame(spec, {}, 40);
-    emit(frame, 0);
+    sample.frame = sflow::build_tcp_frame(spec, {}, 40);
+    emit(0);
     truth.non_member_or_local_samples += 1;
   }
 

@@ -43,8 +43,6 @@ struct WeeklyTruth {
   double server_bytes = 0.0;  // bytes of flows involving a server IP
 
   std::size_t active_visible_servers = 0;
-  /// Expanded bytes per administrative organization.
-  std::unordered_map<std::uint32_t, double> org_bytes;
 };
 
 class Workload {
@@ -57,25 +55,36 @@ class Workload {
   /// Indices of servers that are visible and active in `week`.
   [[nodiscard]] std::vector<std::uint32_t> active_visible_servers(int week) const;
 
-  /// The deterministic background host address for slot `k` (also used by
-  /// the ISP observer to sample the same population).
-  [[nodiscard]] net::Ipv4Addr background_addr(std::uint64_t k) const;
-
   [[nodiscard]] const InternetModel& model() const noexcept { return *model_; }
 
  private:
   struct ActiveSet;
 
+  /// Where traffic enters the fabric: the port MAC a frame carries as its
+  /// source and the switch port its sample is exported from (0 when the
+  /// MAC is not a member port).
+  struct EntryPort {
+    sflow::MacAddr mac;
+    std::uint32_t port = 0;
+  };
+
+  /// One routed prefix as background traffic draws it: the prefix, its
+  /// AS index and how many deterministic active hosts it exposes.
+  struct BackgroundPrefix {
+    net::Ipv4Prefix prefix;
+    std::uint32_t as_index = 0;
+    std::uint32_t active_hosts = 0;
+  };
+
   /// Entry-port MAC for traffic of AS `as_index` in `week`; falls back to
   /// an off-fabric MAC when the entry member has not joined yet.
   [[nodiscard]] sflow::MacAddr entry_mac(std::uint32_t as_index, int week) const;
 
+  /// entry_mac() and its ingress port for every AS, resolved once per week.
+  [[nodiscard]] std::vector<EntryPort> entry_ports(int week) const;
+
   /// Random background host: address + its AS index.
   [[nodiscard]] std::pair<net::Ipv4Addr, std::uint32_t> background_pick(
-      util::Rng& rng) const;
-
-  /// Random pool client: address + its AS index.
-  [[nodiscard]] std::pair<net::Ipv4Addr, std::uint32_t> client_pick(
       util::Rng& rng) const;
 
   /// Host header for a flow served by `server` (a site of its content org,
@@ -85,12 +94,12 @@ class Workload {
 
   /// Fig. 7's transit detour: home-AS servers of orgs with a nonzero
   /// indirect fraction occasionally enter via a transit member's port.
-  void apply_routing_indirection(sflow::FrameSpec& spec,
-                                 const ServerRecord& server, bool response_dir,
-                                 util::Rng& rng) const;
+  /// Returns that port, or nullptr when the flow takes its usual path.
+  [[nodiscard]] const EntryPort* routing_detour(const ServerRecord& server,
+                                                util::Rng& rng) const;
 
   const InternetModel* model_;
-  std::vector<sflow::MacAddr> transit_macs_;  // founding transit/tier1 ports
+  std::vector<EntryPort> transits_;  // founding transit/tier1 ports
   /// Per-org damping factor for servers deployed outside the org's home
   /// AS: in-ISP CDN deployments serve their host network internally, so
   /// only a sliver of their traffic crosses the IXP (this is what keeps
@@ -105,8 +114,7 @@ class Workload {
   // drawn by AS activity weight; each prefix exposes a bounded set of
   // deterministic "active hosts".
   std::unique_ptr<util::WeightedSampler> prefix_sampler_;
-  std::vector<std::uint32_t> prefix_active_hosts_;
-  std::vector<std::uint64_t> background_cum_;  // cumulative active hosts (for background_addr)
+  std::vector<BackgroundPrefix> background_prefixes_;  // indexed like prefixes()
   // Per-org site ranks for Host headers.
   std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> org_sites_;
 };

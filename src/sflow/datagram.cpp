@@ -1,55 +1,64 @@
 #include "sflow/datagram.hpp"
 
-#include <algorithm>
-
 namespace ixp::sflow {
 
 namespace {
 
-void put_u16(std::vector<std::byte>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::byte>(v >> 8));
-  out.push_back(static_cast<std::byte>(v & 0xff));
-}
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::byte>(v >> 24));
-  out.push_back(static_cast<std::byte>((v >> 16) & 0xff));
-  out.push_back(static_cast<std::byte>((v >> 8) & 0xff));
-  out.push_back(static_cast<std::byte>(v & 0xff));
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-  put_u32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
+/// Grows `out` by `n` bytes and returns where they start.
+std::byte* extend(std::vector<std::byte>& out, std::size_t n) {
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  return out.data() + at;
 }
 
 }  // namespace
 
+void encode_header(std::byte* at, net::Ipv4Addr agent, std::uint32_t sequence,
+                   std::uint32_t uptime_ms, std::uint32_t sample_count) noexcept {
+  store_be32(at, Datagram::kVersion);
+  store_be32(at + 4, agent.value());
+  store_be32(at + 8, sequence);
+  store_be32(at + 12, uptime_ms);
+  store_be32(at + 16, sample_count);
+}
+
+void encode_sample(const FlowSample& sample, std::vector<std::byte>& out) {
+  const std::uint16_t captured = sample.frame.captured;
+  std::byte* const at = extend(out, 16 + std::size_t{captured});
+  store_be32(at, sample.sequence);
+  store_be32(at + 4, sample.source_port);
+  store_be32(at + 8, sample.sampling_rate);
+  store_be16(at + 12, sample.frame.frame_length);
+  store_be16(at + 14, captured);
+  std::memcpy(at + 16, sample.frame.data.data(), captured);
+}
+
+void encode_counters(std::span<const CounterSample> counters,
+                     std::vector<std::byte>& out) {
+  std::byte* at = extend(out, 4 + counters.size() * 36);
+  store_be32(at, static_cast<std::uint32_t>(counters.size()));
+  at += 4;
+  for (const CounterSample& counter : counters) {
+    store_be32(at, counter.port);
+    const std::uint64_t values[4] = {counter.in_frames, counter.in_bytes,
+                                     counter.out_frames, counter.out_bytes};
+    for (int i = 0; i < 4; ++i) {
+      store_be32(at + 4 + 8 * i, static_cast<std::uint32_t>(values[i] >> 32));
+      store_be32(at + 8 + 8 * i, static_cast<std::uint32_t>(values[i] & 0xffffffffu));
+    }
+    at += 36;
+  }
+}
+
 std::vector<std::byte> encode(const Datagram& datagram) {
   std::vector<std::byte> out;
-  out.reserve(20 + datagram.samples.size() * (16 + kCaptureBytes));
-  put_u32(out, Datagram::kVersion);
-  put_u32(out, datagram.agent.value());
-  put_u32(out, datagram.sequence);
-  put_u32(out, datagram.uptime_ms);
-  put_u32(out, static_cast<std::uint32_t>(datagram.samples.size()));
-  for (const FlowSample& sample : datagram.samples) {
-    put_u32(out, sample.sequence);
-    put_u32(out, sample.source_port);
-    put_u32(out, sample.sampling_rate);
-    put_u16(out, sample.frame.frame_length);
-    put_u16(out, sample.frame.captured);
-    const auto bytes = sample.frame.bytes();
-    out.insert(out.end(), bytes.begin(), bytes.end());
-  }
-  put_u32(out, static_cast<std::uint32_t>(datagram.counters.size()));
-  for (const CounterSample& counter : datagram.counters) {
-    put_u32(out, counter.port);
-    put_u64(out, counter.in_frames);
-    put_u64(out, counter.in_bytes);
-    put_u64(out, counter.out_frames);
-    put_u64(out, counter.out_bytes);
-  }
+  out.reserve(Datagram::kHeaderBytes + datagram.samples.size() * (16 + kCaptureBytes) +
+              4 + datagram.counters.size() * 36);
+  encode_header(extend(out, Datagram::kHeaderBytes), datagram.agent,
+                datagram.sequence, datagram.uptime_ms,
+                static_cast<std::uint32_t>(datagram.samples.size()));
+  for (const FlowSample& sample : datagram.samples) encode_sample(sample, out);
+  encode_counters(datagram.counters, out);
   return out;
 }
 

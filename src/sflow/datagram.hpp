@@ -19,10 +19,11 @@
 
 namespace ixp::sflow {
 
-/// Big-endian integer loads shared by the codec, the trace reader, and
-/// the mapped-trace segmenter. Written as byte composition so they are
-/// correct on any host endianness and alignment; compilers fold the
-/// pattern into a single byte-swapped load.
+/// Big-endian integer loads and stores shared by the codec, the trace
+/// writer, the mapped-trace segmenter and the socket intake. Written as
+/// byte composition so they are correct on any host endianness and
+/// alignment; compilers fold the pattern into a single byte-swapped load
+/// or store.
 [[nodiscard]] inline std::uint16_t load_be16(const std::byte* p) noexcept {
   return static_cast<std::uint16_t>((std::to_integer<std::uint16_t>(p[0]) << 8) |
                                     std::to_integer<std::uint16_t>(p[1]));
@@ -33,6 +34,18 @@ namespace ixp::sflow {
          (std::to_integer<std::uint32_t>(p[1]) << 16) |
          (std::to_integer<std::uint32_t>(p[2]) << 8) |
          std::to_integer<std::uint32_t>(p[3]);
+}
+
+inline void store_be16(std::byte* p, std::uint16_t v) noexcept {
+  p[0] = static_cast<std::byte>(v >> 8);
+  p[1] = static_cast<std::byte>(v & 0xff);
+}
+
+inline void store_be32(std::byte* p, std::uint32_t v) noexcept {
+  p[0] = static_cast<std::byte>(v >> 24);
+  p[1] = static_cast<std::byte>((v >> 16) & 0xff);
+  p[2] = static_cast<std::byte>((v >> 8) & 0xff);
+  p[3] = static_cast<std::byte>(v & 0xff);
 }
 
 /// One flow sample inside a datagram.
@@ -73,7 +86,20 @@ struct Datagram {
 ///   per flow sample:    u32 seq | u32 port | u32 rate | u16 frame_len |
 ///                       u16 captured | captured bytes
 ///   then u32 ncounters; per counter sample: u32 port | 4 x u64
+/// encode() is the three parts below in that order; TraceWriter builds its
+/// records from the same parts without materializing a Datagram.
 [[nodiscard]] std::vector<std::byte> encode(const Datagram& datagram);
+
+/// Writes the Datagram::kHeaderBytes header in place at `at`.
+void encode_header(std::byte* at, net::Ipv4Addr agent, std::uint32_t sequence,
+                   std::uint32_t uptime_ms, std::uint32_t sample_count) noexcept;
+
+/// Appends one flow sample.
+void encode_sample(const FlowSample& sample, std::vector<std::byte>& out);
+
+/// Appends the counter count and the counter samples.
+void encode_counters(std::span<const CounterSample> counters,
+                     std::vector<std::byte>& out);
 
 /// Decodes; nullopt on any truncation, bad version, captured > 128, or
 /// trailing garbage.

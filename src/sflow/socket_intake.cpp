@@ -15,13 +15,6 @@ namespace ixp::sflow {
 
 namespace {
 
-void store_be32(std::byte* p, std::uint32_t v) {
-  p[0] = static_cast<std::byte>(v >> 24);
-  p[1] = static_cast<std::byte>(v >> 16);
-  p[2] = static_cast<std::byte>(v >> 8);
-  p[3] = static_cast<std::byte>(v);
-}
-
 void store_be64(std::byte* p, std::uint64_t v) {
   store_be32(p, static_cast<std::uint32_t>(v >> 32));
   store_be32(p + 4, static_cast<std::uint32_t>(v));

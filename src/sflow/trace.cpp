@@ -1,46 +1,46 @@
 #include "sflow/trace.hpp"
 
-#include <array>
-#include <vector>
-
 namespace ixp::sflow {
 
 namespace {
 
-void put_u32(std::ostream& out, std::uint32_t v) {
-  const std::array<char, 4> bytes{
-      static_cast<char>(v >> 24), static_cast<char>((v >> 16) & 0xff),
-      static_cast<char>((v >> 8) & 0xff), static_cast<char>(v & 0xff)};
-  out.write(bytes.data(), bytes.size());
-}
+/// Length prefix plus datagram header: the fixed start of every record.
+constexpr std::size_t kRecordHeaderBytes = 4 + Datagram::kHeaderBytes;
 
 }  // namespace
 
 TraceWriter::TraceWriter(std::ostream& out, net::Ipv4Addr agent,
                          std::size_t batch)
-    : out_(&out), agent_(agent), batch_(batch == 0 ? 1 : batch) {
+    : out_(&out),
+      agent_(agent),
+      batch_(batch == 0 ? 1 : batch),
+      record_(kRecordHeaderBytes) {
+  std::byte version[4];
+  store_be32(version, kTraceVersion);
   out_->write(kTraceMagic, sizeof kTraceMagic);
-  put_u32(*out_, kTraceVersion);
-  pending_.agent = agent_;
+  out_->write(reinterpret_cast<const char*>(version), sizeof version);
 }
 
 TraceWriter::~TraceWriter() { flush(); }
 
 void TraceWriter::write(const FlowSample& sample) {
-  pending_.samples.push_back(sample);
+  encode_sample(sample, record_);
+  ++pending_;
   ++samples_written_;
-  if (pending_.samples.size() >= batch_) flush();
+  if (pending_ >= batch_) flush();
 }
 
 void TraceWriter::flush() {
-  if (pending_.samples.empty()) return;
-  pending_.sequence = sequence_++;
-  pending_.uptime_ms = sequence_ * 1000;
-  const std::vector<std::byte> bytes = encode(pending_);
-  put_u32(*out_, static_cast<std::uint32_t>(bytes.size()));
-  out_->write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  pending_.samples.clear();
+  if (pending_ == 0) return;
+  const std::uint32_t sequence = sequence_++;
+  encode_counters({}, record_);
+  store_be32(record_.data(), static_cast<std::uint32_t>(record_.size() - 4));
+  encode_header(record_.data() + 4, agent_, sequence, sequence_ * 1000,
+                static_cast<std::uint32_t>(pending_));
+  out_->write(reinterpret_cast<const char*>(record_.data()),
+              static_cast<std::streamsize>(record_.size()));
+  record_.resize(kRecordHeaderBytes);
+  pending_ = 0;
 }
 
 }  // namespace ixp::sflow

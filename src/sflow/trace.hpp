@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <limits>
 #include <ostream>
+#include <vector>
 
 #include "sflow/datagram.hpp"
 
@@ -57,6 +58,8 @@ inline constexpr std::uint64_t kTraceHeaderBytes = sizeof kTraceMagic + 4;
 
 /// Buffers samples and writes them as datagrams of up to `batch` samples.
 /// Flushes on destruction; call flush() to force a partial batch out.
+/// Each sample is encoded into the pending record as it arrives, so the
+/// bytes written equal `[u32 length][encode(Datagram)]` per batch.
 class TraceWriter {
  public:
   /// Writes the trace header immediately. `agent` identifies the
@@ -81,7 +84,10 @@ class TraceWriter {
   std::ostream* out_;
   net::Ipv4Addr agent_;
   std::size_t batch_;
-  Datagram pending_;
+  /// The record being built: length prefix and datagram header (both
+  /// filled in by flush()), then the pending samples' wire bytes.
+  std::vector<std::byte> record_;
+  std::size_t pending_ = 0;  // samples in record_
   std::uint32_t sequence_ = 0;
   std::uint64_t samples_written_ = 0;
 };

@@ -5,20 +5,6 @@
 
 namespace ixp::util {
 
-std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
-  if (bound == 0) return 0;
-  // Lemire's method over 64 bits using 128-bit multiply.
-  while (true) {
-    const std::uint64_t x = (*this)();
-    const __uint128_t m = static_cast<__uint128_t>(x) * bound;
-    const std::uint64_t low = static_cast<std::uint64_t>(m);
-    if (low >= bound) return static_cast<std::uint64_t>(m >> 64);
-    // Rejection zone: only entered when low < bound.
-    const std::uint64_t threshold = (0ULL - bound) % bound;
-    if (low >= threshold) return static_cast<std::uint64_t>(m >> 64);
-  }
-}
-
 double Rng::next_normal() noexcept {
   // Box-Muller; discard the second value to keep the state trajectory simple.
   double u1 = next_double();

@@ -62,7 +62,19 @@ class Rng {
 
   /// Uniform integer in [0, bound). bound == 0 returns 0.
   /// Uses Lemire's multiply-shift rejection method (unbiased).
-  [[nodiscard]] std::uint64_t next_below(std::uint64_t bound) noexcept;
+  [[nodiscard]] std::uint64_t next_below(std::uint64_t bound) noexcept {
+    if (bound == 0) return 0;
+    // Lemire's method over 64 bits using 128-bit multiply.
+    while (true) {
+      const std::uint64_t x = (*this)();
+      const __uint128_t m = static_cast<__uint128_t>(x) * bound;
+      const std::uint64_t low = static_cast<std::uint64_t>(m);
+      if (low >= bound) return static_cast<std::uint64_t>(m >> 64);
+      // Rejection zone: only entered when low < bound.
+      const std::uint64_t threshold = (0ULL - bound) % bound;
+      if (low >= threshold) return static_cast<std::uint64_t>(m >> 64);
+    }
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   [[nodiscard]] std::uint64_t next_in(std::uint64_t lo, std::uint64_t hi) noexcept {

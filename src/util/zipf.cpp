@@ -33,8 +33,7 @@ double ZipfSampler::pmf(std::size_t rank) const noexcept {
 WeightedSampler::WeightedSampler(std::span<const double> weights) {
   const std::size_t n = weights.size();
   if (n == 0) throw std::invalid_argument{"WeightedSampler: empty weights"};
-  prob_.assign(n, 1.0);
-  alias_.assign(n, 0);
+  slots_.assign(n, Slot{});
 
   double total = 0.0;
   for (const double w : weights) {
@@ -43,7 +42,7 @@ WeightedSampler::WeightedSampler(std::span<const double> weights) {
   }
   if (total <= 0.0) {
     // All-zero weights: degenerate to uniform.
-    for (std::size_t i = 0; i < n; ++i) alias_[i] = static_cast<std::uint32_t>(i);
+    for (std::size_t i = 0; i < n; ++i) slots_[i].alias = static_cast<std::uint32_t>(i);
     return;
   }
 
@@ -60,27 +59,15 @@ WeightedSampler::WeightedSampler(std::span<const double> weights) {
     const std::uint32_t s = small.back();
     small.pop_back();
     const std::uint32_t l = large.back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
+    slots_[s] = {scaled[s], l};
     scaled[l] = (scaled[l] + scaled[s]) - 1.0;
     if (scaled[l] < 1.0) {
       large.pop_back();
       small.push_back(l);
     }
   }
-  for (const std::uint32_t i : large) {
-    prob_[i] = 1.0;
-    alias_[i] = i;
-  }
-  for (const std::uint32_t i : small) {
-    prob_[i] = 1.0;
-    alias_[i] = i;
-  }
-}
-
-std::size_t WeightedSampler::sample(Rng& rng) const noexcept {
-  const std::size_t i = static_cast<std::size_t>(rng.next_below(prob_.size()));
-  return rng.next_double() < prob_[i] ? i : alias_[i];
+  for (const std::uint32_t i : large) slots_[i] = {1.0, i};
+  for (const std::uint32_t i : small) slots_[i] = {1.0, i};
 }
 
 std::vector<double> zipf_weights(std::size_t n, double s, bool normalize) {

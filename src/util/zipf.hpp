@@ -37,17 +37,25 @@ class ZipfSampler {
 
 /// Alias-method sampler over arbitrary non-negative weights: O(n) build,
 /// O(1) sample. Zero-weight entries are never drawn (unless all are zero,
-/// in which case sampling is uniform).
+/// in which case sampling is uniform). Each slot keeps its probability and
+/// alias side by side, so a draw touches one cache line.
 class WeightedSampler {
  public:
   explicit WeightedSampler(std::span<const double> weights);
 
-  [[nodiscard]] std::size_t sample(Rng& rng) const noexcept;
-  [[nodiscard]] std::size_t size() const noexcept { return prob_.size(); }
+  [[nodiscard]] std::size_t sample(Rng& rng) const noexcept {
+    const std::size_t i = static_cast<std::size_t>(rng.next_below(slots_.size()));
+    const Slot& slot = slots_[i];
+    return rng.next_double() < slot.prob ? i : slot.alias;
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
 
  private:
-  std::vector<double> prob_;
-  std::vector<std::uint32_t> alias_;
+  struct Slot {
+    double prob = 1.0;
+    std::uint32_t alias = 0;
+  };
+  std::vector<Slot> slots_;
 };
 
 /// Generates n Zipf(s)-shaped weights (1/(k+1)^s), optionally normalized.

@@ -185,8 +185,10 @@ TEST(InternetModel, ClientAddrDeterministicAndRouted) {
   const auto& m = model();
   for (std::uint64_t k = 0; k < 200; ++k) {
     const auto a = m.client_addr(k);
-    EXPECT_EQ(a, m.client_addr(k));
-    EXPECT_TRUE(m.routing().origin_of(a).has_value());
+    EXPECT_EQ(a.addr, m.client_addr(k).addr);
+    const auto origin = m.routing().origin_of(a.addr);
+    ASSERT_TRUE(origin.has_value());
+    EXPECT_EQ(*origin, m.ases()[a.as_index].asn);
   }
 }
 

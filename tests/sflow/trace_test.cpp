@@ -182,6 +182,59 @@ TEST(Trace, FlushWritesPartialBatch) {
   EXPECT_EQ(writer.datagrams_written(), 1u);
 }
 
+/// The trace image a writer must produce: the header, then per batch
+/// `[u32 length][encode(Datagram)]` with the batch's running sequence and
+/// uptime. TraceWriter encodes in place; this builds each Datagram whole.
+std::string reference_image(Ipv4Addr agent, const std::vector<FlowSample>& samples,
+                            std::size_t batch) {
+  std::string image{kTraceMagic, sizeof kTraceMagic};
+  image.append({0, 0, 0, static_cast<char>(kTraceVersion)});
+  std::uint32_t sequence = 0;
+  for (std::size_t at = 0; at < samples.size(); at += batch) {
+    Datagram datagram;
+    datagram.agent = agent;
+    datagram.sequence = sequence++;
+    datagram.uptime_ms = sequence * 1000;
+    const std::size_t end = std::min(samples.size(), at + batch);
+    datagram.samples.assign(samples.begin() + static_cast<std::ptrdiff_t>(at),
+                            samples.begin() + static_cast<std::ptrdiff_t>(end));
+    const std::vector<std::byte> bytes = encode(datagram);
+    std::byte length[4];
+    store_be32(length, static_cast<std::uint32_t>(bytes.size()));
+    for (const std::byte b : length) image.push_back(static_cast<char>(b));
+    for (const std::byte b : bytes) image.push_back(static_cast<char>(b));
+  }
+  return image;
+}
+
+TEST(Trace, WriterMatchesPerBatchEncode) {
+  // Captures of every size the writer meets: TCP with payload, a full
+  // 128-byte non-IP capture, and an empty one.
+  std::vector<FlowSample> samples;
+  for (std::uint32_t i = 0; i < 23; ++i) {
+    FlowSample sample = make_sample(i);
+    if (i % 5 == 3) {
+      sample.frame = build_other_frame(MacAddr::from_id(i), MacAddr::from_id(9),
+                                       EtherType::kIpv6, 1400);
+    } else if (i % 7 == 6) {
+      sample.frame = SampledFrame{};
+    }
+    sample.source_port = i * 3;
+    samples.push_back(sample);
+  }
+  const Ipv4Addr agent{172, 16, 0, 1};
+  // Partial final batches (4, 7, 128), exact batches (23) and batch = 1.
+  for (const std::size_t batch : {1u, 4u, 7u, 23u, 128u}) {
+    std::stringstream buffer;
+    {
+      TraceWriter writer{buffer, agent, batch};
+      for (const FlowSample& sample : samples) writer.write(sample);
+    }
+    EXPECT_EQ(buffer.str(), reference_image(agent, samples, batch))
+        << "batch " << batch;
+  }
+}
+
 TEST(Datagram, CounterSamplesRoundTrip) {
   Datagram d;
   d.agent = Ipv4Addr{172, 16, 0, 1};

@@ -1,9 +1,11 @@
 # Runs ixpscope once and checks its exit code:
 #   cmake -DIXPSCOPE=<exe> -DARGS=<arg|arg|...> -DEXPECT=<code>
-#         [-DSAME_AS=<arg|arg|...>] -P expect_exit.cmake
+#         [-DSAME_AS=<arg|arg|...>] [-DFILE_SHA256=<path>=<hex>]
+#         -P expect_exit.cmake
 # Arguments are '|'-separated (add_test would split a ';' list). With
 # SAME_AS, a second run with those arguments must exit with the same code
-# and print byte-identical stdout and stderr.
+# and print byte-identical stdout and stderr. With FILE_SHA256, the file
+# at <path> must exist after the run and hash to <hex>.
 string(REPLACE "|" ";" args "${ARGS}")
 string(REPLACE "|" " " shown "${ARGS}")
 execute_process(COMMAND ${IXPSCOPE} ${args}
@@ -30,5 +32,22 @@ if(DEFINED SAME_AS)
   if(NOT other_err STREQUAL err)
     message(FATAL_ERROR "stderr differs:\n--- ${shown}\n${err}\n"
                         "--- ${other_shown}\n${other_err}")
+  endif()
+endif()
+
+if(DEFINED FILE_SHA256)
+  string(FIND "${FILE_SHA256}" "=" split REVERSE)
+  if(split LESS 1)
+    message(FATAL_ERROR "FILE_SHA256 must be <path>=<hex>, got ${FILE_SHA256}")
+  endif()
+  string(SUBSTRING "${FILE_SHA256}" 0 ${split} path)
+  math(EXPR split "${split} + 1")
+  string(SUBSTRING "${FILE_SHA256}" ${split} -1 expected)
+  if(NOT EXISTS "${path}")
+    message(FATAL_ERROR "ixpscope ${shown} did not write ${path}")
+  endif()
+  file(SHA256 "${path}" actual)
+  if(NOT actual STREQUAL expected)
+    message(FATAL_ERROR "${path}: SHA-256 ${actual}, expected ${expected}")
   endif()
 endif()

@@ -107,6 +107,87 @@ TEST(WeightedSampler, SingleEntry) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(sampler.sample(rng), 0u);
 }
 
+/// Reference alias table kept as two parallel arrays, built with the same
+/// arithmetic as WeightedSampler. The sampler packs each slot's
+/// probability and alias together; its draws must not change.
+class TwoArrayAlias {
+ public:
+  explicit TwoArrayAlias(const std::vector<double>& weights)
+      : prob_(weights.size(), 1.0), alias_(weights.size(), 0) {
+    const std::size_t n = weights.size();
+    double total = 0.0;
+    for (const double w : weights) total += w;
+    if (total <= 0.0) {
+      for (std::size_t i = 0; i < n; ++i) alias_[i] = static_cast<std::uint32_t>(i);
+      return;
+    }
+    std::vector<double> scaled(n);
+    for (std::size_t i = 0; i < n; ++i)
+      scaled[i] = weights[i] * static_cast<double>(n) / total;
+    std::vector<std::uint32_t> small;
+    std::vector<std::uint32_t> large;
+    for (std::size_t i = 0; i < n; ++i)
+      (scaled[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
+    while (!small.empty() && !large.empty()) {
+      const std::uint32_t s = small.back();
+      small.pop_back();
+      const std::uint32_t l = large.back();
+      prob_[s] = scaled[s];
+      alias_[s] = l;
+      scaled[l] = (scaled[l] + scaled[s]) - 1.0;
+      if (scaled[l] < 1.0) {
+        large.pop_back();
+        small.push_back(l);
+      }
+    }
+    for (const std::uint32_t i : large) {
+      prob_[i] = 1.0;
+      alias_[i] = i;
+    }
+    for (const std::uint32_t i : small) {
+      prob_[i] = 1.0;
+      alias_[i] = i;
+    }
+  }
+
+  std::size_t sample(Rng& rng) const {
+    const auto i = static_cast<std::size_t>(rng.next_below(prob_.size()));
+    return rng.next_double() < prob_[i] ? i : alias_[i];
+  }
+
+ private:
+  std::vector<double> prob_;
+  std::vector<std::uint32_t> alias_;
+};
+
+TEST(WeightedSampler, DrawsMatchTwoArrayReference) {
+  Rng gen{20130827};
+  std::vector<std::vector<double>> cases = {
+      {0.0}, {2.5}, {0.0, 0.0, 0.0, 0.0}, {0.0, 1.0}, {1.0, 0.0, 0.0, 3.0}};
+  for (int c = 0; c < 200; ++c) {
+    std::vector<double> weights(1 + gen.next_below(300));
+    for (double& w : weights) {
+      // A mix of zero, tiny, ordinary and dominant weights.
+      switch (gen.next_below(4)) {
+        case 0: w = 0.0; break;
+        case 1: w = gen.next_double() * 1e-9; break;
+        case 2: w = gen.next_double(); break;
+        default: w = gen.next_double() * 1e6; break;
+      }
+    }
+    cases.push_back(std::move(weights));
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const WeightedSampler sampler{cases[c]};
+    const TwoArrayAlias reference{cases[c]};
+    Rng a{c};
+    Rng b{c};
+    for (int d = 0; d < 2000; ++d)
+      ASSERT_EQ(sampler.sample(a), reference.sample(b)) << "case " << c << " draw " << d;
+    EXPECT_EQ(a(), b());  // both consumed the same draws
+  }
+}
+
 TEST(ZipfWeights, ShapeAndNormalization) {
   const auto raw = zipf_weights(10, 1.0);
   EXPECT_DOUBLE_EQ(raw[0], 1.0);
