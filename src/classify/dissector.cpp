@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <tuple>
 
+#include "util/parallel_for.hpp"
+
 namespace ixp::classify {
 
 bool IpActivity::multi_purpose() const noexcept {
@@ -15,13 +17,24 @@ bool IpActivity::multi_purpose() const noexcept {
   return purposes >= 2;
 }
 
-TrafficDissector::TrafficDissector() {
-  activity_.reserve(1 << 16);
+std::size_t ActivityView::size() const noexcept {
+  std::size_t n = 0;
+  for (const ActivityTable& table : parts_) n += table.size();
+  return n;
 }
 
-void TrafficDissector::note_host(net::Ipv4Addr server, std::string_view host,
-                                 std::uint64_t seq) {
-  auto& hosts = hosts_[server];
+std::size_t ActivityView::capacity() const noexcept {
+  std::size_t n = 0;
+  for (const ActivityTable& table : parts_) n += table.capacity();
+  return n;
+}
+
+TrafficDissector::TrafficDissector()
+    : activity_(kPartitions), hosts_(kPartitions) {}
+
+void TrafficDissector::note_host(HostTable& table, net::Ipv4Addr server,
+                                 std::string_view host, std::uint64_t seq) {
+  auto& hosts = table[server];
   for (auto& seen : hosts) {
     if (seen.name == host) {
       seen.first_seq = std::min(seen.first_seq, seq);
@@ -52,6 +65,7 @@ void TrafficDissector::ingest(const FrameBatch& batch) {
   const std::uint64_t* seq = batch.seq();
   const std::uint8_t* indication = batch.indication();
   const std::string_view* host = batch.host();
+  ActivityTable* const tables = activity_.data();
 
   // Phase-split form (DESIGN.md §14), equivalent to applying the
   // per-sample evidence rule in index order because every per-IP update
@@ -62,7 +76,7 @@ void TrafficDissector::ingest(const FrameBatch& batch) {
   //      sample's data-dependent branching, hoisted out of the loop
   //      that touches the tables;
   //   B. one branchless interleaved probe stream over the activity
-  //      table, src and dst per sample, prefetched kLookahead ahead;
+  //      partitions, src and dst per sample, prefetched kLookahead ahead;
   //   C. Host-header evidence in sample order (note_host's bounded-set
   //      eviction is order-sensitive, so this order is the contract).
   constexpr std::size_t kChunk = 512;
@@ -78,15 +92,15 @@ void TrafficDissector::ingest(const FrameBatch& batch) {
     for (std::size_t i = 0; i < m; ++i) {
       const std::size_t ahead = base + i + kLookahead;
       if (ahead < n) {
-        activity_.prefetch(src[ahead]);
-        activity_.prefetch(dst[ahead]);
+        tables[partition_of(src[ahead])].prefetch(src[ahead]);
+        tables[partition_of(dst[ahead])].prefetch(dst[ahead]);
       }
       const std::size_t at = base + i;
-      IpActivity& src_info = activity_[src[at]];
+      IpActivity& src_info = tables[partition_of(src[at])][src[at]];
       src_info.samples += 1;
       src_info.bytes += bytes[at];
       src_info.flags |= src_flags[i];
-      IpActivity& dst_info = activity_[dst[at]];
+      IpActivity& dst_info = tables[partition_of(dst[at])][dst[at]];
       dst_info.samples += 1;
       dst_info.bytes += bytes[at];
       dst_info.flags |= dst_flags[i];
@@ -96,50 +110,65 @@ void TrafficDissector::ingest(const FrameBatch& batch) {
       if (host[i].empty()) continue;
       const auto ind = static_cast<HttpIndication>(indication[i]);
       if (ind == HttpIndication::kRequest)
-        note_host(dst[i], host[i], seq[i]);
+        note_host(hosts_[partition_of(dst[i])], dst[i], host[i], seq[i]);
       else if (ind == HttpIndication::kResponse)
-        note_host(src[i], host[i], seq[i]);
+        note_host(hosts_[partition_of(src[i])], src[i], host[i], seq[i]);
     }
   }
 }
 
 void TrafficDissector::confirm_https(net::Ipv4Addr addr) {
-  activity_[addr].flags |= kConfirmedHttps;
+  activity_[partition_of(addr)][addr].flags |= kConfirmedHttps;
 }
 
 void TrafficDissector::merge(TrafficDissector&& other) {
-  // An empty destination (the session shard, a fresh fold) takes the
-  // other's tables whole; other is left holding the empty ones.
-  if (activity_.empty() && hosts_.empty() && total_bytes_ == 0) {
-    std::swap(activity_, other.activity_);
-    std::swap(hosts_, other.hosts_);
-    std::swap(total_bytes_, other.total_bytes_);
+  for (std::size_t p = 0; p < kPartitions; ++p) merge_partition(other, p);
+  merge_tallies(other);
+}
+
+void TrafficDissector::merge_partition(TrafficDissector& other,
+                                       std::size_t p) {
+  ActivityTable& activity = activity_[p];
+  HostTable& hosts = hosts_[p];
+  ActivityTable& from = other.activity_[p];
+  HostTable& from_hosts = other.hosts_[p];
+  // An empty destination partition takes the other's whole; other is
+  // left holding the empty one.
+  if (activity.empty() && hosts.empty()) {
+    std::swap(activity, from);
+    std::swap(hosts, from_hosts);
     return;
   }
   // Otherwise fold in other's slot order, which is sorted by home slot:
   // the union bound up front keeps those runs from clustering (see
   // flat_hash_map.hpp).
-  activity_.reserve(activity_.size() + other.activity_.size());
-  hosts_.reserve(hosts_.size() + other.hosts_.size());
-  for (const auto& [addr, info] : other.activity_) {
-    IpActivity& mine = activity_[addr];
+  activity.reserve(activity.size() + from.size());
+  hosts.reserve(hosts.size() + from_hosts.size());
+  for (const auto& [addr, info] : from) {
+    IpActivity& mine = activity[addr];
     mine.samples += info.samples;
     mine.bytes += info.bytes;
     mine.flags |= info.flags;
   }
-  for (auto& [addr, hosts] : other.hosts_) {
-    for (const auto& seen : hosts)
-      note_host(addr, seen.name.view(), seen.first_seq);
+  for (const auto& [addr, observed] : from_hosts) {
+    for (const auto& seen : observed)
+      note_host(hosts, addr, seen.name.view(), seen.first_seq);
   }
+  // Release other's storage now rather than when its shard dies: a fold
+  // then holds at most one copy of each partition.
+  from = ActivityTable{};
+  from_hosts = HostTable{};
+}
+
+void TrafficDissector::merge_tallies(TrafficDissector& other) {
   total_bytes_ += other.total_bytes_;
-  other.activity_.clear();
-  other.hosts_.clear();
   other.total_bytes_ = 0;
 }
 
 std::vector<std::string> TrafficDissector::hosts_of(net::Ipv4Addr addr) const {
-  const auto it = hosts_.find(addr);
-  if (it == hosts_.end()) return {};
+  const HostTable& table = hosts_[partition_of(addr)];
+  const auto it = table.find(addr);
+  if (it == table.end()) return {};
   std::vector<HostObservation> ordered = it->second;
   std::sort(ordered.begin(), ordered.end(), [](const auto& a, const auto& b) {
     return std::tie(a.first_seq, a.name) < std::tie(b.first_seq, b.name);
@@ -150,40 +179,79 @@ std::vector<std::string> TrafficDissector::hosts_of(net::Ipv4Addr addr) const {
   return out;
 }
 
-std::vector<net::Ipv4Addr> TrafficDissector::https_candidates() const {
+namespace {
+
+/// The addresses of the entries `keep` selects, in global address order:
+/// each partition is gathered and sorted on its own (possibly on another
+/// thread), then the partitions are concatenated in index order.
+template <class Keep>
+std::vector<net::Ipv4Addr> select_sorted(std::span<const ActivityTable> parts,
+                                         unsigned threads, Keep keep) {
+  std::vector<std::vector<net::Ipv4Addr>> per_part(parts.size());
+  util::parallel_for(parts.size(), threads, [&](std::size_t p) {
+    std::vector<net::Ipv4Addr>& out = per_part[p];
+    for (const auto& [addr, info] : parts[p])
+      if (keep(info)) out.push_back(addr);
+    std::sort(out.begin(), out.end());
+  });
+  std::size_t total = 0;
+  for (const auto& part : per_part) total += part.size();
   std::vector<net::Ipv4Addr> out;
-  for (const auto& [addr, info] : activity_) {
-    if ((info.flags & kCandidate443) != 0) out.push_back(addr);
-  }
-  std::sort(out.begin(), out.end());
+  out.reserve(total);
+  for (const auto& part : per_part) out.insert(out.end(), part.begin(), part.end());
   return out;
+}
+
+}  // namespace
+
+std::vector<net::Ipv4Addr> TrafficDissector::https_candidates(
+    unsigned threads) const {
+  return select_sorted(activity_, threads, [](const IpActivity& info) {
+    return (info.flags & kCandidate443) != 0;
+  });
 }
 
 std::vector<net::Ipv4Addr> TrafficDissector::web_servers() const {
-  std::vector<net::Ipv4Addr> out;
-  for (const auto& [addr, info] : activity_) {
-    if (info.web_server()) out.push_back(addr);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return select_sorted(activity_, 1,
+                       [](const IpActivity& info) { return info.web_server(); });
 }
 
-DissectionSummary TrafficDissector::summarize() const {
+DissectionSummary TrafficDissector::summarize(unsigned threads) const {
+  // Exact integer counts per partition, summed in partition order.
+  struct Counts {
+    std::size_t http = 0, candidates = 0, https = 0, web = 0, clients = 0,
+                dual_role = 0, multi_purpose = 0;
+    std::uint64_t dual_role_bytes = 0;
+  };
+  std::vector<Counts> per_part(kPartitions);
+  util::parallel_for(kPartitions, threads, [&](std::size_t p) {
+    Counts& c = per_part[p];
+    for (const auto& [addr, info] : activity_[p]) {
+      if (info.http_server()) ++c.http;
+      if ((info.flags & kCandidate443) != 0) ++c.candidates;
+      if (info.https_server()) ++c.https;
+      if (info.web_server()) ++c.web;
+      if (info.client()) ++c.clients;
+      if (info.web_server() && info.client()) {
+        ++c.dual_role;
+        c.dual_role_bytes += info.bytes;
+      }
+      if (info.multi_purpose()) ++c.multi_purpose;
+    }
+  });
   DissectionSummary s;
-  s.unique_ips = activity_.size();
+  s.unique_ips = activity().size();
   s.total_bytes = static_cast<double>(total_bytes_);
   std::uint64_t dual_role_bytes = 0;
-  for (const auto& [addr, info] : activity_) {
-    if (info.http_server()) ++s.http_server_ips;
-    if ((info.flags & kCandidate443) != 0) ++s.https_candidate_ips;
-    if (info.https_server()) ++s.https_server_ips;
-    if (info.web_server()) ++s.web_server_ips;
-    if (info.client()) ++s.client_ips;
-    if (info.web_server() && info.client()) {
-      ++s.dual_role_ips;
-      dual_role_bytes += info.bytes;
-    }
-    if (info.multi_purpose()) ++s.multi_purpose_ips;
+  for (const Counts& c : per_part) {
+    s.http_server_ips += c.http;
+    s.https_candidate_ips += c.candidates;
+    s.https_server_ips += c.https;
+    s.web_server_ips += c.web;
+    s.client_ips += c.clients;
+    s.dual_role_ips += c.dual_role;
+    s.multi_purpose_ips += c.multi_purpose;
+    dual_role_bytes += c.dual_role_bytes;
   }
   s.dual_role_server_bytes = static_cast<double>(dual_role_bytes);
   return s;

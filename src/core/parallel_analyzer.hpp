@@ -1,12 +1,14 @@
 // ParallelAnalyzer — the sharded, multi-threaded week-analysis engine.
 //
 // Splits a week's sample stream into batches, fans the batches out to N
-// worker threads (each accumulating into its own WeekShard), then reduces
-// the shards in worker-index order and runs the ordinary probe/aggregate
-// phase. Because WeekShard is a commutative monoid (exact integer byte
-// tallies, OR-ed evidence, order-statistics host sets) and the reduce
-// order is fixed, the N-thread report is byte-identical to the 1-thread
-// report for any N — the determinism contract the parity tests pin down.
+// worker threads (each accumulating into its own WeekShard), then has the
+// same threads fold the shards one address partition at a time, each
+// partition in worker-index order, and runs the probe/aggregate phase on
+// N threads too. Because WeekShard is a commutative monoid (exact integer
+// byte tallies, OR-ed evidence, order-statistics host sets) and each
+// partition's fold order is fixed, the N-thread report is byte-identical
+// to the 1-thread report for any N — the determinism contract the parity
+// tests pin down.
 //
 // One input shape: an ingest::IngestSource. The engine asks the source
 // for a parallel plan (split()); a splittable source — a mapped trace, an

@@ -1,5 +1,6 @@
 #include "core/serve_service.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace ixp::core {
@@ -90,37 +91,45 @@ std::shared_ptr<const ServeSnapshot> ServeService::snapshot() {
 
   // Seal the epoch: swap every worker's live shard for a fresh one. Each
   // swap holds that worker's lock only for the exchange; decoding and
-  // queueing never pause.
-  WeekShard epoch = session_.make_shard();
+  // queueing never pause. Every fold below is the partitioned fold on the
+  // pump count's threads.
+  const unsigned threads = std::max(1u, this->threads());
+  std::vector<WeekShard> sealed;
+  sealed.reserve(slots_.size() + 1);
+  sealed.push_back(session_.make_shard());
   for (const auto& slot : slots_) {
     WeekShard fresh = session_.make_shard();
     {
       std::lock_guard lock{slot->mutex};
       std::swap(slot->shard, fresh);
     }
-    epoch.merge(std::move(fresh));
+    sealed.push_back(std::move(fresh));
   }
+  fold_shards(sealed, threads);
 
-  if (options_.window_epochs == 0) {
-    // Cumulative: one ever-growing sealed shard.
-    if (epochs_.empty()) {
-      epochs_.push_back(std::move(epoch));
-    } else {
-      epochs_.front().merge(std::move(epoch));
-    }
+  if (options_.window_epochs == 0 && !epochs_.empty()) {
+    // Cumulative: one ever-growing sealed shard, the epoch folded into it.
+    std::vector<WeekShard> both;
+    both.reserve(2);
+    both.push_back(std::move(epochs_.front()));
+    both.push_back(std::move(sealed[0]));
+    fold_shards(both, threads);
+    epochs_.front() = std::move(both[0]);
   } else {
-    epochs_.push_back(std::move(epoch));
-    while (epochs_.size() > options_.window_epochs) epochs_.pop_front();
+    epochs_.push_back(std::move(sealed[0]));
+    while (options_.window_epochs != 0 &&
+           epochs_.size() > options_.window_epochs)
+      epochs_.pop_front();
   }
 
   // The window report: fold copies of the retained epochs (merge consumes,
   // and the epochs must survive for the next snapshot), then run the
   // probe/aggregate phase. All outside the workers' locks.
-  WeekShard folded = session_.make_shard();
-  for (const WeekShard& sealed : epochs_) {
-    WeekShard copy = sealed;
-    folded.merge(std::move(copy));
-  }
+  std::vector<WeekShard> window;
+  window.reserve(epochs_.size() + 1);
+  window.push_back(session_.make_shard());
+  window.insert(window.end(), epochs_.begin(), epochs_.end());
+  fold_shards(window, threads);
 
   auto snap = std::make_shared<ServeSnapshot>();
   snap->epoch = next_epoch_++;
@@ -130,7 +139,7 @@ std::shared_ptr<const ServeSnapshot> ServeService::snapshot() {
   snap->epochs_folded = options_.window_epochs == 0
                             ? static_cast<std::size_t>(snap->epoch)
                             : epochs_.size();
-  snap->report = vantage_->finish_week(std::move(folded), fetch_);
+  snap->report = vantage_->finish_week(std::move(window[0]), fetch_, threads);
   snap->accounting = accounting();
   published_ = snap;
   return snap;

@@ -151,9 +151,11 @@ class WeekSession {
   void absorb(WeekShard&& shard) { shard_.merge(std::move(shard)); }
 
   /// Finishes the week: runs the HTTPS prober via `fetch`, harvests
-  /// metadata, aggregates everything. The returned report is
-  /// self-contained; the session is spent afterwards.
-  [[nodiscard]] WeeklyReport finish(const classify::ChainFetcher& fetch);
+  /// metadata, aggregates everything, on up to `threads` threads (see
+  /// VantagePoint::finish_week). The returned report is self-contained;
+  /// the session is spent afterwards.
+  [[nodiscard]] WeeklyReport finish(const classify::ChainFetcher& fetch,
+                                    unsigned threads = 1);
 
   [[nodiscard]] int week() const noexcept { return week_; }
   [[nodiscard]] std::uint64_t samples_observed() const noexcept {
@@ -194,9 +196,13 @@ class VantagePoint {
   /// Reduces a fully-merged shard into the week's report. This is the
   /// probe/aggregate phase; it iterates observation state in canonical
   /// (sorted-address) order so the report is identical for any shard
-  /// split of the same sample stream.
+  /// split of the same sample stream. The table-wide phases run per
+  /// address partition on up to `threads` threads, and the report is
+  /// identical for any count. `fetch` is only called from the calling
+  /// thread.
   [[nodiscard]] WeeklyReport finish_week(WeekShard&& shard,
-                                         const classify::ChainFetcher& fetch);
+                                         const classify::ChainFetcher& fetch,
+                                         unsigned threads = 1);
 
  private:
   friend class WeekSession;

@@ -1,13 +1,12 @@
 #include "probe/metadata_pass.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "dns/uri.hpp"
 #include "util/flat_hash_map.hpp"
+#include "util/parallel_for.hpp"
 
 namespace ixp::probe {
 
@@ -138,24 +137,7 @@ MetadataPassResult MetadataPass::run(
         run_chunk(items.subspan(begin, size), result.metadata.data() + begin);
   };
 
-  const std::size_t threads =
-      std::min<std::size_t>(std::max(1u, options_.threads), chunk_count);
-  if (threads <= 1) {
-    for (std::size_t c = 0; c < chunk_count; ++c) run_one(c);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&] {
-        for (std::size_t c = next.fetch_add(1); c < chunk_count;
-             c = next.fetch_add(1)) {
-          run_one(c);
-        }
-      });
-    }
-    for (std::thread& worker : pool) worker.join();
-  }
+  util::parallel_for(chunk_count, options_.threads, run_one);
 
   for (const MetadataShard& shard : shards) result.shard.merge(shard);
   return result;

@@ -110,45 +110,47 @@ std::vector<std::byte> SnapshotCodec::encode_shard(
   out.u64(d.total_bytes_);
 
   // Activity table, sorted by address: FlatHashMap iteration order depends
-  // on insertion history, canonical bytes must not.
+  // on insertion history, canonical bytes must not. The partitions cover
+  // ascending address ranges, so each is sorted on its own and written in
+  // index order.
+  out.u32(static_cast<std::uint32_t>(d.activity().size()));
   std::vector<std::pair<net::Ipv4Addr, classify::IpActivity>> activity;
-  activity.reserve(d.activity_.size());
-  for (const auto& [addr, entry] : d.activity_) activity.emplace_back(addr, entry);
-  std::sort(activity.begin(), activity.end(),
-            [](const auto& a, const auto& b) {
-              return a.first.value() < b.first.value();
-            });
-  out.u32(static_cast<std::uint32_t>(activity.size()));
-  for (const auto& [addr, entry] : activity) {
-    out.u32(addr.value());
-    out.u32(entry.samples);
-    out.u64(entry.bytes);
-    out.u8(entry.flags);
+  for (const classify::ActivityTable& table : d.activity_) {
+    activity.assign(table.begin(), table.end());
+    std::sort(activity.begin(), activity.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [addr, entry] : activity) {
+      out.u32(addr.value());
+      out.u32(entry.samples);
+      out.u64(entry.bytes);
+      out.u8(entry.flags);
+    }
   }
 
   // Host-header evidence, servers by address, observations by their
   // (first_seq, name) order statistic — the same key the bounded set
   // keeps, so the layout is stable under any shard split.
+  std::size_t server_count = 0;
+  for (const auto& table : d.hosts_) server_count += table.size();
+  out.u32(static_cast<std::uint32_t>(server_count));
   std::vector<net::Ipv4Addr> servers;
-  servers.reserve(d.hosts_.size());
-  for (const auto& [addr, hosts] : d.hosts_) servers.push_back(addr);
-  std::sort(servers.begin(), servers.end(),
-            [](net::Ipv4Addr a, net::Ipv4Addr b) {
-              return a.value() < b.value();
-            });
-  out.u32(static_cast<std::uint32_t>(servers.size()));
-  for (const net::Ipv4Addr addr : servers) {
-    auto observations = d.hosts_.find(addr)->second;
-    std::sort(observations.begin(), observations.end(),
-              [](const auto& a, const auto& b) {
-                if (a.first_seq != b.first_seq) return a.first_seq < b.first_seq;
-                return a.name < b.name;
-              });
-    out.u32(addr.value());
-    out.u32(static_cast<std::uint32_t>(observations.size()));
-    for (const auto& obs : observations) {
-      out.u64(obs.first_seq);
-      out.str(obs.name.view());
+  for (const auto& table : d.hosts_) {
+    servers.clear();
+    for (const auto& [addr, hosts] : table) servers.push_back(addr);
+    std::sort(servers.begin(), servers.end());
+    for (const net::Ipv4Addr addr : servers) {
+      auto observations = table.find(addr)->second;
+      std::sort(observations.begin(), observations.end(),
+                [](const auto& a, const auto& b) {
+                  if (a.first_seq != b.first_seq) return a.first_seq < b.first_seq;
+                  return a.name < b.name;
+                });
+      out.u32(addr.value());
+      out.u32(static_cast<std::uint32_t>(observations.size()));
+      for (const auto& obs : observations) {
+        out.u64(obs.first_seq);
+        out.str(obs.name.view());
+      }
     }
   }
   return out.take();
@@ -172,7 +174,7 @@ std::optional<core::WeekShard> SnapshotCodec::decode_shard(
     entry.samples = in.u32();
     entry.bytes = in.u64();
     entry.flags = in.u8();
-    d.activity_.try_emplace(addr, entry);
+    d.activity_[classify::partition_of(addr)].try_emplace(addr, entry);
   }
 
   const std::uint32_t server_count = in.u32();
@@ -180,7 +182,7 @@ std::optional<core::WeekShard> SnapshotCodec::decode_shard(
     const net::Ipv4Addr addr{in.u32()};
     const std::uint32_t host_count = in.u32();
     if (host_count > TrafficDissector::kMaxHostsPerServer) return std::nullopt;
-    auto& observations = d.hosts_[addr];
+    auto& observations = d.hosts_[classify::partition_of(addr)][addr];
     observations.reserve(host_count);
     for (std::uint32_t j = 0; in.ok() && j < host_count; ++j) {
       TrafficDissector::HostObservation obs;

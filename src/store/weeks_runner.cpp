@@ -94,7 +94,8 @@ WeeksResult WeeksRunner::run(const WeeksOptions& options,
     // persisted shard is byte-for-byte the state the report came from.
     const std::vector<std::byte> shard_bytes = SnapshotCodec::encode_shard(shard);
     session.absorb(std::move(shard));
-    core::WeeklyReport report = session.finish(make_fetcher(week));
+    core::WeeklyReport report =
+        session.finish(make_fetcher(week), analyzer_->threads());
     const std::uint64_t dropped =
         std::accumulate(errors.begin(), errors.end(), std::uint64_t{0});
     if (dropped > 0) {

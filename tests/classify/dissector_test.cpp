@@ -1,11 +1,13 @@
 #include "classify/dissector.hpp"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <chrono>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -281,6 +283,80 @@ TEST(TrafficDissector, MergeDoesNotClusterOnLoadedSource) {
     EXPECT_LE(fold_s, 10.0 * insert_s)
         << "fold " << fold_s << " s vs shuffled insert " << insert_s << " s";
   }
+}
+
+// Every partition holds entries, host sets included; three dissectors
+// folded in two different orders must equal the one that saw every sample,
+// entry for entry, and iterate in partition order.
+TEST(TrafficDissector, MergeParityAcrossEveryPartition) {
+  constexpr std::uint32_t kSpan = std::uint32_t{1} << (32 - kPartitionBits);
+  TrafficDissector whole;
+  TrafficDissector parts[3];
+  TrafficDissector parts_reversed[3];
+  util::Rng rng{0x9a27};
+  std::uint64_t seq = 0;
+  for (std::uint32_t p = 0; p < kPartitions; ++p) {
+    for (int k = 0; k < 3; ++k) {
+      // Both ends of the partition's range and a random address inside.
+      const std::uint32_t offsets[] = {0, kSpan - 1,
+                                       static_cast<std::uint32_t>(rng.next_below(kSpan))};
+      const Ipv4Addr server{p * kSpan + offsets[k]};
+      const Ipv4Addr client{static_cast<std::uint32_t>(rng())};
+      const std::string request =
+          "GET / HTTP/1.1\r\nHost: h" + std::to_string(rng.next_below(12)) + ".com\r\n";
+      const std::size_t into = rng.next_below(3);
+      const std::uint64_t bytes = 1 + rng.next_below(5000);
+      ingest(whole, client, server, 40000, 80, request, bytes, seq);
+      ingest(parts[into], client, server, 40000, 80, request, bytes, seq);
+      ingest(parts_reversed[into], client, server, 40000, 80, request, bytes, seq);
+      ++seq;
+    }
+  }
+  for (std::size_t p = 0; p < kPartitions; ++p)
+    ASSERT_FALSE(whole.activity().partition(p).empty()) << p;
+
+  parts[0].merge(std::move(parts[1]));
+  parts[0].merge(std::move(parts[2]));
+  parts_reversed[2].merge(std::move(parts_reversed[0]));
+  parts_reversed[2].merge(std::move(parts_reversed[1]));
+  for (const TrafficDissector* merged : {&parts[0], &parts_reversed[2]}) {
+    ASSERT_EQ(merged->activity().size(), whole.activity().size());
+    std::size_t last_partition = 0;
+    for (const auto& [addr, info] : merged->activity()) {
+      ASSERT_GE(partition_of(addr), last_partition);
+      last_partition = partition_of(addr);
+      const IpActivity& want = whole.activity().at(addr);
+      EXPECT_EQ(info.samples, want.samples) << addr.to_string();
+      EXPECT_EQ(info.bytes, want.bytes) << addr.to_string();
+      EXPECT_EQ(info.flags, want.flags) << addr.to_string();
+      EXPECT_EQ(merged->hosts_of(addr), whole.hosts_of(addr)) << addr.to_string();
+    }
+    EXPECT_EQ(merged->summarize(), whole.summarize());
+    EXPECT_EQ(merged->summarize(4), whole.summarize());
+    EXPECT_EQ(merged->web_servers(), whole.web_servers());
+  }
+  EXPECT_TRUE(parts[1].activity().empty());
+  EXPECT_TRUE(parts_reversed[0].activity().empty());
+}
+
+// The single table this dissector replaced reserved 1 << 16 entries up
+// front; the partitions start empty and grow as addresses arrive, so a
+// fresh dissector (one per worker shard, per serve slot and epoch) must
+// not cost more heap than that reserve did.
+TEST(TrafficDissector, FreshDissectorCostsNoMoreThanTheOldReserve) {
+  // reserve(1 << 16) at a 7/8 load bound: 2^17 slots of key and value
+  // plus one occupancy byte each.
+  constexpr std::size_t kOldReserveBytes =
+      (std::size_t{1} << 17) * (sizeof(std::pair<Ipv4Addr, IpActivity>) + 1);
+  const auto heap_bytes = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  const std::size_t before = heap_bytes();
+  const TrafficDissector fresh;
+  const std::size_t after = heap_bytes();
+  EXPECT_EQ(fresh.activity().capacity(), 0u);
+  EXPECT_LE(after - std::min(before, after), kOldReserveBytes);
 }
 
 }  // namespace

@@ -8,6 +8,11 @@
 // on randomized shards over a hand-built world with nested prefixes
 // (the same route in non-adjacent runs), unrouted and ungeolocated IPs,
 // and member, near, global and unknown-locality origins.
+//
+// finish_week extracts, sorts and attributes the activity table one
+// address partition at a time, on any number of threads, and tallies
+// the concatenation; the boundary case pins runs that cross a partition
+// boundary against the oracle at several thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -395,6 +400,89 @@ TEST_F(AggregationOracleTest, RecurringRouteServedInOneRunOnly) {
   EXPECT_EQ(got.peering_locality[0].prefixes.count(
                 Ipv4Prefix{Ipv4Addr{10, 0, 0, 0}, 14}),
             1u);
+}
+
+TEST_F(AggregationOracleTest, RunsCrossingPartitionBoundaries) {
+  // A world of its own whose routes and country ranges span partition
+  // boundaries (every 2^(32 - kPartitionBits) addresses), with servers
+  // and clients packed on both sides of each boundary.
+  World w;
+  for (const Asn asn : {kMemberAs, kNearAs}) {
+    fabric::Member member;
+    member.asn = asn;
+    w.ixp.add_member(member);
+  }
+  w.locality[kMemberAs] = net::Locality::kMember;
+  w.locality[kNearAs] = net::Locality::kNear;
+  w.locality[kGlobalAs] = net::Locality::kGlobal;
+  constexpr std::uint32_t kSpan = std::uint32_t{1} << (32 - classify::kPartitionBits);
+  const std::uint32_t b1 = 0x0a000000u + kSpan;      // inside 10.0.0.0/9
+  const std::uint32_t b2 = 0x0a800000u + kSpan;      // inside 10.128.0.0/9
+  const std::uint32_t b3 = 0x0a800000u;              // between the two /9s
+  const std::uint32_t b4 = 0x0b000000u + 2 * kSpan;  // inside 11.0.0.0/8
+  ASSERT_NE(classify::partition_of(Ipv4Addr{b1 - 1}),
+            classify::partition_of(Ipv4Addr{b1}));
+  // The member AS holds a /9, loses the next /9 to the near AS, and
+  // recurs in 11/8 past several more boundaries; a more-specific /24 of
+  // the global AS starts right at b1 and interrupts the first /9's run.
+  w.routing.announce(Ipv4Prefix{Ipv4Addr{0x0a000000u}, 9}, kMemberAs);
+  w.routing.announce(Ipv4Prefix{Ipv4Addr{b1}, 24}, kGlobalAs);
+  w.routing.announce(Ipv4Prefix{Ipv4Addr{0x0a800000u}, 9}, kNearAs);
+  w.routing.announce(Ipv4Prefix{Ipv4Addr{0x0b000000u}, 8}, kMemberAs);
+  w.routing.announce(Ipv4Prefix{Ipv4Addr{0x00000000u}, 8}, kNearAs);
+  w.routing.announce(Ipv4Prefix{Ipv4Addr{0xff000000u}, 8}, kUnknownAs);
+  // One country range over all of 10/8, another over 11/8, and the two
+  // address-space ends in a third; 10/8's run crosses b1, b2 and b3.
+  w.geo.assign(Ipv4Prefix{Ipv4Addr{0x0a000000u}, 8}, geo::CountryCode{'D', 'E'});
+  w.geo.assign(Ipv4Prefix{Ipv4Addr{0x0b000000u}, 8}, geo::CountryCode{'F', 'R'});
+  w.geo.assign(Ipv4Prefix{Ipv4Addr{0x00000000u}, 8}, geo::CountryCode{'U', 'S'});
+  w.geo.assign(Ipv4Prefix{Ipv4Addr{0xff000000u}, 8}, geo::CountryCode{'U', 'S'});
+  w.roots.trust("root");
+  VantagePoint vp{w.ixp, w.routing, w.geo, w.locality, w.dns,
+                  dns::PublicSuffixList::builtin(), w.roots};
+
+  // Servers and clients alternate across each boundary; 0.0.0.0 and
+  // 255.255.255.255 sit at the first and last partitions' outer edges.
+  std::vector<Ipv4Addr> servers{Ipv4Addr{0u}, Ipv4Addr{0xffffffffu}};
+  std::vector<Ipv4Addr> clients{Ipv4Addr{1u}, Ipv4Addr{0xfffffffeu}};
+  for (const std::uint32_t b : {b1, b2, b3, b4}) {
+    for (std::uint32_t d = 1; d <= 4; ++d) {
+      (d % 2 == 0 ? servers : clients).push_back(Ipv4Addr{b - d});
+      (d % 2 == 1 ? servers : clients).push_back(Ipv4Addr{b + d - 1});
+    }
+  }
+  util::Rng rng{0xb0da};
+  WeekSession probe_session = vp.open_week(kWeek);
+  WeekShard shard = probe_session.make_shard();
+  for (std::size_t i = 0; i < 3000; ++i)
+    observe_one(shard, random_sample(rng, servers, clients), i);
+  for (const Ipv4Addr addr : servers)
+    ASSERT_TRUE(shard.dissector().activity().contains(addr)) << addr.to_string();
+  const WeeklyReport want = oracle_finish_week(w, shard, no_fetch);
+  const std::vector<std::byte> want_bytes = store::SnapshotCodec::encode_report(want);
+  ASSERT_GT(want.server_ips, 8u);
+  ASSERT_TRUE(want.by_as.contains(kGlobalAs));
+
+  std::vector<Asn> want_ases;
+  for (const auto& [asn, tally] : want.by_as) want_ases.push_back(asn);
+  std::vector<geo::CountryCode> want_codes;
+  for (const auto& [code, tally] : want.by_country) want_codes.push_back(code);
+
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    WeekSession session = vp.open_week(kWeek);
+    session.absorb(WeekShard{shard});
+    const WeeklyReport got = session.finish(no_fetch, threads);
+    EXPECT_TRUE(store::SnapshotCodec::encode_report(got) == want_bytes);
+    std::vector<Asn> got_ases;
+    for (const auto& [asn, tally] : got.by_as) got_ases.push_back(asn);
+    EXPECT_EQ(got_ases, want_ases);
+    std::vector<geo::CountryCode> got_codes;
+    for (const auto& [code, tally] : got.by_country) got_codes.push_back(code);
+    EXPECT_EQ(got_codes, want_codes);
+    EXPECT_EQ(got.peering_ips, want.peering_ips);
+    EXPECT_EQ(got.server_prefixes, want.server_prefixes);
+  }
 }
 
 }  // namespace

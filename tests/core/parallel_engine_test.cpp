@@ -336,5 +336,54 @@ TEST_F(ParallelEngineTest, SingleThreadAnalyzerMatchesBaseline) {
   expect_matches_baseline(analyzer.analyze(kWeek, source, fetcher()));
 }
 
+TEST_F(ParallelEngineTest, ThreadedFinishMatchesSerial) {
+  // The merge and finish_week run per address partition on the
+  // analyzer's threads; the merged shard and the report must encode to
+  // the same bytes at any thread count, for more than one world.
+  for (const std::uint64_t seed : {1ull, 7ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    gen::ScaleConfig cfg = gen::ScaleConfig::test();
+    cfg.seed = seed;
+    const gen::InternetModel model{cfg};
+    std::vector<net::Asn> members;
+    for (const auto* m : model.ixp().members_at(kWeek)) members.push_back(m->asn);
+    const auto locality = model.as_graph().classify(members);
+    std::vector<sflow::FlowSample> samples;
+    gen::Workload{model}.generate_week(
+        kWeek, [&](const sflow::FlowSample& s) { samples.push_back(s); });
+    VantagePoint vp{model.ixp(),    model.routing(),
+                    model.geo_db(), locality,
+                    model.dns_db(), dns::PublicSuffixList::builtin(),
+                    model.root_store()};
+    const classify::ChainFetcher fetch = [&](net::Ipv4Addr addr, int times) {
+      return model.fetch_chains(addr, times, kWeek);
+    };
+
+    std::vector<std::byte> serial_shard;
+    std::vector<std::byte> serial_report;
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      ParallelOptions options;
+      options.threads = threads;
+      options.batch_size = 256;
+      ParallelAnalyzer analyzer{vp, options};
+      ingest::SpanSource shard_source{samples, options.batch_size};
+      WeekSession session = vp.open_week(kWeek);
+      const std::vector<std::byte> shard = store::SnapshotCodec::encode_shard(
+          analyzer.reduce(session, shard_source));
+      ingest::SpanSource report_source{samples, options.batch_size};
+      const std::vector<std::byte> report = store::SnapshotCodec::encode_report(
+          analyzer.analyze(kWeek, report_source, fetch));
+      if (threads == 1) {
+        serial_shard = shard;
+        serial_report = report;
+        continue;
+      }
+      EXPECT_TRUE(shard == serial_shard);
+      EXPECT_TRUE(report == serial_report);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ixp::core
