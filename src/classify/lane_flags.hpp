@@ -36,13 +36,15 @@ class LaneFlags {
                                    std::uint8_t* dst_flags) noexcept;
 
   /// The scalar reference the SSE2 path is tested against, and the only
-  /// path on targets without SSE2.
-  static void compute_scalar(const std::uint16_t* src_port,
-                             const std::uint16_t* dst_port,
-                             const std::uint8_t* tcp,
-                             const std::uint8_t* indication, std::size_t n,
-                             std::uint8_t* src_flags,
-                             std::uint8_t* dst_flags) noexcept;
+  /// path on targets without SSE2. Hot like compute(), so the tier A/B in
+  /// micro_hotpath does not move with unrelated link-layout shifts.
+  [[gnu::hot]] static void compute_scalar(const std::uint16_t* src_port,
+                                          const std::uint16_t* dst_port,
+                                          const std::uint8_t* tcp,
+                                          const std::uint8_t* indication,
+                                          std::size_t n,
+                                          std::uint8_t* src_flags,
+                                          std::uint8_t* dst_flags) noexcept;
 };
 
 namespace detail {

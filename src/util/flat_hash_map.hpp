@@ -11,7 +11,8 @@
 //   - power-of-two capacity, linear probing over a Fibonacci-mixed hash;
 //   - tombstone-free erase via backward shift-deletion, so probe chains
 //     never accumulate dead slots and lookups stay O(chain);
-//   - reserve()/max-load-factor control (grows at 7/8 full);
+//   - reserve()/max-load-factor control (grows at MaxLoad full, a
+//     std::ratio, 7/8 by default);
 //   - heterogeneous lookup: find/count/contains accept any key type the
 //     hasher and equality functor take (e.g. std::string_view against
 //     InlineString keys) without constructing a K.
@@ -44,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <ratio>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -51,8 +53,11 @@
 namespace ixp::util {
 
 template <class K, class V, class Hash = std::hash<K>,
-          class Eq = std::equal_to<>>
+          class Eq = std::equal_to<>, class MaxLoad = std::ratio<7, 8>>
 class FlatHashMap {
+  static_assert(MaxLoad::num > 0 && MaxLoad::num < MaxLoad::den,
+                "the table must keep a free slot to end every probe");
+
  public:
   using key_type = K;
   using mapped_type = V;
@@ -136,8 +141,8 @@ class FlatHashMap {
   /// Grows (never shrinks) so `expected` entries fit without rehashing.
   void reserve(size_type expected) {
     size_type cap = kMinCapacity;
-    // Grow threshold is 7/8 full: cap must satisfy expected <= cap * 7/8.
-    while (cap * 7 / 8 < expected) cap <<= 1;
+    // cap must satisfy expected <= cap * MaxLoad.
+    while (cap * MaxLoad::num / MaxLoad::den < expected) cap <<= 1;
     if (cap > slots_.size()) rehash(cap);
   }
 
@@ -301,7 +306,7 @@ class FlatHashMap {
   void grow_if_needed() {
     if (slots_.empty()) {
       rehash(kMinCapacity);
-    } else if ((size_ + 1) * 8 > slots_.size() * 7) {
+    } else if ((size_ + 1) * MaxLoad::den > slots_.size() * MaxLoad::num) {
       rehash(slots_.size() * 2);
     }
   }

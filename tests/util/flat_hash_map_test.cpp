@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <ratio>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -60,6 +62,31 @@ TEST(FlatHashMap, ReserveAvoidsRehash) {
   for (int i = 0; i < 1000; ++i) map[i] = i;
   EXPECT_EQ(map.capacity(), cap);
   EXPECT_EQ(map.size(), 1000u);
+}
+
+// The MaxLoad argument moves both the grow point and reserve()'s sizing:
+// 16 slots hold 14 entries at the default 7/8 and 12 at 3/4.
+TEST(FlatHashMap, MaxLoadSetsTheGrowPoint) {
+  FlatHashMap<int, int> seven_eighths;
+  FlatHashMap<int, int, std::hash<int>, std::equal_to<>, std::ratio<3, 4>>
+      three_quarters;
+  for (int i = 0; i < 12; ++i) {
+    seven_eighths[i] = i;
+    three_quarters[i] = i;
+  }
+  EXPECT_EQ(seven_eighths.capacity(), 16u);
+  EXPECT_EQ(three_quarters.capacity(), 16u);
+  three_quarters[12] = 12;
+  EXPECT_EQ(three_quarters.capacity(), 32u);
+  for (int i = 12; i < 14; ++i) seven_eighths[i] = i;
+  EXPECT_EQ(seven_eighths.capacity(), 16u);
+  for (int i = 0; i < 13; ++i) EXPECT_EQ(three_quarters.at(i), i);
+
+  decltype(three_quarters) reserved;
+  reserved.reserve(12);
+  EXPECT_EQ(reserved.capacity(), 16u);
+  reserved.reserve(13);
+  EXPECT_EQ(reserved.capacity(), 32u);
 }
 
 TEST(FlatHashMap, ClearKeepsCapacity) {
