@@ -154,6 +154,31 @@ int main(int argc, char** argv) {
     bench::keep(dissector.summarize());
   }
 
+  // The same survivors with every address multiplied by an odd constant:
+  // a bijection that scatters the fixture's two /18-sized pools over all
+  // kPartitions address partitions (a handful of IPs each), as a real week
+  // spreads its IPs, where the case above puts them all in one.
+  {
+    classify::FrameBatch batch;
+    batch.reserve(peering.size());
+    const auto spread = [](net::Ipv4Addr addr) {
+      return net::Ipv4Addr{addr.value() * 0x9e3779b1u};
+    };
+    for (classify::PeeringSample sample : peering) {
+      sample.frame.ip->src = spread(sample.frame.ip->src);
+      sample.frame.ip->dst = spread(sample.frame.ip->dst);
+      batch.push(sample);
+    }
+    classify::TrafficDissector dissector;
+    suite.run_case(
+        "dissect_observe_spread", 2000,
+        [&](std::uint64_t iters, int) {
+          for (std::uint64_t it = 0; it < iters; ++it) dissector.ingest(batch);
+          return iters * batch.size();
+        });
+    bench::keep(dissector.summarize());
+  }
+
   // LaneFlags A/B: the evidence-bit kernel swept over the staged batch
   // arrays with each implementation pinned directly — the scalar branch
   // form and, where the target has SSE2, the shipped 16-wide form — so

@@ -56,9 +56,20 @@ inline constexpr std::uint8_t kSeenPort80 = 0x10;      // server evidence on 80
 inline constexpr std::uint8_t kSeenPort8080 = 0x20;    // server evidence on 8080
 inline constexpr std::uint8_t kConfirmedHttps = 0x40;  // set by the prober
 
-struct IpActivity {
+/// Largest byte count an IpActivity holds: its `bytes` is a 56-bit field.
+/// At the paper's full volume a week's peering total stays ~8x under it
+/// (the ActivityByteBound test), so ingest and merge add without a
+/// check; only the snapshot decoder, which reads untrusted counts,
+/// rejects larger ones.
+inline constexpr std::uint64_t kMaxActivityBytes =
+    (std::uint64_t{1} << 56) - 1;
+
+/// 12 bytes at 4-byte alignment: the 56-bit `bytes` and the flag byte
+/// share one 8-byte word, so an ActivityTable slot (address + entry) is
+/// 16 bytes rather than 32.
+struct [[gnu::packed, gnu::aligned(4)]] IpActivity {
   std::uint32_t samples = 0;
-  std::uint64_t bytes = 0;  // expanded bytes of samples touching this IP
+  std::uint64_t bytes : 56 = 0;  // expanded bytes of samples touching this IP
   std::uint8_t flags = 0;
 
   [[nodiscard]] bool http_server() const noexcept {
@@ -110,6 +121,8 @@ inline constexpr std::size_t kPartitions = std::size_t{1} << kPartitionBits;
 using ActivityTable = util::FlatHashMap<net::Ipv4Addr, IpActivity,
                                         std::hash<net::Ipv4Addr>,
                                         std::equal_to<>, std::ratio<3, 4>>;
+static_assert(sizeof(ActivityTable::value_type) == 16,
+              "an activity slot is the address plus a packed 12-byte entry");
 
 /// Read-only view of the partitioned activity table: lookups go to the
 /// address's partition, and iteration walks the partitions in index

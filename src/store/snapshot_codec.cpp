@@ -172,7 +172,10 @@ std::optional<core::WeekShard> SnapshotCodec::decode_shard(
     const net::Ipv4Addr addr{in.u32()};
     classify::IpActivity entry;
     entry.samples = in.u32();
-    entry.bytes = in.u64();
+    // The entry's 56-bit field would silently truncate a larger count.
+    const std::uint64_t entry_bytes = in.u64();
+    if (entry_bytes > classify::kMaxActivityBytes) return std::nullopt;
+    entry.bytes = entry_bytes;
     entry.flags = in.u8();
     d.activity_[classify::partition_of(addr)].try_emplace(addr, entry);
   }

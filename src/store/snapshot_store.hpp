@@ -77,6 +77,10 @@ enum class SnapshotError : std::uint8_t {
                       ///< what the run would compute (model/policy changed);
                       ///< never produced by validate_image — the runner
                       ///< classifies it after decoding the provenance section
+  kUndecodable,       ///< sealed and checksummed, but a section's contents
+                      ///< do not decode (e.g. an activity byte count the
+                      ///< tables cannot hold); also never produced by
+                      ///< validate_image — the reader of the section says so
 };
 
 /// Human-readable name for CLI diagnostics and quarantine suffixes.

@@ -15,6 +15,7 @@ namespace {
 struct Copy {
   SnapshotFile file;
   Provenance provenance;
+  std::size_t store = 0;  ///< index of the input store holding it
 };
 
 }  // namespace
@@ -85,7 +86,7 @@ MergeResult merge_stores(core::VantagePoint& vantage,
         ++result.snapshots_skipped_stale;
         continue;
       }
-      copies.push_back(Copy{std::move(file), *provenance});
+      copies.push_back(Copy{std::move(file), *provenance, i});
     }
     if (copies.empty()) continue;
 
@@ -126,9 +127,13 @@ MergeResult merge_stores(core::VantagePoint& vantage,
         auto decoded = SnapshotCodec::decode_shard(
             copy.file.section(kShardSection), vantage.ixp());
         if (!decoded) {
-          result.error = "week " + std::to_string(week) +
-                         ": partial shard does not decode (format bug)";
-          return result;
+          // Checksummed, yet damaged past what the codec accepts (an
+          // activity count too large for its table, say): quarantine it
+          // like rot and fold the copies that remain.
+          result.quarantined.push_back(stores[copy.store].quarantine(
+              stores[copy.store].path_for(week), SnapshotError::kUndecodable));
+          --merged_week.copies;
+          continue;
         }
         if (!shard) {
           shard = std::move(*decoded);
@@ -136,6 +141,7 @@ MergeResult merge_stores(core::VantagePoint& vantage,
           shard->merge(std::move(*decoded));
         }
       }
+      if (!shard) continue;  // every copy was quarantined
 
       const std::vector<std::byte> shard_bytes =
           SnapshotCodec::encode_shard(*shard);

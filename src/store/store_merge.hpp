@@ -27,7 +27,9 @@
 //   - A snapshot whose provenance does not match the expected
 //     fingerprints (a different model or ingest policy) is skipped and
 //     counted — merging across models would manufacture a week nobody
-//     measured. Corrupt inputs are quarantined in place, as ever.
+//     measured. Corrupt inputs are quarantined in place, as ever. So is
+//     a partial shard that passes its checksum but does not decode
+//     (kUndecodable); its week is re-derived from the copies that remain.
 //
 // The output store is written with the same atomic commit as the weeks
 // driver, so a merge interrupted at any point leaves a valid (possibly
@@ -57,7 +59,7 @@ struct MergeOptions {
 /// How one output week was produced.
 struct MergedWeek {
   int week = 0;
-  std::size_t copies = 0;   ///< valid input snapshots consulted
+  std::size_t copies = 0;   ///< input snapshots that went into the week
   bool rederived = false;   ///< folded from partial shards (vs copied)
   core::WeeklyReport report;
 };

@@ -213,6 +213,39 @@ TEST_F(SnapshotCodecTest, StrictDecodersRejectTruncationAndPadding) {
   }
 }
 
+TEST_F(SnapshotCodecTest, ShardDecodeRejectsUnrepresentableByteCount) {
+  auto vp = make_vantage();
+  const core::WeekSession session = vp.open_week(kWeek);
+  const core::WeekShard shard = observe_range(session, 0, 256);
+  const auto bytes = SnapshotCodec::encode_shard(shard);
+  ASSERT_GT(shard.dissector().activity().size(), 0u);
+
+  // An empty shard ends in the activity count and the server count, so
+  // the first activity record starts 4 bytes before its end; the record
+  // is address (4), samples (4), bytes (8, little-endian), flags (1).
+  const std::size_t record =
+      SnapshotCodec::encode_shard(session.make_shard()).size() - 4;
+  const auto with_bytes = [&](std::uint64_t value) {
+    auto patched = bytes;
+    for (int i = 0; i < 8; ++i)
+      patched[record + 8 + i] = static_cast<std::byte>(value >> (8 * i));
+    return patched;
+  };
+
+  // The largest count the 56-bit field holds still round-trips ...
+  const auto largest = with_bytes(classify::kMaxActivityBytes);
+  const auto decoded = SnapshotCodec::decode_shard(largest, model_->ixp());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(SnapshotCodec::encode_shard(*decoded), largest);
+  // ... and one more would be truncated, so the shard does not decode.
+  EXPECT_FALSE(SnapshotCodec::decode_shard(
+                   with_bytes(classify::kMaxActivityBytes + 1), model_->ixp())
+                   .has_value());
+  EXPECT_FALSE(SnapshotCodec::decode_shard(with_bytes(~std::uint64_t{0}),
+                                           model_->ixp())
+                   .has_value());
+}
+
 TEST(ProvenanceCodec, RoundTripPreservesEveryField) {
   Provenance provenance;
   provenance.format_version = kFormatVersion;

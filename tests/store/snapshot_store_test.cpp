@@ -157,6 +157,7 @@ TEST(SnapshotImage, ErrorNamesAndTagsAreDistinct) {
       SnapshotError::kBadVersion, SnapshotError::kBadCrc,
       SnapshotError::kTruncatedSection,
       SnapshotError::kStaleProvenance,
+      SnapshotError::kUndecodable,
   };
   std::vector<std::string> names;
   std::vector<std::string> tags;

@@ -130,9 +130,13 @@ class StoreMergeTest : public ::testing::Test {
 
   /// Persists one partial shard of `week` — samples [begin, end) at their
   /// original stream positions — into `dir`, exactly as a distributed
-  /// mapper owning that slice of the week would.
+  /// mapper owning that slice of the week would. With `unrepresentable`,
+  /// the first activity record's byte count is set one past what the
+  /// table holds before the file is sealed, so it checksums but cannot
+  /// decode.
   static void save_partial_shard(const std::string& dir, int week,
-                                 std::size_t begin, std::size_t end) {
+                                 std::size_t begin, std::size_t end,
+                                 bool unrepresentable = false) {
     auto vp = make_vantage();
     core::WeekSession session = vp.open_week(week);
     core::WeekShard shard = session.make_shard();
@@ -141,7 +145,16 @@ class StoreMergeTest : public ::testing::Test {
         std::span<const sflow::FlowSample>{samples}.subspan(begin,
                                                             end - begin),
         begin);
-    const auto shard_bytes = SnapshotCodec::encode_shard(shard);
+    auto shard_bytes = SnapshotCodec::encode_shard(shard);
+    if (unrepresentable) {
+      // The first record follows the activity count; its byte count sits
+      // after the address and the sample count.
+      const std::size_t at =
+          SnapshotCodec::encode_shard(session.make_shard()).size() - 4 + 8;
+      for (int i = 0; i < 8; ++i)
+        shard_bytes[at + i] =
+            static_cast<std::byte>((classify::kMaxActivityBytes + 1) >> (8 * i));
+    }
 
     Provenance provenance;
     provenance.format_version = kFormatVersion;
@@ -370,6 +383,51 @@ TEST_F(StoreMergeTest, EveryStorageFaultClassIsQuarantinedDuringMerge) {
     EXPECT_EQ(merged.weeks_copied, 3u);
     expect_matches_union(merged, whole, out.path(), whole_dir.path());
   }
+}
+
+TEST_F(StoreMergeTest, UndecodableShardIsQuarantinedAndTheWeekRederived) {
+  // Week 45 exists as two partial shards. A's checksums, but one of its
+  // activity records holds a byte count the table cannot represent.
+  const TempDir a{"undecodable_a"};
+  const TempDir b{"undecodable_b"};
+  const int week = kFromWeek + 1;
+  const std::size_t total = week_samples_->at(week).size();
+  save_partial_shard(a.path(), week, 0, total / 2, /*unrepresentable=*/true);
+  save_partial_shard(b.path(), week, total / 2, total);
+
+  const TempDir out{"undecodable_out"};
+  const auto merged = merge({a.path(), b.path()}, out.path());
+  ASSERT_TRUE(merged.ok) << merged.error;
+  const std::string victim = SnapshotStore{a.path()}.path_for(week);
+  ASSERT_EQ(merged.quarantined.size(), 1u);
+  EXPECT_EQ(merged.quarantined[0].file, victim);
+  EXPECT_EQ(merged.quarantined[0].error, SnapshotError::kUndecodable);
+  EXPECT_TRUE(fs::exists(merged.quarantined[0].quarantined_as));
+  EXPECT_FALSE(fs::exists(victim));
+
+  // The week is re-derived from the copy that remains, exactly as a merge
+  // of B alone derives it.
+  ASSERT_EQ(merged.weeks.size(), 1u);
+  EXPECT_TRUE(merged.weeks[0].rederived);
+  EXPECT_EQ(merged.weeks[0].copies, 1u);
+  const TempDir b_out{"undecodable_b_out"};
+  const auto b_only = merge({b.path()}, b_out.path());
+  ASSERT_TRUE(b_only.ok) << b_only.error;
+  ASSERT_EQ(b_only.weeks.size(), 1u);
+  EXPECT_EQ(SnapshotCodec::encode_report(merged.weeks[0].report),
+            SnapshotCodec::encode_report(b_only.weeks[0].report));
+  EXPECT_EQ(read_file(SnapshotStore{out.path()}.path_for(week)),
+            read_file(SnapshotStore{b_out.path()}.path_for(week)));
+
+  // With A's only copy of the week moved aside, merging A alone yields
+  // no week at all rather than a truncated one.
+  const TempDir a_out{"undecodable_a_out"};
+  save_partial_shard(a.path(), week, 0, total / 2, /*unrepresentable=*/true);
+  const auto a_only = merge({a.path()}, a_out.path());
+  ASSERT_TRUE(a_only.ok) << a_only.error;
+  EXPECT_EQ(a_only.quarantined.size(), 1u);
+  EXPECT_TRUE(a_only.weeks.empty());
+  EXPECT_FALSE(fs::exists(SnapshotStore{a_out.path()}.path_for(week)));
 }
 
 TEST_F(StoreMergeTest, RepeatedMergeIsIdempotent) {
