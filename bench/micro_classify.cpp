@@ -1,6 +1,7 @@
 // Micro-benchmarks: the per-sample measurement hot path — HTTP string
 // matching and the filter+dissect pipeline. (micro_hotpath carries the
 // batch-level dissect, LaneFlags and shard-merge cases.)
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -68,23 +69,21 @@ int main(int argc, char** argv) {
     const classify::PeeringFilter filter{ixp, 45};
     classify::FilterCounters counters;
     classify::TrafficDissector dissector;
-    // Survivors are staged and ingested in the engine's batch size, the
+    // Samples are staged and ingested in the engine's batch size, the
     // way WeekShard::observe_batch feeds the dissector.
     constexpr std::size_t kBatch = 512;
+    const std::vector<sflow::FlowSample> samples(kBatch, sample);
     classify::FrameBatch batch;
     batch.reserve(kBatch);
     suite.run_case("filter_and_dissect", 5'000'000,
                    [&](std::uint64_t iters, int) {
-                     for (std::uint64_t it = 0; it < iters; ++it) {
-                       const auto peering = filter.filter(sample, counters);
-                       if (peering) batch.push(*peering);
-                       if (batch.size() == kBatch) {
-                         dissector.ingest(batch);
-                         batch.clear();
-                       }
+                     for (std::uint64_t at = 0; at < iters; at += kBatch) {
+                       const auto n = static_cast<std::size_t>(
+                           std::min<std::uint64_t>(kBatch, iters - at));
+                       batch.clear();
+                       filter.stage({samples.data(), n}, at, counters, batch);
+                       dissector.ingest(batch);
                      }
-                     dissector.ingest(batch);
-                     batch.clear();
                      return iters;
                    });
     bench::keep(dissector.summarize());

@@ -1,9 +1,10 @@
 // FrameBatch — structure-of-arrays staging of peering survivors.
 //
-// The staging step derives each surviving sample's hot fields exactly
-// once, at filter time: addresses, ports, transport, expanded bytes,
-// sequence number — and the HTTP string match, run here while the
-// payload is still hot in cache from frame parsing. The dissector's
+// The staging step (PeeringFilter::stage) derives each surviving
+// sample's hot fields exactly once, at filter time: addresses, ports,
+// transport, expanded bytes, sequence number — and the HTTP string
+// match, run here while the payload is still hot in cache from frame
+// parsing. The dissector's
 // batch pass then streams index-aligned parallel arrays (~50 contiguous
 // bytes per sample instead of re-walking a ~130-byte ParsedFrame with
 // its optional transport headers and re-reading 128 payload bytes) and
@@ -19,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -34,27 +36,34 @@ class FrameBatch {
   /// payload); `sample.seq` must already be set.
   void push(const PeeringSample& sample) {
     const sflow::ParsedFrame& frame = sample.frame;
-    src_.push_back(frame.ip->src);
-    dst_.push_back(frame.ip->dst);
     std::uint16_t src_port = 0;
     std::uint16_t dst_port = 0;
-    bool tcp = false;
     if (frame.is_tcp()) {
       src_port = frame.tcp->src_port;
       dst_port = frame.tcp->dst_port;
-      tcp = true;
     } else if (frame.is_udp()) {
       src_port = frame.udp->src_port;
       dst_port = frame.udp->dst_port;
     }
+    append(frame.ip->src, frame.ip->dst, src_port, dst_port, frame.is_tcp(),
+           sample.expanded_bytes, sample.seq, frame.payload);
+  }
+
+  /// Appends one survivor from its decoded fields; the HTTP match runs on
+  /// `payload` when the transport is TCP.
+  void append(net::Ipv4Addr src, net::Ipv4Addr dst, std::uint16_t src_port,
+              std::uint16_t dst_port, bool tcp, std::uint64_t expanded_bytes,
+              std::uint64_t seq, std::span<const std::byte> payload) {
+    src_.push_back(src);
+    dst_.push_back(dst);
     src_port_.push_back(src_port);
     dst_port_.push_back(dst_port);
     tcp_.push_back(tcp ? 1 : 0);
-    bytes_.push_back(sample.expanded_bytes);
-    seq_.push_back(sample.seq);
+    bytes_.push_back(expanded_bytes);
+    seq_.push_back(seq);
 
     HttpMatch match;
-    if (tcp && !frame.payload.empty()) match = HttpMatcher::match(frame.payload);
+    if (tcp && !payload.empty()) match = HttpMatcher::match(payload);
     indication_.push_back(static_cast<std::uint8_t>(match.indication));
     host_.push_back(match.host);
   }

@@ -9,12 +9,16 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "fabric/ixp.hpp"
 #include "sflow/datagram.hpp"
 #include "sflow/frame.hpp"
+#include "util/flat_hash_map.hpp"
 
 namespace ixp::classify {
+
+class FrameBatch;
 
 enum class TrafficClass : std::uint8_t {
   kNonIpv4,          // native IPv6, ARP, ...
@@ -75,20 +79,37 @@ struct PeeringSample {
 
 class PeeringFilter {
  public:
-  /// `week` selects which members are on the fabric.
-  PeeringFilter(const fabric::Ixp& ixp, int week) noexcept
-      : ixp_(&ixp), week_(week) {}
+  /// `week` selects which members are on the fabric: those whose join
+  /// week is <= `week`.
+  PeeringFilter(const fabric::Ixp& ixp, int week);
 
   /// Classifies one sample, updates `counters`, and returns the parsed
   /// frame when (and only when) it is peering traffic.
   std::optional<PeeringSample> filter(const sflow::FlowSample& sample,
                                       FilterCounters& counters) const;
 
+  /// Classifies a batch occupying stream positions [first_seq, first_seq
+  /// + batch.size()) and appends its peering survivors to `out`, with the
+  /// same counters and the same FrameBatch rows as filter() + push() per
+  /// sample. Fast-shape frames (sflow::decode_lane) go from their fixed
+  /// offsets straight into `out`; every other frame takes filter().
+  void stage(std::span<const sflow::FlowSample> batch, std::uint64_t first_seq,
+             FilterCounters& counters, FrameBatch& out) const;
+
   [[nodiscard]] int week() const noexcept { return week_; }
 
  private:
-  const fabric::Ixp* ixp_;
+  /// Steps 2 and 3 of the cascade for an IPv4 frame, on its MacAddr::key()s
+  /// and transport validity: counts the frame in its class and returns
+  /// true when it is peering traffic.
+  bool keep_ipv4(std::uint64_t src_mac, std::uint64_t dst_mac, bool tcp,
+                 bool udp, std::uint64_t expanded,
+                 FilterCounters& counters) const;
+
   int week_;
+  std::uint64_t management_;
+  /// Port MAC keys of the members on the fabric in week_ (value unused).
+  util::FlatHashMap<std::uint64_t, bool> on_fabric_;
 };
 
 }  // namespace ixp::classify

@@ -42,23 +42,17 @@ class WeekShard {
 
   /// Runs a batch through the filter cascade; the samples occupy stream
   /// positions [first_seq, first_seq + batch.size()) (a sample's position
-  /// orders Host-header tie-breaks). Peering survivors have their hot
-  /// fields derived once, here, into a structure-of-arrays FrameBatch
-  /// (reused across batches) and handed to the dissector's batch ingest,
-  /// which prefetches upcoming table slots. The staged payload views
-  /// point into `batch`, so they are drained before this call returns.
+  /// orders Host-header tie-breaks). The filter stages peering survivors
+  /// in one pass, their hot fields derived once, into a
+  /// structure-of-arrays FrameBatch (reused across batches) for the
+  /// dissector's batch ingest, which prefetches upcoming table slots.
+  /// The staged payload views point into `batch`, so they are drained
+  /// before this call returns.
   void observe_batch(std::span<const sflow::FlowSample> batch,
                      std::uint64_t first_seq) {
     staged_.clear();
-    for (const auto& sample : batch) {
-      auto peering = filter_.filter(sample, counters_);
-      if (peering) {
-        peering->seq = first_seq;
-        staged_.push(*peering);
-      }
-      ++first_seq;
-      ++samples_observed_;
-    }
+    filter_.stage(batch, first_seq, counters_, staged_);
+    samples_observed_ += batch.size();
     dissector_.ingest(staged_);
   }
 

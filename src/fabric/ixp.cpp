@@ -12,7 +12,7 @@ bool Ixp::add_member(Member member) {
     member.port_id = member.asn.value() % 100000 + 1;
   const std::size_t index = members_.size();
   by_asn_.emplace(member.asn, index);
-  by_mac_.emplace(mac_key(member.port_mac), index);
+  by_mac_.emplace(member.port_mac.key(), index);
   members_.push_back(std::move(member));
   return true;
 }
@@ -23,13 +23,8 @@ const Member* Ixp::member_by_asn(net::Asn asn) const {
 }
 
 const Member* Ixp::member_by_mac(sflow::MacAddr mac) const {
-  const auto it = by_mac_.find(mac_key(mac));
+  const auto it = by_mac_.find(mac.key());
   return it == by_mac_.end() ? nullptr : &members_[it->second];
-}
-
-bool Ixp::is_member_port(sflow::MacAddr mac, int week) const {
-  const Member* member = member_by_mac(mac);
-  return member != nullptr && member->join_week <= week;
 }
 
 std::vector<const Member*> Ixp::members_at(int week) const {

@@ -4,8 +4,9 @@
 // "adding between 1-2 members per week". Each member connects via one or
 // more ports on the layer-2 fabric; sFlow samples carry the port MACs, so
 // everything the filter cascade needs to decide "member-to-member or not"
-// is a MAC -> member lookup. Resellers are ordinary members whose port
-// fronts many remote customer ASes (§4.2).
+// is a MAC -> member lookup (classify::PeeringFilter flattens the members
+// on the fabric in its week into one set of MAC keys). Resellers are
+// ordinary members whose port fronts many remote customer ASes (§4.2).
 #pragma once
 
 #include <cstdint>
@@ -57,9 +58,6 @@ class Ixp {
   [[nodiscard]] const Member* member_by_asn(net::Asn asn) const;
   [[nodiscard]] const Member* member_by_mac(sflow::MacAddr mac) const;
 
-  /// True when `mac` belongs to a member whose join week is <= `week`.
-  [[nodiscard]] bool is_member_port(sflow::MacAddr mac, int week) const;
-
   /// Members present in the given week, in ASN order.
   [[nodiscard]] std::vector<const Member*> members_at(int week) const;
   [[nodiscard]] std::size_t member_count_at(int week) const;
@@ -80,16 +78,9 @@ class Ixp {
   }
 
  private:
-  /// Packs a MAC into a 48-bit integer key (hot path: two lookups/sample).
-  [[nodiscard]] static std::uint64_t mac_key(sflow::MacAddr mac) noexcept {
-    std::uint64_t key = 0;
-    for (const std::uint8_t octet : mac.octets()) key = (key << 8) | octet;
-    return key;
-  }
-
   std::vector<Member> members_;
   std::unordered_map<net::Asn, std::size_t> by_asn_;
-  std::unordered_map<std::uint64_t, std::size_t> by_mac_;
+  std::unordered_map<std::uint64_t, std::size_t> by_mac_;  // MacAddr::key()
   sflow::MacAddr management_mac_ = sflow::MacAddr::from_id(0xFEED0001ULL);
 };
 

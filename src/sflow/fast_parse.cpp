@@ -1,67 +1,18 @@
 #include "sflow/fast_parse.hpp"
 
-#include <cstring>
-
 namespace ixp::sflow {
 
-namespace {
-
-constexpr std::size_t kIpAt = EthernetHeader::kSize;          // 14
-constexpr std::size_t kL4At = kIpAt + Ipv4Header::kSize;      // 34
-
-std::uint16_t load_be16(const std::byte* p) noexcept {
-  return static_cast<std::uint16_t>((std::to_integer<std::uint16_t>(p[0]) << 8) |
-                                    std::to_integer<std::uint16_t>(p[1]));
-}
-
-std::uint32_t load_be32(const std::byte* p) noexcept {
-  return (std::to_integer<std::uint32_t>(p[0]) << 24) |
-         (std::to_integer<std::uint32_t>(p[1]) << 16) |
-         (std::to_integer<std::uint32_t>(p[2]) << 8) |
-         std::to_integer<std::uint32_t>(p[3]);
-}
-
-/// RFC 1071 validity check over the fixed 20-byte header, summed as five
-/// 32-bit lanes in native byte order. The ones-complement sum commutes
-/// with byte swapping (end-around carry makes the sum rotation
-/// invariant), so "folds to 0xFFFF" holds in either byte order exactly
-/// when the big-endian word sum does — the wide loads need no bswap.
-bool ipv4_checksum_ok(const std::byte* p) noexcept {
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < Ipv4Header::kSize; i += 4) {
-    std::uint32_t lane;
-    std::memcpy(&lane, p + i, sizeof lane);
-    sum += lane;
-  }
-  sum = (sum & 0xffffffffu) + (sum >> 32);
-  sum = (sum & 0xffffu) + (sum >> 16);
-  sum = (sum & 0xffffu) + (sum >> 16);
-  return sum == 0xffffu;
-}
-
-}  // namespace
-
 std::optional<ParsedFrame> parse_frame_fast(const SampledFrame& frame) {
-  const std::size_t captured = frame.captured;
+  const auto lane = decode_lane(frame);
+  if (!lane) return parse_frame(frame);
+
+  constexpr std::size_t kIpAt = FrameLane::kIpAt;
+  constexpr std::size_t kL4At = FrameLane::kL4At;
   const std::byte* p = frame.data.data();
 
-  // Fast shape: full Ethernet + options-free IPv4 in the capture, valid
-  // checksum. Everything else — including IHL > 5 and checksum failures,
-  // which the scalar parser classifies rather than rejects — takes the
-  // layer-by-layer path.
-  if (captured < kL4At ||
-      load_be16(p + 12) != static_cast<std::uint16_t>(EtherType::kIpv4) ||
-      std::to_integer<std::uint8_t>(p[kIpAt]) != 0x45 ||
-      !ipv4_checksum_ok(p + kIpAt))
-    return parse_frame(frame);
-
   ParsedFrame parsed;
-  std::array<std::uint8_t, 6> dst_mac;
-  std::array<std::uint8_t, 6> src_mac;
-  std::memcpy(dst_mac.data(), p, 6);
-  std::memcpy(src_mac.data(), p + 6, 6);
-  parsed.eth.dst = MacAddr{dst_mac};
-  parsed.eth.src = MacAddr{src_mac};
+  parsed.eth.dst = MacAddr::from_key(lane->dst_mac);
+  parsed.eth.src = MacAddr::from_key(lane->src_mac);
   parsed.eth.ether_type = static_cast<std::uint16_t>(EtherType::kIpv4);
 
   Ipv4Header ip;
@@ -69,37 +20,29 @@ std::optional<ParsedFrame> parse_frame_fast(const SampledFrame& frame) {
   ip.total_length = load_be16(p + kIpAt + 2);
   ip.identification = load_be16(p + kIpAt + 4);
   ip.ttl = std::to_integer<std::uint8_t>(p[kIpAt + 8]);
-  ip.protocol = std::to_integer<std::uint8_t>(p[kIpAt + 9]);
-  ip.src = net::Ipv4Addr{load_be32(p + kIpAt + 12)};
-  ip.dst = net::Ipv4Addr{load_be32(p + kIpAt + 16)};
+  ip.protocol = lane->protocol;
+  ip.src = lane->src_ip;
+  ip.dst = lane->dst_ip;
   parsed.ip = ip;
 
-  const std::size_t l4 = captured - kL4At;
-  if (ip.protocol == static_cast<std::uint8_t>(IpProto::kTcp)) {
-    if (l4 >= TcpHeader::kSize &&
-        (std::to_integer<std::uint8_t>(p[kL4At + 12]) >> 4) >= 5) {
-      TcpHeader tcp;
-      tcp.src_port = load_be16(p + kL4At);
-      tcp.dst_port = load_be16(p + kL4At + 2);
-      tcp.seq = load_be32(p + kL4At + 4);
-      tcp.ack = load_be32(p + kL4At + 8);
-      tcp.flags = std::to_integer<std::uint8_t>(p[kL4At + 13]);
-      tcp.window = load_be16(p + kL4At + 14);
-      parsed.tcp = tcp;
-      parsed.payload = frame.bytes().subspan(kL4At + TcpHeader::kSize);
-    }
-  } else if (ip.protocol == static_cast<std::uint8_t>(IpProto::kUdp)) {
-    if (l4 >= UdpHeader::kSize) {
-      UdpHeader udp;
-      udp.src_port = load_be16(p + kL4At);
-      udp.dst_port = load_be16(p + kL4At + 2);
-      udp.length = load_be16(p + kL4At + 4);
-      if (udp.length >= UdpHeader::kSize) {
-        parsed.udp = udp;
-        parsed.payload = frame.bytes().subspan(kL4At + UdpHeader::kSize);
-      }
-    }
+  if (lane->tcp) {
+    TcpHeader tcp;
+    tcp.src_port = lane->src_port;
+    tcp.dst_port = lane->dst_port;
+    tcp.seq = load_be32(p + kL4At + 4);
+    tcp.ack = load_be32(p + kL4At + 8);
+    tcp.flags = std::to_integer<std::uint8_t>(p[kL4At + 13]);
+    tcp.window = load_be16(p + kL4At + 14);
+    parsed.tcp = tcp;
+  } else if (lane->udp) {
+    UdpHeader udp;
+    udp.src_port = lane->src_port;
+    udp.dst_port = lane->dst_port;
+    udp.length = load_be16(p + kL4At + 4);
+    parsed.udp = udp;
   }
+  if (lane->tcp || lane->udp)
+    parsed.payload = frame.bytes().subspan(lane->payload_at);
   return parsed;
 }
 

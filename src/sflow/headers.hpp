@@ -33,6 +33,21 @@ class MacAddr {
       const noexcept {
     return octets_;
   }
+
+  /// The address as a 48-bit integer, first octet most significant: the
+  /// key of the fabric's MAC -> member maps and the form the fast-lane
+  /// decode (fast_parse.hpp) reads straight off the capture.
+  [[nodiscard]] constexpr std::uint64_t key() const noexcept {
+    std::uint64_t key = 0;
+    for (const std::uint8_t octet : octets_) key = (key << 8) | octet;
+    return key;
+  }
+  [[nodiscard]] static constexpr MacAddr from_key(std::uint64_t key) noexcept {
+    std::array<std::uint8_t, 6> octets{};
+    for (std::size_t i = 6; i-- > 0; key >>= 8)
+      octets[i] = static_cast<std::uint8_t>(key);
+    return MacAddr{octets};
+  }
   [[nodiscard]] std::string to_string() const;
 
   friend constexpr auto operator<=>(const MacAddr&, const MacAddr&) noexcept =

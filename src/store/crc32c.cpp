@@ -8,10 +8,10 @@ namespace {
 
 constexpr std::uint32_t kPoly = 0x82f63b78u;  // 0x1EDC6F41 reflected
 
-/// Four slicing tables: table[0] is the classic byte-at-a-time table,
+/// Eight slicing tables: table[0] is the classic byte-at-a-time table,
 /// table[k][b] extends a CRC whose low byte is b across k+1 zero bytes.
-constexpr std::array<std::array<std::uint32_t, 256>, 4> build_tables() {
-  std::array<std::array<std::uint32_t, 256>, 4> tables{};
+constexpr std::array<std::array<std::uint32_t, 256>, 8> build_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit)
@@ -20,7 +20,7 @@ constexpr std::array<std::array<std::uint32_t, 256>, 4> build_tables() {
   }
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = tables[0][i];
-    for (std::size_t t = 1; t < 4; ++t) {
+    for (std::size_t t = 1; t < 8; ++t) {
       crc = tables[0][crc & 0xffu] ^ (crc >> 8);
       tables[t][i] = crc;
     }
@@ -30,6 +30,13 @@ constexpr std::array<std::array<std::uint32_t, 256>, 4> build_tables() {
 
 constexpr auto kTables = build_tables();
 
+std::uint32_t load_le32(const std::byte* p) noexcept {
+  return std::to_integer<std::uint32_t>(p[0]) |
+         (std::to_integer<std::uint32_t>(p[1]) << 8) |
+         (std::to_integer<std::uint32_t>(p[2]) << 16) |
+         (std::to_integer<std::uint32_t>(p[3]) << 24);
+}
+
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::byte> data,
@@ -37,18 +44,15 @@ std::uint32_t crc32c(std::span<const std::byte> data,
   crc = ~crc;
   const std::byte* p = data.data();
   std::size_t n = data.size();
-  while (n >= 4) {
-    crc ^= static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(p[0])) |
-           (static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(p[1]))
-            << 8) |
-           (static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(p[2]))
-            << 16) |
-           (static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(p[3]))
-            << 24);
-    crc = kTables[3][crc & 0xffu] ^ kTables[2][(crc >> 8) & 0xffu] ^
-          kTables[1][(crc >> 16) & 0xffu] ^ kTables[0][crc >> 24];
-    p += 4;
-    n -= 4;
+  while (n >= 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = kTables[7][lo & 0xffu] ^ kTables[6][(lo >> 8) & 0xffu] ^
+          kTables[5][(lo >> 16) & 0xffu] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xffu] ^ kTables[2][(hi >> 8) & 0xffu] ^
+          kTables[1][(hi >> 16) & 0xffu] ^ kTables[0][hi >> 24];
+    p += 8;
+    n -= 8;
   }
   while (n-- > 0) {
     crc = kTables[0][(crc ^ std::to_integer<std::uint8_t>(*p++)) & 0xffu] ^

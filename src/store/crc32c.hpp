@@ -6,7 +6,7 @@
 // polynomial (0x1EDC6F41, reflected 0x82F63B78): better error-detection
 // spectrum than CRC-32/zlib at the same cost, and the value every
 // storage-layer tool agrees on. The implementation is a software
-// slicing-by-four table walk — no intrinsics, no dependencies, identical
+// slicing-by-eight table walk — no intrinsics, no dependencies, identical
 // output on every platform (determinism is part of the format contract).
 #pragma once
 

@@ -90,6 +90,38 @@ TEST_F(PeeringFilterTest, NotYetJoinedMemberIsNonMember) {
   EXPECT_TRUE(late.filter(tcp_sample(mac(300), mac(200)), counters_));
 }
 
+TEST_F(PeeringFilterTest, MembershipRespectsJoinWeek) {
+  // AS 300 joins in week 50: off the fabric the week before, on it from
+  // its join week on. An unknown MAC is never on it.
+  const auto peering = [&](int week, MacAddr src) {
+    FilterCounters counters;
+    const bool kept =
+        PeeringFilter{ixp_, week}.filter(tcp_sample(src, mac(200)), counters)
+            .has_value();
+    EXPECT_EQ(counters.of(kept ? TrafficClass::kPeering
+                               : TrafficClass::kNonMemberOrLocal),
+              1u);
+    return kept;
+  };
+  EXPECT_TRUE(peering(35, mac(100)));
+  EXPECT_FALSE(peering(49, mac(300)));
+  EXPECT_TRUE(peering(50, mac(300)));
+  EXPECT_TRUE(peering(51, mac(300)));
+  EXPECT_FALSE(peering(50, MacAddr::from_id(0xBAD)));
+}
+
+TEST_F(PeeringFilterTest, ManagementMacIsNotAMemberPort) {
+  // The management MAC is local on either side of a frame, in any week.
+  for (const int week : {35, 45, 51}) {
+    PeeringFilter filter{ixp_, week};
+    EXPECT_FALSE(
+        filter.filter(tcp_sample(mac(100), ixp_.management_mac()), counters_));
+    EXPECT_FALSE(
+        filter.filter(tcp_sample(ixp_.management_mac(), mac(100)), counters_));
+  }
+  EXPECT_EQ(counters_.of(TrafficClass::kNonMemberOrLocal), 6u);
+}
+
 TEST_F(PeeringFilterTest, IcmpFilteredAsNonTcpUdp) {
   PeeringFilter filter{ixp_, 45};
   sflow::FrameSpec spec;

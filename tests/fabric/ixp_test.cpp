@@ -46,18 +46,6 @@ TEST(Ixp, ExplicitPortMacPreserved) {
             sflow::MacAddr::from_id(12345));
 }
 
-TEST(Ixp, MembershipRespectsJoinWeek) {
-  Ixp ixp;
-  ixp.add_member(make_member(1, 0));
-  ixp.add_member(make_member(2, 40));
-
-  EXPECT_TRUE(ixp.is_member_port(Ixp::port_mac_for(net::Asn{1}), 35));
-  EXPECT_FALSE(ixp.is_member_port(Ixp::port_mac_for(net::Asn{2}), 35));
-  EXPECT_TRUE(ixp.is_member_port(Ixp::port_mac_for(net::Asn{2}), 40));
-  EXPECT_TRUE(ixp.is_member_port(Ixp::port_mac_for(net::Asn{2}), 51));
-  EXPECT_FALSE(ixp.is_member_port(sflow::MacAddr::from_id(0xBAD), 40));
-}
-
 TEST(Ixp, MemberCountGrowsWithJoins) {
   Ixp ixp;
   ixp.add_member(make_member(1, 0));
@@ -78,12 +66,6 @@ TEST(Ixp, MembersAtSortedByAsn) {
   EXPECT_EQ(members[0]->asn, net::Asn{10});
   EXPECT_EQ(members[1]->asn, net::Asn{20});
   EXPECT_EQ(members[2]->asn, net::Asn{30});
-}
-
-TEST(Ixp, ManagementMacIsNotAMemberPort) {
-  Ixp ixp;
-  ixp.add_member(make_member(1));
-  EXPECT_FALSE(ixp.is_member_port(ixp.management_mac(), 40));
 }
 
 }  // namespace

@@ -26,14 +26,17 @@ TEST_P(WeekSweepTest, StreamInvariantsHold) {
   const int week = GetParam();
   std::uint64_t samples = 0;
   std::uint64_t member_macs_everywhere = 0;
+  const auto on_fabric = [&](sflow::MacAddr mac) {
+    const fabric::Member* member = model().ixp().member_by_mac(mac);
+    return member != nullptr && member->join_week <= week;
+  };
   const auto truth = workload().generate_week(week, [&](const sflow::FlowSample& s) {
     ++samples;
     EXPECT_EQ(s.sampling_rate, sflow::kPaperSamplingRate);
     EXPECT_GT(s.frame.frame_length, 0);
     EXPECT_LE(s.frame.captured, sflow::kCaptureBytes);
     const auto parsed = sflow::parse_frame(s.frame);
-    if (parsed && model().ixp().is_member_port(parsed->eth.src, week) &&
-        model().ixp().is_member_port(parsed->eth.dst, week))
+    if (parsed && on_fabric(parsed->eth.src) && on_fabric(parsed->eth.dst))
       ++member_macs_everywhere;
   });
   EXPECT_EQ(truth.total_samples, samples);

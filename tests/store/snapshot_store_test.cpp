@@ -221,6 +221,8 @@ TEST(Crc32c, MatchesKnownVectorAndIsIncremental) {
   // RFC 3720 test vector: crc32c of 32 zero bytes.
   const std::vector<std::byte> zeros(32, std::byte{0});
   EXPECT_EQ(crc32c(zeros), 0x8A9136AAu);
+  // The CRC-32C check value: crc32c("123456789").
+  EXPECT_EQ(crc32c(bytes_of("123456789")), 0xE3069283u);
   // Incremental == one-shot.
   const auto data = bytes_of("incremental checksum check");
   const auto whole = crc32c(data);
