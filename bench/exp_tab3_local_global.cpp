@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
     double bytes = 0;
     for (const auto& t : tally) {
       ips += static_cast<double>(t.ips);
-      prefixes += static_cast<double>(t.prefixes.size());
-      ases += static_cast<double>(t.ases.size());
+      prefixes += static_cast<double>(t.prefixes);
+      ases += static_cast<double>(t.ases);
       bytes += t.bytes;
     }
     util::Table table{title};
@@ -42,10 +42,10 @@ int main(int argc, char** argv) {
     row("IPs", [](const core::LocalityTally& t) { return static_cast<double>(t.ips); },
         ips, paper_ips);
     row("prefixes",
-        [](const core::LocalityTally& t) { return static_cast<double>(t.prefixes.size()); },
+        [](const core::LocalityTally& t) { return static_cast<double>(t.prefixes); },
         prefixes, paper_prefixes);
     row("ASes",
-        [](const core::LocalityTally& t) { return static_cast<double>(t.ases.size()); },
+        [](const core::LocalityTally& t) { return static_cast<double>(t.ases); },
         ases, paper_ases);
     row("traffic", [](const core::LocalityTally& t) { return t.bytes; }, bytes,
         paper_traffic);

@@ -275,9 +275,9 @@ WeeklyReport VantagePoint::finish_week(WeekShard&& shard,
         asn, AsTally{sums.ips, static_cast<double>(sums.bytes), sums.server_ips,
                      static_cast<double>(sums.server_bytes)});
     const int li = locality_index(asn);
-    report.peering_locality[li].ases.insert(asn);
+    ++report.peering_locality[li].ases;
     if (sums.server_ips == 0) continue;
-    report.server_locality[li].ases.insert(asn);
+    ++report.server_locality[li].ases;
     ++report.server_ases;
   }
   report.peering_ases = as_sums.size();
@@ -300,7 +300,7 @@ WeeklyReport VantagePoint::finish_week(WeekShard&& shard,
 
   // Prefixes: sort-unique over every run's sighting (a distinct (prefix,
   // locality) keeps the last of its sightings, which sorts served ones
-  // last), then each LocalityTally set is sized once and filled once.
+  // last), then each distinct one is counted once per tally.
   std::sort(prefixes.begin(), prefixes.end());
   std::size_t distinct = 0;
   for (const PrefixSighting& sighting : prefixes) {
@@ -309,25 +309,14 @@ WeeklyReport VantagePoint::finish_week(WeekShard&& shard,
       ++distinct;
     prefixes[distinct - 1] = sighting;
   }
-  prefixes.resize(distinct);
-  std::size_t peering_count[3] = {};
-  std::size_t server_count[3] = {};
-  for (const PrefixSighting& sighting : prefixes) {
-    ++peering_count[sighting.locality];
-    if (sighting.served) ++server_count[sighting.locality];
-  }
-  for (int li = 0; li < 3; ++li) {
-    report.peering_locality[li].prefixes.reserve(peering_count[li]);
-    report.server_locality[li].prefixes.reserve(server_count[li]);
-  }
-  for (std::size_t i = 0; i < prefixes.size();) {
+  for (std::size_t i = 0; i < distinct;) {
     const net::Ipv4Prefix prefix = prefixes[i].prefix;
     bool served = false;
-    for (; i < prefixes.size() && prefixes[i].prefix == prefix; ++i) {
+    for (; i < distinct && prefixes[i].prefix == prefix; ++i) {
       const int li = prefixes[i].locality;
-      report.peering_locality[li].prefixes.insert(prefix);
+      ++report.peering_locality[li].prefixes;
       if (!prefixes[i].served) continue;
-      report.server_locality[li].prefixes.insert(prefix);
+      ++report.server_locality[li].prefixes;
       served = true;
     }
     ++report.peering_prefixes;

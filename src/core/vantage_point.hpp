@@ -21,7 +21,6 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "classify/dissector.hpp"
@@ -57,11 +56,15 @@ struct AsTally {
   friend bool operator==(const AsTally&, const AsTally&) = default;
 };
 
-/// Per-locality aggregates (Table 3).
+/// Per-locality aggregates (Table 3). Table 3 reports prefixes and ASes
+/// only as counts, so they are kept as counts: `prefixes` is the number of
+/// distinct routed prefixes whose origin has this locality, `ases` the
+/// number of distinct such origin ASes. In server_locality both count only
+/// prefixes and ASes holding at least one server IP.
 struct LocalityTally {
   std::size_t ips = 0;
-  std::unordered_set<net::Ipv4Prefix> prefixes;
-  std::unordered_set<net::Asn> ases;
+  std::size_t prefixes = 0;
+  std::size_t ases = 0;
   double bytes = 0.0;
 
   friend bool operator==(const LocalityTally&, const LocalityTally&) = default;

@@ -37,42 +37,16 @@ FilterCounters get_counters(wire::Reader& in) {
 void put_locality(wire::Writer& out, const core::LocalityTally& tally) {
   out.u64(tally.ips);
   out.f64(tally.bytes);
-
-  std::vector<net::Ipv4Prefix> prefixes(tally.prefixes.begin(),
-                                        tally.prefixes.end());
-  std::sort(prefixes.begin(), prefixes.end(),
-            [](const net::Ipv4Prefix& a, const net::Ipv4Prefix& b) {
-              if (a.network().value() != b.network().value())
-                return a.network().value() < b.network().value();
-              return a.length() < b.length();
-            });
-  out.u32(static_cast<std::uint32_t>(prefixes.size()));
-  for (const net::Ipv4Prefix& p : prefixes) {
-    out.u32(p.network().value());
-    out.u8(p.length());
-  }
-
-  std::vector<net::Asn> ases(tally.ases.begin(), tally.ases.end());
-  std::sort(ases.begin(), ases.end(), [](net::Asn a, net::Asn b) {
-    return a.value() < b.value();
-  });
-  out.u32(static_cast<std::uint32_t>(ases.size()));
-  for (const net::Asn asn : ases) out.u32(asn.value());
+  out.u64(tally.prefixes);
+  out.u64(tally.ases);
 }
 
 core::LocalityTally get_locality(wire::Reader& in) {
   core::LocalityTally tally;
   tally.ips = in.u64();
   tally.bytes = in.f64();
-  const std::uint32_t prefix_count = in.u32();
-  for (std::uint32_t i = 0; in.ok() && i < prefix_count; ++i) {
-    const std::uint32_t network = in.u32();
-    const std::uint8_t length = in.u8();
-    tally.prefixes.insert(net::Ipv4Prefix{net::Ipv4Addr{network}, length});
-  }
-  const std::uint32_t as_count = in.u32();
-  for (std::uint32_t i = 0; in.ok() && i < as_count; ++i)
-    tally.ases.insert(net::Asn{in.u32()});
+  tally.prefixes = in.u64();
+  tally.ases = in.u64();
   return tally;
 }
 

@@ -6,10 +6,10 @@
 //
 //   1. Canonical form. Hash-map iteration order is not deterministic, so
 //      the encoder sorts every table (activity by address, hosts by
-//      (first_seq, name), country/AS tallies by key, locality sets by
-//      value) before writing. Encoding the same logical state always
-//      yields the same bytes — which is what lets tests assert
-//      "resumed run == uninterrupted run" at the byte level.
+//      (first_seq, name), country/AS tallies by key) before writing.
+//      Encoding the same logical state always yields the same bytes —
+//      which is what lets tests assert "resumed run == uninterrupted
+//      run" at the byte level.
 //
 //   2. Lossless round trip. decode(encode(x)) reproduces state that is
 //      logically identical to x: a decoded shard merges with live shards

@@ -50,9 +50,12 @@ inline constexpr char kSnapshotMagic[8] = {'I', 'X', 'P', 'S', 'N', 'A', 'P', '\
 inline constexpr char kFooterMagic[8] = {'I', 'X', 'P', 'S', 'E', 'A', 'L', '\0'};
 // v2: ProbeFunnel gained early_exits (PR 9). v3: snapshots carry a
 // provenance section (model/ingest fingerprints, partial-shard flag —
-// DESIGN.md §16). Old files decode as kBadVersion and take the
+// DESIGN.md §16).
+// v4: a report's LocalityTally holds two u64 counts (prefixes, ASes), not
+// sorted element lists (DESIGN.md §16.3).
+// Files of another version fail validation as kBadVersion and take the
 // quarantine-and-recompute path by design.
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 inline constexpr std::size_t kSnapshotHeaderBytes = 24;
 inline constexpr std::size_t kSnapshotFooterBytes = 24;
 inline constexpr std::size_t kSectionHeaderBytes = 16;

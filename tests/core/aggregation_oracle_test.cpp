@@ -19,6 +19,7 @@
 #include <cstring>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/vantage_point.hpp"
@@ -50,10 +51,26 @@ void observe_one(WeekShard& shard, const sflow::FlowSample& sample,
   shard.observe_batch({&sample, 1}, seq);
 }
 
+/// The distinct prefixes and origin ASes behind one LocalityTally's
+/// counts, kept as sets by the oracle.
+struct LocalitySets {
+  std::unordered_set<Ipv4Prefix> prefixes;
+  std::unordered_set<Asn> ases;
+};
+
+/// The oracle's sets for A(L)/A(M)/A(G), peering and server variants.
+struct OracleSets {
+  LocalitySets peering[3];
+  LocalitySets server[3];
+};
+
 /// The per-IP finish_week: HTTPS sweep, per-address tally loop over
-/// activity().at() probes, then the metadata pass.
+/// activity().at() probes, then the metadata pass. The locality counts
+/// are the sizes of per-locality sets, handed back through `sets_out`
+/// when it is non-null.
 WeeklyReport oracle_finish_week(const World& world, const WeekShard& shard,
-                                const classify::ChainFetcher& fetch) {
+                                const classify::ChainFetcher& fetch,
+                                OracleSets* sets_out = nullptr) {
   const dns::PublicSuffixList& psl = dns::PublicSuffixList::builtin();
   classify::TrafficDissector dissector = shard.dissector();
   WeeklyReport report;
@@ -89,6 +106,7 @@ WeeklyReport oracle_finish_week(const World& world, const WeekShard& shard,
   std::unordered_set<Ipv4Prefix> server_prefixes;
   std::unordered_set<Asn> server_ases;
   std::unordered_set<geo::CountryCode> server_countries;
+  OracleSets sets;
 
   std::vector<Ipv4Addr> addrs;
   for (const auto& [addr, info] : dissector.activity()) addrs.push_back(addr);
@@ -113,8 +131,8 @@ WeeklyReport oracle_finish_week(const World& world, const WeekShard& shard,
       peering_ases.insert(route->origin);
       const int li = locality_index(route->origin);
       report.peering_locality[li].ips += 1;
-      report.peering_locality[li].prefixes.insert(route->prefix);
-      report.peering_locality[li].ases.insert(route->origin);
+      sets.peering[li].prefixes.insert(route->prefix);
+      sets.peering[li].ases.insert(route->origin);
       report.peering_locality[li].bytes += info_bytes;
       AsTally& as_tally = report.by_as[route->origin];
       as_tally.ips += 1;
@@ -125,8 +143,8 @@ WeeklyReport oracle_finish_week(const World& world, const WeekShard& shard,
         server_prefixes.insert(route->prefix);
         server_ases.insert(route->origin);
         report.server_locality[li].ips += 1;
-        report.server_locality[li].prefixes.insert(route->prefix);
-        report.server_locality[li].ases.insert(route->origin);
+        sets.server[li].prefixes.insert(route->prefix);
+        sets.server[li].ases.insert(route->origin);
         report.server_locality[li].bytes += info_bytes;
       }
     }
@@ -182,6 +200,13 @@ WeeklyReport oracle_finish_week(const World& world, const WeekShard& shard,
   report.server_prefixes = server_prefixes.size();
   report.server_ases = server_ases.size();
   report.server_countries = server_countries.size();
+  for (int li = 0; li < 3; ++li) {
+    report.peering_locality[li].prefixes = sets.peering[li].prefixes.size();
+    report.peering_locality[li].ases = sets.peering[li].ases.size();
+    report.server_locality[li].prefixes = sets.server[li].prefixes.size();
+    report.server_locality[li].ases = sets.server[li].ases.size();
+  }
+  if (sets_out != nullptr) *sets_out = std::move(sets);
   return report;
 }
 
@@ -389,17 +414,20 @@ TEST_F(AggregationOracleTest, RecurringRouteServedInOneRunOnly) {
   WeekShard shard = session.make_shard();
   for (std::size_t i = 0; i < 64; ++i)
     observe_one(shard, random_sample(rng, servers, clients), i);
-  const WeeklyReport want = oracle_finish_week(*world_, shard, no_fetch);
+  OracleSets sets;
+  const WeeklyReport want =
+      oracle_finish_week(*world_, shard, no_fetch, &sets);
   session.absorb(std::move(shard));
   const WeeklyReport got = session.finish(no_fetch);
 
   EXPECT_TRUE(store::SnapshotCodec::encode_report(got) ==
               store::SnapshotCodec::encode_report(want));
   EXPECT_EQ(got.server_prefixes, 1u);
-  EXPECT_EQ(got.server_locality[0].prefixes.size(), 1u);
-  EXPECT_EQ(got.peering_locality[0].prefixes.count(
+  EXPECT_EQ(got.server_locality[0].prefixes, 1u);
+  EXPECT_EQ(sets.peering[0].prefixes.count(
                 Ipv4Prefix{Ipv4Addr{10, 0, 0, 0}, 14}),
             1u);
+  EXPECT_EQ(got.peering_locality[0].prefixes, sets.peering[0].prefixes.size());
 }
 
 TEST_F(AggregationOracleTest, RunsCrossingPartitionBoundaries) {

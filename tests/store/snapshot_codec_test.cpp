@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -166,6 +167,36 @@ TEST_F(SnapshotCodecTest, ReportRoundTripIsLosslessAndByteStable) {
   // Full-fidelity check in one stroke: the decoded report re-encodes to
   // the same bytes, so every encoded field survived.
   EXPECT_EQ(SnapshotCodec::encode_report(*decoded), bytes);
+}
+
+TEST_F(SnapshotCodecTest, LocalityCountsSurviveTheRoundTrip) {
+  auto vp = make_vantage();
+  core::WeekSession session = vp.open_week(kWeek);
+  session.observe_batch(*samples_);
+  core::WeeklyReport report = session.finish(fetcher());
+  std::size_t peering_prefixes = 0;
+  std::size_t peering_ases = 0;
+  for (const core::LocalityTally& tally : report.peering_locality) {
+    peering_prefixes += tally.prefixes;
+    peering_ases += tally.ases;
+  }
+  // Each distinct prefix and origin AS has exactly one locality.
+  EXPECT_EQ(peering_prefixes, report.peering_prefixes);
+  EXPECT_EQ(peering_ases, report.peering_ases);
+  ASSERT_GT(report.server_locality[0].prefixes, 0u);
+  ASSERT_GT(report.server_locality[0].ases, 0u);
+  // Counts wider than 32 bits keep every bit.
+  report.server_locality[2].prefixes = (std::size_t{1} << 40) + 3;
+  report.server_locality[2].ases = (std::size_t{1} << 33) + 5;
+
+  const auto decoded =
+      SnapshotCodec::decode_report(SnapshotCodec::encode_report(report));
+  ASSERT_TRUE(decoded.has_value());
+  for (int li = 0; li < 3; ++li) {
+    SCOPED_TRACE("locality " + std::to_string(li));
+    EXPECT_EQ(decoded->peering_locality[li], report.peering_locality[li]);
+    EXPECT_EQ(decoded->server_locality[li], report.server_locality[li]);
+  }
 }
 
 TEST_F(SnapshotCodecTest, DegradedFlagAndWorkerErrorsSurviveTheRoundTrip) {

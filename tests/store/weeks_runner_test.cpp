@@ -10,11 +10,13 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,7 +26,9 @@
 #include "gen/internet.hpp"
 #include "gen/workload.hpp"
 #include "ingest/ingest_source.hpp"
+#include "store/crc32c.hpp"
 #include "store/snapshot_codec.hpp"
+#include "store/snapshot_store.hpp"
 #include "store/store_fault.hpp"
 
 namespace ixp::store {
@@ -182,6 +186,25 @@ void write_file(const std::string& path, std::span<const std::byte> bytes) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
+void store_le32(std::vector<std::byte>& image, std::size_t at,
+                std::uint32_t value) {
+  for (int i = 0; i < 4; ++i)
+    image[at + i] = static_cast<std::byte>(value >> (8 * i));
+}
+
+/// Re-stamps a sealed snapshot image as format `version`: the header and
+/// footer version fields, and the footer's CRC over the header, so the
+/// image is a well-sealed file of that format.
+void stamp_format_version(std::vector<std::byte>& image,
+                          std::uint32_t version) {
+  const std::size_t footer = image.size() - kSnapshotFooterBytes;
+  store_le32(image, 8, version);
+  store_le32(image, footer + 8, version);
+  store_le32(image, footer + 12,
+             crc32c(std::span<const std::byte>{image}.first(
+                 kSnapshotHeaderBytes)));
+}
+
 TEST_F(WeeksRunnerTest, FirstRunComputesSecondRunResumesByteIdentical) {
   const TempDir dir{"resume"};
   const auto first = run_weeks(dir.path());
@@ -272,6 +295,41 @@ TEST_F(WeeksRunnerTest, EveryStorageFaultIsQuarantinedAndRecomputed) {
     EXPECT_EQ(third.weeks_resumed, 3u);
     expect_runs_identical(baseline, third);
   }
+}
+
+TEST_F(WeeksRunnerTest, PreviousFormatVersionIsQuarantinedAndRecomputed) {
+  const TempDir dir{"old_version"};
+  const auto baseline = run_weeks(dir.path());
+  ASSERT_TRUE(baseline.ok) << baseline.error;
+
+  // Turn it into a store written by the previous format: every week
+  // stamped v3.
+  const SnapshotStore store{dir.path()};
+  for (int week = kFromWeek; week <= kToWeek; ++week) {
+    auto image = read_file(store.path_for(week));
+    stamp_format_version(image, 3);
+    write_file(store.path_for(week), image);
+  }
+
+  const auto recovered = run_weeks(dir.path());
+  ASSERT_TRUE(recovered.ok) << recovered.error;
+  ASSERT_EQ(recovered.quarantined.size(), 3u);
+  for (const auto& event : recovered.quarantined) {
+    EXPECT_EQ(event.error, SnapshotError::kBadVersion);
+    EXPECT_TRUE(fs::exists(event.quarantined_as)) << event.quarantined_as;
+    EXPECT_NE(event.quarantined_as.find("bad-version"), std::string::npos);
+  }
+  EXPECT_EQ(recovered.weeks_resumed, 0u);
+  EXPECT_EQ(recovered.weeks_computed, 3u);
+  expect_runs_identical(baseline, recovered);
+
+  // The recompute committed the current format: the next run resumes all.
+  const auto warm = run_weeks(dir.path());
+  ASSERT_TRUE(warm.ok) << warm.error;
+  EXPECT_EQ(warm.weeks_resumed, 3u);
+  EXPECT_EQ(warm.weeks_computed, 0u);
+  EXPECT_TRUE(warm.quarantined.empty());
+  expect_runs_identical(baseline, warm);
 }
 
 TEST_F(WeeksRunnerTest, MatchingProvenanceSkipsStaleProvenanceRecomputes) {
