@@ -21,7 +21,10 @@
 //                          a fresh output store (complete-copy path)
 //
 // The binary exits nonzero when the incremental contract regresses: a
-// no-op re-run must cost < 5% of the cold run per week.
+// no-op re-run must cost < 5% of the cold run per week, compared as the
+// medians of three alternating cold and no-op runs timed for the gate.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -159,6 +162,64 @@ class ScratchDir {
   std::string path_;
 };
 
+/// Median of a few timings (the upper middle of an even count).
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// The incremental contract (DESIGN.md §16): resuming a warm,
+/// provenance-matching store must cost < 5% of computing it cold, per
+/// week. Timed on its own rather than read off the suite's cases, whose
+/// --iters 1 smoke run times one pass of each: kGatePasses cold runs
+/// alternate with as many no-op resumes of one warm store, and their
+/// medians compare, so one pass slowed by a neighbour moves neither side.
+int check_resume_gate(const Fixture& fx) {
+  constexpr int kGatePasses = 3;
+  const ScratchDir warm{"gate_warm"};
+  if (!fx.run(warm.path(), kFromWeek, kToWeek).ok) {
+    std::fprintf(stderr, "FAIL: cannot warm the gate's store\n");
+    return 1;
+  }
+  const auto per_week = [](auto t0, std::size_t weeks) {
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - t0;
+    return elapsed.count() / static_cast<double>(std::max<std::size_t>(1, weeks));
+  };
+  std::vector<double> cold_s;
+  std::vector<double> noop_s;
+  for (int pass = 0; pass < kGatePasses; ++pass) {
+    {
+      const ScratchDir dir{"gate_cold"};
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto result = fx.run(dir.path(), kFromWeek, kToWeek);
+      if (!result.ok) {
+        std::fprintf(stderr, "FAIL: cold run failed: %s\n", result.error.c_str());
+        return 1;
+      }
+      cold_s.push_back(per_week(t0, result.weeks_computed));
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto result = fx.run(warm.path(), kFromWeek, kToWeek);
+    if (!result.ok || result.weeks_computed != 0) {
+      std::fprintf(stderr, "FAIL: no-op run recomputed: %s\n", result.error.c_str());
+      return 1;
+    }
+    noop_s.push_back(per_week(t0, result.weeks_resumed));
+  }
+  const double ratio = median(noop_s) / median(cold_s);
+  std::printf("incremental no-op re-run: %.2f%% of cold per week (medians of %d)\n",
+              ratio * 100.0, kGatePasses);
+  if (ratio > 0.05) {
+    std::fprintf(stderr,
+                 "FAIL: no-op resume at %.1f%% of cold (expected < 5%%) — "
+                 "is the provenance gate decoding or recomputing?\n",
+                 ratio * 100.0);
+    return 1;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -277,28 +338,5 @@ int main(int argc, char** argv) {
   }
 
   suite.flush();
-
-  // The incremental contract (ISSUE 10 acceptance): resuming a warm,
-  // provenance-matching store must cost < 5% of computing it cold.
-  double cold_ns = 0.0;
-  double noop_ns = 0.0;
-  for (const auto& result : suite.results()) {
-    if (result.name == "weeks_cold") cold_ns = result.ns_per_item();
-    if (result.name == "weeks_resume_noop") noop_ns = result.ns_per_item();
-  }
-  if (cold_ns <= 0.0 || noop_ns <= 0.0) {
-    std::fprintf(stderr, "FAIL: missing cold/no-op measurements\n");
-    return 1;
-  }
-  const double ratio = noop_ns / cold_ns;
-  std::printf("incremental no-op re-run: %.2f%% of cold per week\n",
-              ratio * 100.0);
-  if (ratio > 0.05) {
-    std::fprintf(stderr,
-                 "FAIL: no-op resume at %.1f%% of cold (expected < 5%%) — "
-                 "is the provenance gate decoding or recomputing?\n",
-                 ratio * 100.0);
-    return 1;
-  }
-  return 0;
+  return check_resume_gate(fx);
 }

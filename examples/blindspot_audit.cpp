@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   }
 
   const std::size_t sites = model.sites().size();
-  for (const auto [top, label] :
+  for (const auto& [top, label] :
        {std::pair<std::size_t, const char*>{sites / 100, "top 1%"},
         {sites / 10, "top 10%"},
         {sites, "all sites"}}) {

@@ -182,37 +182,31 @@ std::vector<std::string> TrafficDissector::hosts_of(net::Ipv4Addr addr) const {
 namespace {
 
 /// The addresses of the entries `keep` selects, in global address order:
-/// each partition is gathered and sorted on its own (possibly on another
-/// thread), then the partitions are concatenated in index order.
+/// each partition's are gathered and sorted in place, and the partitions
+/// follow in index order.
 template <class Keep>
 std::vector<net::Ipv4Addr> select_sorted(std::span<const ActivityTable> parts,
-                                         unsigned threads, Keep keep) {
-  std::vector<std::vector<net::Ipv4Addr>> per_part(parts.size());
-  util::parallel_for(parts.size(), threads, [&](std::size_t p) {
-    std::vector<net::Ipv4Addr>& out = per_part[p];
-    for (const auto& [addr, info] : parts[p])
-      if (keep(info)) out.push_back(addr);
-    std::sort(out.begin(), out.end());
-  });
-  std::size_t total = 0;
-  for (const auto& part : per_part) total += part.size();
+                                         Keep keep) {
   std::vector<net::Ipv4Addr> out;
-  out.reserve(total);
-  for (const auto& part : per_part) out.insert(out.end(), part.begin(), part.end());
+  for (const ActivityTable& part : parts) {
+    const auto first = static_cast<std::ptrdiff_t>(out.size());
+    for (const auto& [addr, info] : part)
+      if (keep(info)) out.push_back(addr);
+    std::sort(out.begin() + first, out.end());
+  }
   return out;
 }
 
 }  // namespace
 
-std::vector<net::Ipv4Addr> TrafficDissector::https_candidates(
-    unsigned threads) const {
-  return select_sorted(activity_, threads, [](const IpActivity& info) {
+std::vector<net::Ipv4Addr> TrafficDissector::https_candidates() const {
+  return select_sorted(activity_, [](const IpActivity& info) {
     return (info.flags & kCandidate443) != 0;
   });
 }
 
 std::vector<net::Ipv4Addr> TrafficDissector::web_servers() const {
-  return select_sorted(activity_, 1,
+  return select_sorted(activity_,
                        [](const IpActivity& info) { return info.web_server(); });
 }
 

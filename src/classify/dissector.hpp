@@ -255,10 +255,7 @@ class TrafficDissector {
   [[nodiscard]] std::vector<std::string> hosts_of(net::Ipv4Addr addr) const;
 
   /// All port-443 candidates (input to the HTTPS prober), sorted by IP.
-  /// Partitions are scanned on up to `threads` threads; the result does
-  /// not depend on the count.
-  [[nodiscard]] std::vector<net::Ipv4Addr> https_candidates(
-      unsigned threads = 1) const;
+  [[nodiscard]] std::vector<net::Ipv4Addr> https_candidates() const;
 
   /// All identified web-server IPs (call after confirm_https feedback),
   /// sorted by IP.

@@ -19,6 +19,18 @@ namespace ixp::classify {
 /// Active measurement primitive: fetch up to `times` certificate chains
 /// from an IP. An empty vector means nothing listened; an entry with an
 /// empty chain means something answered without X.509 material.
+///
+/// Contract:
+///  - Concurrency. VantagePoint::finish_week sweeps disjoint address
+///    ranges on its analysis threads, so one fetcher object is called
+///    from several threads at once (never twice for one address at once).
+///    A fetcher must be safe for that: a pure function of its arguments
+///    and of state that does not change during the call, or guarded by
+///    its own lock or atomics.
+///  - Determinism. The f-th chain a call returns does not depend on
+///    `times`, or on which thread asks. A confirmed (stable) server's
+///    first chain from the sweep is therefore the chain `fetch(addr, 1)`
+///    returns, which is the one the metadata harvest reads.
 using ChainFetcher = std::function<std::vector<x509::CertificateChain>(
     net::Ipv4Addr addr, int times)>;
 
@@ -32,6 +44,15 @@ struct ProbeFunnel {
   std::size_t responded = 0;
   std::size_t confirmed = 0;
   std::size_t early_exits = 0;
+
+  /// Funnels of disjoint candidate sets add up field by field.
+  ProbeFunnel& operator+=(const ProbeFunnel& o) noexcept {
+    candidates += o.candidates;
+    responded += o.responded;
+    confirmed += o.confirmed;
+    early_exits += o.early_exits;
+    return *this;
+  }
 };
 
 class HttpsProber {

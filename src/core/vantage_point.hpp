@@ -130,6 +130,15 @@ struct VantageOptions {
 
 class VantagePoint;
 
+/// The partition edges of `chunks` (>= 1) chunks over the address
+/// partitions, given the prefix sums `offset` of their peering-IP counts
+/// (classify::kPartitions + 1 entries, offset[0] == 0). Chunk c covers
+/// partitions [edges[c], edges[c + 1]); each edge is the first partition
+/// at or past an equal share of the IPs, so chunks hold about n / chunks
+/// IPs each and may be empty.
+[[nodiscard]] std::vector<std::size_t> finish_chunk_edges(
+    std::span<const std::size_t> offset, std::size_t chunks);
+
 /// RAII handle over one observation week. Obtained from
 /// VantagePoint::open_week(); single-owner, movable. The session is also
 /// the reduce point of the parallel engine: make_shard() mints empty
@@ -199,13 +208,21 @@ class VantagePoint {
   /// Reduces a fully-merged shard into the week's report. This is the
   /// probe/aggregate phase; it iterates observation state in canonical
   /// (sorted-address) order so the report is identical for any shard
-  /// split of the same sample stream. The table-wide phases run per
-  /// address partition on up to `threads` threads, and the report is
-  /// identical for any count. `fetch` is only called from the calling
-  /// thread.
+  /// split of the same sample stream. The per-IP phases run per chunk of
+  /// contiguous address partitions (one chunk at one thread, a few per
+  /// thread otherwise) on up to `threads` threads; the report is
+  /// identical for any count. `fetch` is called from those threads at
+  /// once (see classify::ChainFetcher).
   [[nodiscard]] WeeklyReport finish_week(WeekShard&& shard,
                                          const classify::ChainFetcher& fetch,
                                          unsigned threads = 1);
+
+  /// finish_week over exactly `chunks` chunks (clamped to [1,
+  /// classify::kPartitions]). The report is byte-identical for every
+  /// count; this reaches the chunkings the thread counts alone do not.
+  [[nodiscard]] WeeklyReport finish_week_in_chunks(
+      WeekShard&& shard, const classify::ChainFetcher& fetch, unsigned threads,
+      std::size_t chunks);
 
  private:
   friend class WeekSession;

@@ -205,6 +205,12 @@ class FlatLpm {
   /// Distinct stored prefixes.
   [[nodiscard]] std::size_t size() const noexcept { return exact_.size(); }
 
+  /// The index in [0, size()) of the stored prefix whose payload a lookup
+  /// pointed at: one index per distinct prefix, stable across inserts.
+  [[nodiscard]] std::size_t index_of(const T* value) const noexcept {
+    return static_cast<std::size_t>(value - values_.data());
+  }
+
   /// Spill blocks allocated (each 256 entries = 1 KiB).
   [[nodiscard]] std::size_t spill_blocks() const noexcept {
     return spill_.size() >> 8;

@@ -61,6 +61,12 @@ class RoutingTable {
     return lpm_.size();
   }
 
+  /// A dense index in [0, prefix_count()) for a route the lookups above
+  /// returned: one per routed prefix, so per-prefix state fits an array.
+  [[nodiscard]] std::size_t route_index(const Route* route) const noexcept {
+    return lpm_.index_of(route);
+  }
+
   /// All routes in lexicographic prefix order.
   [[nodiscard]] std::vector<Route> routes() const;
 

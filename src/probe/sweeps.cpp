@@ -1,8 +1,10 @@
 #include "probe/sweeps.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 
 #include "util/flat_hash_map.hpp"
 #include "util/rng.hpp"
@@ -186,19 +188,24 @@ class SourceSweepHandler final : public ProbeHandler {
   util::FlatHashMap<PtrTuple, bool, PtrTupleHash> verdicts_;
 };
 
+/// A confirmed item's index and the first chain its full sweep fetched.
+using FirstChain = std::pair<std::uint32_t, x509::CertificateChain>;
+
 class FetcherSweepHandler final : public ProbeHandler {
  public:
   FetcherSweepHandler(std::span<const net::Ipv4Addr> candidates,
                       const classify::ChainFetcher& fetch,
                       const x509::ChainValidator& validator, int fetches,
                       classify::ProbeFunnel& funnel,
-                      std::vector<std::uint8_t>& confirmed)
+                      std::vector<std::uint8_t>& confirmed,
+                      std::vector<FirstChain>& first_chains)
       : candidates_(candidates),
         fetch_(fetch),
         validator_(validator),
         fetches_(fetches),
         funnel_(funnel),
         confirmed_(confirmed),
+        first_chains_(first_chains),
         times_(sweep_times(static_cast<std::size_t>(fetches))) {}
 
   [[nodiscard]] std::uint64_t item_key(std::uint32_t item) const override {
@@ -220,10 +227,12 @@ class FetcherSweepHandler final : public ProbeHandler {
                    std::uint64_t) override {
     if (fetches_ > 1 && exchange == 0) return Step::kNextExchange;
     ++funnel_.responded;
-    const ItemState& state = state_.at(item);
+    ItemState& state = state_.at(item);
     if (validator_.validate_stable(state.full, times_).ok) {
       ++funnel_.confirmed;
       confirmed_[item] = 1;
+      // The state is erased on the outcome, so the first chain moves out.
+      first_chains_.emplace_back(item, std::move(state.full.front()));
     }
     return Step::kDone;
   }
@@ -256,6 +265,7 @@ class FetcherSweepHandler final : public ProbeHandler {
   int fetches_;
   classify::ProbeFunnel& funnel_;
   std::vector<std::uint8_t>& confirmed_;
+  std::vector<FirstChain>& first_chains_;
   std::vector<x509::Timestamp> times_;
   std::unordered_map<std::uint32_t, ItemState> state_;
 };
@@ -317,8 +327,9 @@ HttpsSweepResult HttpsSweep::run_with_fetcher(
   x509::DomainCache domain_cache;
   validator_.set_domain_cache(&domain_cache);
   std::vector<std::uint8_t> confirmed(candidates.size(), 0);
+  std::vector<FirstChain> first_chains;
   FetcherSweepHandler handler(candidates, fetch, validator_, fetches_,
-                              result.funnel, confirmed);
+                              result.funnel, confirmed, first_chains);
   ProbeEngine engine(config_, model_);
   result.engine =
       engine.run(static_cast<std::uint32_t>(candidates.size()), handler);
@@ -326,6 +337,12 @@ HttpsSweepResult HttpsSweep::run_with_fetcher(
   result.domain_cache_hits = domain_cache.hits();
   result.domain_cache_misses = domain_cache.misses();
   result.confirmed = in_candidate_order(candidates, confirmed);
+  // Items complete in engine order; candidate order pairs them with
+  // `confirmed`.
+  std::sort(first_chains.begin(), first_chains.end(),
+            [](const FirstChain& a, const FirstChain& b) { return a.first < b.first; });
+  result.chains.reserve(first_chains.size());
+  for (FirstChain& entry : first_chains) result.chains.push_back(std::move(entry.second));
   return result;
 }
 

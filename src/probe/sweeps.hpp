@@ -51,6 +51,11 @@ class ResolverSweep {
 
 struct HttpsSweepResult {
   std::vector<net::Ipv4Addr> confirmed;  // candidate order
+  /// run_with_fetcher() only, parallel to `confirmed`: the first chain
+  /// each confirmed server's full sweep fetched. A confirmed server is
+  /// stable, so this is the chain `fetch(addr, 1)` returns too (see the
+  /// ChainFetcher contract); run() leaves it empty.
+  std::vector<x509::CertificateChain> chains;
   classify::ProbeFunnel funnel;
   EngineStats engine;
   std::uint64_t domain_cache_hits = 0;
@@ -70,6 +75,12 @@ struct HttpsSweepResult {
 ///
 /// A DomainCache is attached for the duration of each run, so checks
 /// (a)/(b) hit the PSL once per distinct name instead of once per fetch.
+/// That makes a sweep single-threaded: sweeps that run at once take one
+/// HttpsSweep each. Without a run deadline, each candidate is judged on
+/// its own fetches and draws, so sweeps over disjoint slices of a
+/// candidate list give the funnel (summed), the confirmed set and the
+/// chains (concatenated) of one sweep over the whole list; only the
+/// domain-cache hit counts depend on the split.
 class HttpsSweep {
  public:
   /// Payload field budget: exchange indices must fit the timer encoding.

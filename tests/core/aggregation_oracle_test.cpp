@@ -10,9 +10,11 @@
 // and member, near, global and unknown-locality origins.
 //
 // finish_week extracts, sorts and attributes the activity table one
-// address partition at a time, on any number of threads, and tallies
-// the concatenation; the boundary case pins runs that cross a partition
-// boundary against the oracle at several thread counts.
+// address partition at a time, on any number of threads, then sweeps
+// and tallies it in chunks of contiguous partitions and concatenates the
+// chunks; the boundary case pins runs that cross a partition boundary,
+// and runs split across 2, 3 and all chunks, against the oracle at
+// several chunk and thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -433,7 +435,9 @@ TEST_F(AggregationOracleTest, RecurringRouteServedInOneRunOnly) {
 TEST_F(AggregationOracleTest, RunsCrossingPartitionBoundaries) {
   // A world of its own whose routes and country ranges span partition
   // boundaries (every 2^(32 - kPartitionBits) addresses), with servers
-  // and clients packed on both sides of each boundary.
+  // and clients packed on both sides of each boundary, and one dense
+  // route and country run over four whole partitions that the chunk
+  // edges split.
   World w;
   for (const Asn asn : {kMemberAs, kNearAs}) {
     fabric::Member member;
@@ -448,21 +452,26 @@ TEST_F(AggregationOracleTest, RunsCrossingPartitionBoundaries) {
   const std::uint32_t b2 = 0x0a800000u + kSpan;      // inside 10.128.0.0/9
   const std::uint32_t b3 = 0x0a800000u;              // between the two /9s
   const std::uint32_t b4 = 0x0b000000u + 2 * kSpan;  // inside 11.0.0.0/8
+  const std::uint32_t dense = 0x0c000000u;           // 12.0.0.0/8
   ASSERT_NE(classify::partition_of(Ipv4Addr{b1 - 1}),
             classify::partition_of(Ipv4Addr{b1}));
   // The member AS holds a /9, loses the next /9 to the near AS, and
-  // recurs in 11/8 past several more boundaries; a more-specific /24 of
-  // the global AS starts right at b1 and interrupts the first /9's run.
+  // recurs in 11/8 and 12/8 past several more boundaries; a
+  // more-specific /24 of the global AS starts right at b1 and interrupts
+  // the first /9's run.
   w.routing.announce(Ipv4Prefix{Ipv4Addr{0x0a000000u}, 9}, kMemberAs);
   w.routing.announce(Ipv4Prefix{Ipv4Addr{b1}, 24}, kGlobalAs);
   w.routing.announce(Ipv4Prefix{Ipv4Addr{0x0a800000u}, 9}, kNearAs);
   w.routing.announce(Ipv4Prefix{Ipv4Addr{0x0b000000u}, 8}, kMemberAs);
+  w.routing.announce(Ipv4Prefix{Ipv4Addr{dense}, 8}, kMemberAs);
   w.routing.announce(Ipv4Prefix{Ipv4Addr{0x00000000u}, 8}, kNearAs);
   w.routing.announce(Ipv4Prefix{Ipv4Addr{0xff000000u}, 8}, kUnknownAs);
-  // One country range over all of 10/8, another over 11/8, and the two
-  // address-space ends in a third; 10/8's run crosses b1, b2 and b3.
+  // One country range over all of 10/8, others over 11/8 and 12/8, and
+  // the two address-space ends in a fourth; 10/8's run crosses b1, b2
+  // and b3.
   w.geo.assign(Ipv4Prefix{Ipv4Addr{0x0a000000u}, 8}, geo::CountryCode{'D', 'E'});
   w.geo.assign(Ipv4Prefix{Ipv4Addr{0x0b000000u}, 8}, geo::CountryCode{'F', 'R'});
+  w.geo.assign(Ipv4Prefix{Ipv4Addr{dense}, 8}, geo::CountryCode{'N', 'L'});
   w.geo.assign(Ipv4Prefix{Ipv4Addr{0x00000000u}, 8}, geo::CountryCode{'U', 'S'});
   w.geo.assign(Ipv4Prefix{Ipv4Addr{0xff000000u}, 8}, geo::CountryCode{'U', 'S'});
   w.roots.trust("root");
@@ -471,6 +480,8 @@ TEST_F(AggregationOracleTest, RunsCrossingPartitionBoundaries) {
 
   // Servers and clients alternate across each boundary; 0.0.0.0 and
   // 255.255.255.255 sit at the first and last partitions' outer edges.
+  // 12/8 holds most of the IPs, 32 in each of its four partitions, so
+  // the chunk edges of small chunk counts fall inside its run.
   std::vector<Ipv4Addr> servers{Ipv4Addr{0u}, Ipv4Addr{0xffffffffu}};
   std::vector<Ipv4Addr> clients{Ipv4Addr{1u}, Ipv4Addr{0xfffffffeu}};
   for (const std::uint32_t b : {b1, b2, b3, b4}) {
@@ -479,37 +490,95 @@ TEST_F(AggregationOracleTest, RunsCrossingPartitionBoundaries) {
       (d % 2 == 1 ? servers : clients).push_back(Ipv4Addr{b + d - 1});
     }
   }
+  for (std::uint32_t k = 0; k < 128; ++k)
+    (k % 2 == 0 ? servers : clients).push_back(Ipv4Addr{dense + k * (kSpan / 32) + k});
+  // Every fourth dense server answers the HTTPS crawl with a stable chain
+  // of its own, so confirmed servers and their chains sit in every chunk.
+  std::unordered_set<Ipv4Addr> https;
+  for (std::size_t i = 0; i < servers.size(); ++i)
+    if ((servers[i].value() >> 24) == 12 && i % 4 == 0) https.insert(servers[i]);
+  const classify::ChainFetcher fetch = [&https](Ipv4Addr addr, int times) {
+    std::vector<x509::CertificateChain> fetched;
+    if (!https.contains(addr)) return fetched;
+    x509::Certificate leaf;
+    leaf.subject = *dns::DnsName::parse("s" + std::to_string(addr.value()) + ".example.com");
+    leaf.key_usages = {x509::KeyUsage::kServerAuth};
+    leaf.subject_key = "k" + std::to_string(addr.value());
+    leaf.issuer_key = "root";
+    leaf.not_after = 100000;
+    for (int i = 0; i < times; ++i) fetched.push_back(x509::CertificateChain{{leaf}});
+    return fetched;
+  };
+
   util::Rng rng{0xb0da};
   WeekSession probe_session = vp.open_week(kWeek);
   WeekShard shard = probe_session.make_shard();
-  for (std::size_t i = 0; i < 3000; ++i)
+  for (std::size_t i = 0; i < 12000; ++i)
     observe_one(shard, random_sample(rng, servers, clients), i);
   for (const Ipv4Addr addr : servers)
     ASSERT_TRUE(shard.dissector().activity().contains(addr)) << addr.to_string();
-  const WeeklyReport want = oracle_finish_week(w, shard, no_fetch);
+  const WeeklyReport want = oracle_finish_week(w, shard, fetch);
   const std::vector<std::byte> want_bytes = store::SnapshotCodec::encode_report(want);
   ASSERT_GT(want.server_ips, 8u);
   ASSERT_TRUE(want.by_as.contains(kGlobalAs));
+  ASSERT_GT(want.https_funnel.confirmed, 8u);
+  ASSERT_GT(want.metadata_coverage.with_cert, 8u);
 
   std::vector<Asn> want_ases;
   for (const auto& [asn, tally] : want.by_as) want_ases.push_back(asn);
   std::vector<geo::CountryCode> want_codes;
   for (const auto& [code, tally] : want.by_country) want_codes.push_back(code);
 
+  // The chunks the dense run (one route, one country range) lands in.
+  const classify::ActivityView activity = shard.dissector().activity();
+  std::vector<std::size_t> offset(classify::kPartitions + 1, 0);
+  for (std::size_t p = 0; p < classify::kPartitions; ++p)
+    offset[p + 1] = offset[p] + activity.partition(p).size();
+  const auto dense_run_chunks = [&](std::size_t chunks) {
+    const std::vector<std::size_t> edges = finish_chunk_edges(offset, chunks);
+    std::size_t touched = 0;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      bool holds = false;
+      for (std::size_t p = edges[c]; p < edges[c + 1]; ++p)
+        holds = holds || ((p << (32 - classify::kPartitionBits)) >> 24 == 12 &&
+                          !activity.partition(p).empty());
+      touched += holds ? 1 : 0;
+    }
+    return touched;
+  };
+  // Split across 2, 3 and all chunks: at kPartitions chunks every
+  // partition of 12/8 is a chunk of its own.
+  EXPECT_EQ(dense_run_chunks(1), 1u);
+  EXPECT_EQ(dense_run_chunks(2), 2u);
+  EXPECT_EQ(dense_run_chunks(3), 3u);
+  EXPECT_EQ(dense_run_chunks(classify::kPartitions), 4u);
+
+  for (const std::size_t chunks : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                   std::size_t{7}, classify::kPartitions}) {
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE("chunks " + std::to_string(chunks) + ", threads " +
+                   std::to_string(threads));
+      const WeeklyReport got =
+          vp.finish_week_in_chunks(WeekShard{shard}, fetch, threads, chunks);
+      EXPECT_TRUE(store::SnapshotCodec::encode_report(got) == want_bytes);
+      std::vector<Asn> got_ases;
+      for (const auto& [asn, tally] : got.by_as) got_ases.push_back(asn);
+      EXPECT_EQ(got_ases, want_ases);
+      std::vector<geo::CountryCode> got_codes;
+      for (const auto& [code, tally] : got.by_country) got_codes.push_back(code);
+      EXPECT_EQ(got_codes, want_codes);
+      EXPECT_EQ(got.peering_ips, want.peering_ips);
+      EXPECT_EQ(got.server_prefixes, want.server_prefixes);
+      EXPECT_EQ(got.metadata_coverage.with_cert, want.metadata_coverage.with_cert);
+    }
+  }
+  // finish() picks its own chunking per thread count.
   for (const unsigned threads : {1u, 2u, 3u, 8u}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     WeekSession session = vp.open_week(kWeek);
     session.absorb(WeekShard{shard});
-    const WeeklyReport got = session.finish(no_fetch, threads);
-    EXPECT_TRUE(store::SnapshotCodec::encode_report(got) == want_bytes);
-    std::vector<Asn> got_ases;
-    for (const auto& [asn, tally] : got.by_as) got_ases.push_back(asn);
-    EXPECT_EQ(got_ases, want_ases);
-    std::vector<geo::CountryCode> got_codes;
-    for (const auto& [code, tally] : got.by_country) got_codes.push_back(code);
-    EXPECT_EQ(got_codes, want_codes);
-    EXPECT_EQ(got.peering_ips, want.peering_ips);
-    EXPECT_EQ(got.server_prefixes, want.server_prefixes);
+    EXPECT_TRUE(store::SnapshotCodec::encode_report(session.finish(fetch, threads)) ==
+                want_bytes);
   }
 }
 

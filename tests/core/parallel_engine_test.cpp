@@ -16,6 +16,7 @@
 #include "gen/internet.hpp"
 #include "gen/workload.hpp"
 #include "ingest/ingest_source.hpp"
+#include "probe/sweeps.hpp"
 #include "sflow/mapped_trace.hpp"
 #include "sflow/trace.hpp"
 #include "store/snapshot_codec.hpp"
@@ -361,7 +362,8 @@ TEST_F(ParallelEngineTest, ThreadedFinishMatchesSerial) {
 
     std::vector<std::byte> serial_shard;
     std::vector<std::byte> serial_report;
-    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    // 3 threads cut the week into uneven chunks.
+    for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       ParallelOptions options;
       options.threads = threads;
@@ -382,6 +384,59 @@ TEST_F(ParallelEngineTest, ThreadedFinishMatchesSerial) {
       EXPECT_TRUE(shard == serial_shard);
       EXPECT_TRUE(report == serial_report);
     }
+  }
+}
+
+TEST_F(ParallelEngineTest, EveryChunkingGivesTheSameFunnelAndConfirmedSet) {
+  // finish_week sweeps each chunk's candidates with a sweep of its own.
+  // Whatever the chunking, the summed funnel and the confirmed servers
+  // are those of one sweep over every candidate, and the report is the
+  // baseline's.
+  auto vp = make_vantage();
+  WeekShard shard = vp.open_week(kWeek).make_shard();
+  shard.observe_batch(*samples_, 0);
+  const std::vector<net::Ipv4Addr> candidates =
+      shard.dissector().https_candidates();
+  probe::HttpsSweep whole{model_->root_store(), dns::PublicSuffixList::builtin(),
+                          VantageOptions{}.fetches_per_ip};
+  const probe::HttpsSweepResult want = whole.run_with_fetcher(candidates, fetcher());
+  ASSERT_GT(want.confirmed.size(), 0u);
+
+  for (const std::size_t chunks : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                   std::size_t{7}, classify::kPartitions}) {
+    SCOPED_TRACE("chunks " + std::to_string(chunks));
+    const WeeklyReport got =
+        vp.finish_week_in_chunks(WeekShard{shard}, fetcher(), 4, chunks);
+    EXPECT_EQ(got.https_funnel.candidates, want.funnel.candidates);
+    EXPECT_EQ(got.https_funnel.responded, want.funnel.responded);
+    EXPECT_EQ(got.https_funnel.confirmed, want.funnel.confirmed);
+    EXPECT_EQ(got.https_funnel.early_exits, want.funnel.early_exits);
+    std::vector<net::Ipv4Addr> confirmed;
+    for (const ServerObservation& server : got.servers)
+      if (server.https) confirmed.push_back(server.addr);
+    EXPECT_EQ(confirmed, want.confirmed);
+    expect_matches_baseline(got);
+  }
+}
+
+TEST_F(ParallelEngineTest, SweepHandsBackEachConfirmedServersFirstChain) {
+  // The metadata harvest reads the chain the sweep fetched first instead
+  // of fetching each confirmed server once more: it must be the chain a
+  // single fetch returns.
+  auto vp = make_vantage();
+  WeekShard shard = vp.open_week(kWeek).make_shard();
+  shard.observe_batch(*samples_, 0);
+  const classify::ChainFetcher fetch = fetcher();
+  probe::HttpsSweep sweep{model_->root_store(), dns::PublicSuffixList::builtin(),
+                          VantageOptions{}.fetches_per_ip};
+  const probe::HttpsSweepResult swept =
+      sweep.run_with_fetcher(shard.dissector().https_candidates(), fetch);
+  ASSERT_GT(swept.confirmed.size(), 0u);
+  ASSERT_EQ(swept.chains.size(), swept.confirmed.size());
+  for (std::size_t i = 0; i < swept.confirmed.size(); ++i) {
+    const std::vector<x509::CertificateChain> once = fetch(swept.confirmed[i], 1);
+    ASSERT_EQ(once.size(), 1u) << swept.confirmed[i].to_string();
+    EXPECT_TRUE(swept.chains[i] == once.front()) << swept.confirmed[i].to_string();
   }
 }
 

@@ -282,7 +282,9 @@ TEST_F(ParallelFaultTest, MappedStrictPolicyReportsBudgetExceeded) {
   const auto trace = sflow::MappedTrace::adopt(std::move(corrupted));
   ASSERT_TRUE(trace.ok());
   auto vp = make_vantage();
-  ParallelAnalyzer analyzer{vp, ParallelOptions{.threads = 4}};
+  ParallelOptions options;
+  options.threads = 4;
+  ParallelAnalyzer analyzer{vp, options};
   ingest::MappedSource source{trace, sflow::ReadPolicy::strict()};
   (void)analyzer.analyze(kWeek, source, fetcher());
   EXPECT_GT(source.stats().errors(), 0u);

@@ -79,7 +79,9 @@ TEST(InternetModel, LocalityPartitionIsComplete) {
       case net::Locality::kNear: ++near; break;
       default: ++global; break;
     }
-    if (as.member) EXPECT_EQ(as.locality, net::Locality::kMember);
+    if (as.member) {
+      EXPECT_EQ(as.locality, net::Locality::kMember);
+    }
   }
   EXPECT_EQ(members, m.config().member_count + m.config().member_joins);
   EXPECT_GT(near, 0u);

@@ -82,8 +82,9 @@ TEST(CountryRegistry, HeavyHeadMatchesPaperRanking) {
   const double us_weight = registry.entries()[*us].weight;
   const double de_weight = registry.entries()[*de].weight;
   for (const auto& entry : registry.entries()) {
-    if (entry.code != CountryCode('U', 'S'))
+    if (entry.code != CountryCode('U', 'S')) {
       EXPECT_LT(entry.weight, us_weight + 1e-9);
+    }
   }
   EXPECT_GT(de_weight, 0.3 * us_weight);
 }

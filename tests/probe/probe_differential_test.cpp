@@ -8,7 +8,9 @@
 // Lossy configurations are compared against an oracle that replays the
 // same pure NetModel draws — and must additionally be identical for every
 // concurrency cap, chunk size, and thread count, which is the engine's
-// determinism contract.
+// determinism contract. The HTTPS sweep must also match at every chunking
+// of its candidates, swept at once by one sweep per chunk, as
+// VantagePoint::finish_week runs it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "classify/dissector.hpp"
 #include "classify/https_prober.hpp"
 #include "classify/metadata.hpp"
 #include "dns/name.hpp"
@@ -26,6 +29,7 @@
 #include "net/ipv4.hpp"
 #include "probe/metadata_pass.hpp"
 #include "probe/sweeps.hpp"
+#include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 #include "x509/certificate.hpp"
 #include "x509/validator.hpp"
@@ -378,6 +382,36 @@ classify::ServerMetadata metadata_oracle(const Fixture& fx,
   return expect;
 }
 
+/// The HTTPS sweep as finish_week runs it: the candidates cut into
+/// `chunks` contiguous slices, each swept by an HttpsSweep of its own on
+/// a few threads at once, then the funnels summed and the confirmed sets
+/// and chains concatenated in slice order.
+HttpsSweepResult sweep_in_chunks(const Fixture& fx, std::size_t chunks,
+                                 const EngineConfig& config,
+                                 const NetModel& model, bool via_fetcher) {
+  const classify::ChainFetcher fetch = fx.fetcher();
+  const HttpsSweep::ChainSource source = fx.source();
+  const std::size_t n = fx.candidates.size();
+  std::vector<HttpsSweepResult> parts(chunks);
+  util::parallel_for(chunks, 3, [&](std::size_t c) {
+    const std::span<const net::Ipv4Addr> slice{
+        fx.candidates.data() + n * c / chunks, n * (c + 1) / chunks - n * c / chunks};
+    HttpsSweep sweep{fx.roots, fx.psl, kFetches, config, model};
+    parts[c] = via_fetcher ? sweep.run_with_fetcher(slice, fetch)
+                           : sweep.run(slice, source);
+  });
+  HttpsSweepResult whole;
+  for (HttpsSweepResult& part : parts) {
+    whole.funnel += part.funnel;
+    whole.engine.merge(part.engine);
+    whole.confirmed.insert(whole.confirmed.end(), part.confirmed.begin(),
+                           part.confirmed.end());
+    for (x509::CertificateChain& chain : part.chains)
+      whole.chains.push_back(std::move(chain));
+  }
+  return whole;
+}
+
 TEST(ProbeDifferentialTest, LosslessMatchesSynchronousCodeByteForByte) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -454,6 +488,44 @@ TEST(ProbeDifferentialTest, LosslessMatchesSynchronousCodeByteForByte) {
             harvester.harvest(items[i].addr, items[i].hosts, items[i].chain);
         expect_metadata_equal(result.metadata[i], want, i);
       }
+    }
+  }
+}
+
+TEST(ProbeDifferentialTest, EveryChunkingMatchesTheOracles) {
+  // Sweeps over disjoint slices, run at once, add up to the oracles'
+  // funnel and confirmed set, with and without loss; the fetcher mode's
+  // chains are each confirmed server's single-fetch chain.
+  for (const std::uint32_t loss : {0u, 200u}) {
+    SCOPED_TRACE("loss " + std::to_string(loss));
+    const Fixture fx{6};
+    NetModel model;
+    model.seed = 6 * 1299709;
+    model.loss_permille = loss;
+    const EngineConfig config;
+    const HttpsOracleResult source_want = https_source_oracle(fx, model, config);
+    const HttpsOracleResult fetcher_want = https_fetcher_oracle(fx, model, config);
+    ASSERT_GT(fetcher_want.confirmed.size(), 0u);
+    const classify::ChainFetcher fetch = fx.fetcher();
+
+    for (const std::size_t chunks : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                     std::size_t{7}, classify::kPartitions}) {
+      SCOPED_TRACE("chunks " + std::to_string(chunks));
+      const HttpsSweepResult via_source =
+          sweep_in_chunks(fx, chunks, config, model, /*via_fetcher=*/false);
+      EXPECT_EQ(via_source.confirmed, source_want.confirmed);
+      expect_funnels_equal(via_source.funnel, source_want.funnel);
+      EXPECT_TRUE(via_source.engine.balanced());
+      EXPECT_EQ(via_source.engine.issued, kCandidates);
+
+      const HttpsSweepResult via_fetcher =
+          sweep_in_chunks(fx, chunks, config, model, /*via_fetcher=*/true);
+      EXPECT_EQ(via_fetcher.confirmed, fetcher_want.confirmed);
+      expect_funnels_equal(via_fetcher.funnel, fetcher_want.funnel);
+      ASSERT_EQ(via_fetcher.chains.size(), via_fetcher.confirmed.size());
+      for (std::size_t i = 0; i < via_fetcher.confirmed.size(); ++i)
+        EXPECT_TRUE(via_fetcher.chains[i] == fetch(via_fetcher.confirmed[i], 1).front())
+            << via_fetcher.confirmed[i].to_string();
     }
   }
 }

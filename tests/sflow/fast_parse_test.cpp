@@ -138,7 +138,7 @@ TEST(FastParseDifferential, RandomJunkCaptures) {
       frame.data[13] = std::byte{0x00};
       frame.data[14] = std::byte{0x45};
       if (frame.captured >= 24 && i % 4 == 0)
-        frame.data[23] = std::byte{i % 8 == 0 ? 6 : 17};  // TCP / UDP
+        frame.data[23] = i % 8 == 0 ? std::byte{6} : std::byte{17};  // TCP / UDP
     }
     expect_same(frame, "junk");
   }

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "store/crc32c.hpp"
-#include "store/store_fault.hpp"
+#include "support/store_fault.hpp"
 
 namespace ixp::store {
 namespace {

@@ -28,7 +28,7 @@
 #include "gen/workload.hpp"
 #include "ingest/ingest_source.hpp"
 #include "store/snapshot_codec.hpp"
-#include "store/store_fault.hpp"
+#include "support/store_fault.hpp"
 
 namespace ixp::store {
 namespace {

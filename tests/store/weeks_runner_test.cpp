@@ -29,7 +29,7 @@
 #include "store/crc32c.hpp"
 #include "store/snapshot_codec.hpp"
 #include "store/snapshot_store.hpp"
-#include "store/store_fault.hpp"
+#include "support/store_fault.hpp"
 
 namespace ixp::store {
 namespace {
