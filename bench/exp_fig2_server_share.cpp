@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "exp_common.hpp"
-#include "util/stats.hpp"
+#include "stats.hpp"
 
 int main(int argc, char** argv) {
   using namespace ixp;

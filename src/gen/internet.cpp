@@ -5,6 +5,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/background_task.hpp"
+#include "util/flat_hash_map.hpp"
+
 namespace ixp::gen {
 
 namespace {
@@ -18,6 +21,20 @@ bool reserved_slash8(std::uint32_t top_octet) {
 
 geo::CountryCode cc(const char* code) { return *geo::CountryCode::parse(code); }
 
+/// Prefixes in `prefixes`, each counted once: what a table of them holds.
+/// Address allocation wraps around once the unreserved space runs out,
+/// so a prefix can be allocated twice. Sizing a table by the distinct
+/// count keeps its exact-match index at the capacity it would have grown
+/// to, not the next power of two.
+std::size_t distinct_prefix_count(const std::vector<PrefixRecord>& prefixes) {
+  util::FlatHashMap<net::Ipv4Prefix, bool> seen;
+  seen.reserve(prefixes.size());
+  std::size_t distinct = 0;
+  for (const PrefixRecord& p : prefixes)
+    distinct += seen.try_emplace(p.prefix, true).second ? 1 : 0;
+  return distinct;
+}
+
 }  // namespace
 
 InternetModel::InternetModel(const ScaleConfig& cfg) : cfg_(cfg) {
@@ -27,11 +44,33 @@ InternetModel::InternetModel(const ScaleConfig& cfg) : cfg_(cfg) {
     throw std::invalid_argument{"InternetModel: need >= 1 prefix per AS"};
   util::Rng rng{cfg_.seed};
   build_ases_and_prefixes(rng);
+
+  // The routing and geo tables are filled on two helper threads while the
+  // remaining phases run here. The fills draw no random numbers, no later
+  // phase reads either table, and prefixes_ and each AS's asn/country are
+  // not written again, so they are read in place. Each table sees the
+  // prefixes in prefixes() order, as a serial fill would: every payload
+  // index, route_index and routes() is the same. The pools are reserved
+  // here, so the helpers allocate nothing; both are joined before the
+  // constructor returns or throws.
+  const std::size_t distinct = distinct_prefix_count(prefixes_);
+  routing_.reserve(distinct);
+  geo_.reserve(distinct);
+  util::BackgroundTask routing_fill{[this] {
+    for (const PrefixRecord& p : prefixes_)
+      routing_.announce(p.prefix, ases_[p.as_index].asn);
+  }};
+  util::BackgroundTask geo_fill{[this] {
+    for (const PrefixRecord& p : prefixes_)
+      geo_.assign(p.prefix, ases_[p.as_index].country);
+  }};
   build_topology(rng);
   build_orgs_and_servers(rng);
   build_dns_and_certs(rng);
   build_sites(rng);
   build_resolvers(rng);
+  routing_fill.join();
+  geo_fill.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -274,8 +313,6 @@ void InternetModel::build_ases_and_prefixes(util::Rng& rng) {
     for (std::uint32_t p = 0; p < as.prefix_count; ++p) {
       const net::Ipv4Prefix prefix = allocate(prefix_length_for(as.role));
       prefixes_.push_back(PrefixRecord{prefix, as_index});
-      routing_.announce(prefix, as.asn);
-      geo_.assign(prefix, as.country);
       as_capacity_[as_index] += prefix.size() - 2;
     }
   }

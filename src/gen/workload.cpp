@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 
+#include "util/background_task.hpp"
 #include "util/zipf.hpp"
 
 namespace ixp::gen {
@@ -186,7 +189,124 @@ struct Workload::ActiveSet {
   std::vector<std::uint32_t> dual_initiators;
 };
 
+/// The hand-off between generate_week's producer thread and the calling
+/// thread: a fixed ring of kRingBatches batches of kRingBatchSamples
+/// samples, allocated by the caller. The producer builds each sample in
+/// place in slot() and commit()s it; a full batch is handed over, and the
+/// producer blocks while every batch is handed over and not yet
+/// delivered. The caller's drain() delivers whole batches in order.
+/// stop(), from either side, ends the run: the producer's next hand-off
+/// throws Stopped, and drain() returns.
+class Workload::SampleRing {
+ public:
+  /// Thrown in the producer once the caller has stopped.
+  struct Stopped {};
+
+  /// Every slot starts as `blank`; the producer overwrites the fields
+  /// that vary per sample.
+  explicit SampleRing(const sflow::FlowSample& blank)
+      : slots_(kRingBatches * kRingBatchSamples, blank) {}
+
+  // --- producer side --------------------------------------------------------
+  /// The slot the next sample is built in.
+  [[nodiscard]] sflow::FlowSample& slot() noexcept {
+    return slots_[(produced_ % kRingBatches) * kRingBatchSamples + fill_];
+  }
+
+  /// Commits slot(); hands the batch over when it is full.
+  void commit() {
+    if (++fill_ < kRingBatchSamples) return;
+    std::unique_lock lock{mutex_};
+    publish();
+    wake_.wait(lock, [&] {
+      return produced_ - consumed_ < kRingBatches || stopped_;
+    });
+    if (stopped_) throw Stopped{};
+  }
+
+  /// Hands over the last, partial batch and ends the stream.
+  void finish() {
+    const std::lock_guard lock{mutex_};
+    if (fill_ > 0) publish();
+    done_ = true;
+    wake_.notify_all();
+  }
+
+  // --- either side ----------------------------------------------------------
+  void stop() noexcept {
+    const std::lock_guard lock{mutex_};
+    stopped_ = true;
+    wake_.notify_all();
+  }
+
+  // --- caller side ----------------------------------------------------------
+  /// Calls `sink` on every sample, in order, until the stream ends or
+  /// either side stops it.
+  void drain(const SampleSink& sink) {
+    for (std::size_t next = 0;; ++next) {
+      std::size_t size = 0;
+      {
+        std::unique_lock lock{mutex_};
+        wake_.wait(lock, [&] { return produced_ > next || done_ || stopped_; });
+        if (stopped_ || produced_ == next) return;
+        size = sizes_[next % kRingBatches];
+      }
+      const sflow::FlowSample* batch =
+          &slots_[(next % kRingBatches) * kRingBatchSamples];
+      for (std::size_t i = 0; i < size; ++i) sink(batch[i]);
+      const std::lock_guard lock{mutex_};
+      consumed_ = next + 1;
+      wake_.notify_all();
+    }
+  }
+
+ private:
+  /// Hands over the batch being filled. Requires mutex_.
+  void publish() {
+    sizes_[produced_ % kRingBatches] = fill_;
+    ++produced_;
+    fill_ = 0;
+    wake_.notify_all();
+  }
+
+  std::vector<sflow::FlowSample> slots_;
+  std::size_t fill_ = 0;  // producer only: samples in the batch being filled
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  // Guarded by mutex_. produced_ is written only by the producer, which
+  // also reads it unlocked.
+  std::size_t sizes_[kRingBatches] = {};
+  std::size_t produced_ = 0;  // batches handed over
+  std::size_t consumed_ = 0;  // batches delivered
+  bool done_ = false;
+  bool stopped_ = false;
+};
+
 WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
+  sflow::FlowSample blank;
+  blank.sampling_rate = sflow::kPaperSamplingRate;
+  SampleRing ring{blank};
+  WeeklyTruth truth;
+  util::BackgroundTask producer{[&] {
+    try {
+      truth = draw_week(week, ring);
+      ring.finish();
+    } catch (...) {
+      ring.stop();
+      throw;
+    }
+  }};
+  try {
+    ring.drain(sink);
+  } catch (...) {
+    ring.stop();  // the producer's destructor-join follows
+    throw;
+  }
+  producer.join();
+  return truth;
+}
+
+WeeklyTruth Workload::draw_week(int week, SampleRing& ring) const {
   const InternetModel& model = *model_;
   const ScaleConfig& cfg = model.config();
   util::Rng rng = util::Rng{cfg.seed}.fork(0x3ee4 + static_cast<std::uint64_t>(week));
@@ -222,15 +342,17 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
   }
   const util::WeightedSampler server_sampler{active.weights};
 
-  // --- sample emission helpers ----------------------------------------------
-  // Each section builds its frame straight into `sample.frame`.
-  sflow::FlowSample sample;
-  sample.sampling_rate = sflow::kPaperSamplingRate;
+  // --- sample emission -------------------------------------------------------
+  // Each sample is written into its ring slot; the slot already carries
+  // the sampling rate.
   std::uint32_t sequence = 0;
-  const auto emit = [&](std::uint32_t ingress_port) {
+  const auto emit = [&](const sflow::SampledFrame& frame,
+                        std::uint32_t ingress_port) {
+    sflow::FlowSample& sample = ring.slot();
     sample.sequence = sequence++;
     sample.source_port = ingress_port;
-    sink(sample);
+    sample.frame = frame;
+    ring.commit();
     ++truth.total_samples;
   };
 
@@ -364,13 +486,13 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
     payload_total = std::max(payload_total, payload_len);
     spec.frame_length = wire_len;
 
-    sample.frame =
-        sflow::build_tcp_frame(spec, as_bytes(payload, payload_len),
-                               payload_total,
-                               sflow::TcpHeader::kAck | sflow::TcpHeader::kPsh);
-    emit(src_entry.port);
+    emit(sflow::build_tcp_frame(
+             spec, as_bytes(payload, payload_len), payload_total,
+             sflow::TcpHeader::kAck | sflow::TcpHeader::kPsh),
+         src_entry.port);
 
-    const double bytes = static_cast<double>(wire_len) * sample.sampling_rate;
+    const double bytes =
+        static_cast<double>(wire_len) * sflow::kPaperSamplingRate;
     truth.peering_bytes += bytes;
     truth.tcp_bytes += bytes;
     truth.server_bytes += bytes;
@@ -402,11 +524,12 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
     spec.frame_length = wire_len;
     const std::size_t l4_header = udp ? 8u : 20u;
     const std::size_t payload_total = wire_len - 34 - l4_header;
-    sample.frame = udp ? sflow::build_udp_frame(spec, {}, payload_total)
-                       : sflow::build_tcp_frame(spec, {}, payload_total);
-    emit(ports[src_as].port);
+    emit(udp ? sflow::build_udp_frame(spec, {}, payload_total)
+             : sflow::build_tcp_frame(spec, {}, payload_total),
+         ports[src_as].port);
 
-    const double bytes = static_cast<double>(wire_len) * sample.sampling_rate;
+    const double bytes =
+        static_cast<double>(wire_len) * sflow::kPaperSamplingRate;
     truth.peering_bytes += bytes;
     (udp ? truth.udp_bytes : truth.tcp_bytes) += bytes;
     ++truth.peering_samples;
@@ -429,8 +552,8 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
         rng.next_bool(0.8) ? sflow::IpProto::kIcmp
                            : (rng.next_bool(0.5) ? sflow::IpProto::kGre
                                                  : sflow::IpProto::kEsp);
-    sample.frame = sflow::build_ipv4_frame(spec, proto, 80 + rng.next_below(1100));
-    emit(ports[src_as].port);
+    emit(sflow::build_ipv4_frame(spec, proto, 80 + rng.next_below(1100)),
+         ports[src_as].port);
     truth.non_tcp_udp_samples += 1;
   }
 
@@ -446,9 +569,9 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
   for (std::uint64_t i = 0; i < non_ipv4_n; ++i) {
     const sflow::EtherType type = rng.next_bool(0.93) ? sflow::EtherType::kIpv6
                                                       : sflow::EtherType::kArp;
-    sample.frame = sflow::build_other_frame(member_mac(), member_mac(), type,
-                                            80 + rng.next_below(1200));
-    emit(0);
+    emit(sflow::build_other_frame(member_mac(), member_mac(), type,
+                                  80 + rng.next_below(1200)),
+         0);
     truth.non_ipv4_samples += 1;
   }
 
@@ -473,8 +596,7 @@ WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
       spec.dst_mac = member_mac();
     }
     spec.frame_length = static_cast<std::uint16_t>(100 + rng.next_below(1200));
-    sample.frame = sflow::build_tcp_frame(spec, {}, 40);
-    emit(0);
+    emit(sflow::build_tcp_frame(spec, {}, 40), 0);
     truth.non_member_or_local_samples += 1;
   }
 

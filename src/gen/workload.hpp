@@ -9,7 +9,8 @@
 // estimator would treat it.
 //
 // Generation is deterministic per (model seed, week): re-generating a week
-// produces the identical stream.
+// produces the identical stream. The draws run on a producer thread of
+// their own while the calling thread runs the sink (DESIGN.md §9.4).
 #pragma once
 
 #include <functional>
@@ -23,8 +24,14 @@
 
 namespace ixp::gen {
 
-/// Receives every generated sample. The FlowSample reference is only
-/// valid during the call (the workload reuses its buffers).
+/// Receives every generated sample. generate_week calls it on the calling
+/// thread, once per sample, in stream order (strictly increasing
+/// `sequence`), never concurrently with itself. The FlowSample reference
+/// is only valid during the call (the workload reuses its buffers). If
+/// the sink throws, generation stops and the exception reaches the
+/// caller. Every helper thread is joined before generate_week returns or
+/// throws, so nothing of it is running when, say, core::ProcessPool
+/// forks afterwards.
 using SampleSink = std::function<void(const sflow::FlowSample&)>;
 
 /// Ground truth accompanying one generated week, for validating what the
@@ -47,9 +54,17 @@ struct WeeklyTruth {
 
 class Workload {
  public:
+  /// generate_week's hand-off ring: kRingBatches batches of
+  /// kRingBatchSamples samples, about 0.6 MB.
+  static constexpr std::size_t kRingBatches = 4;
+  static constexpr std::size_t kRingBatchSamples = 1024;
+
   explicit Workload(const InternetModel& model);
 
-  /// Generates the full sample stream of `week` into `sink`.
+  /// Generates the full sample stream of `week` into `sink`. The draws run
+  /// on a producer thread that fills a fixed ring of sample batches; the
+  /// calling thread delivers them to `sink`. An exception on either side
+  /// stops the other and is rethrown here.
   WeeklyTruth generate_week(int week, const SampleSink& sink) const;
 
   /// Indices of servers that are visible and active in `week`.
@@ -59,6 +74,11 @@ class Workload {
 
  private:
   struct ActiveSet;
+  class SampleRing;
+
+  /// The producer half of generate_week: draws the stream of `week` into
+  /// `ring` and returns its truth.
+  WeeklyTruth draw_week(int week, SampleRing& ring) const;
 
   /// Where traffic enters the fabric: the port MAC a frame carries as its
   /// source and the switch port its sample is exported from (0 when the

@@ -25,6 +25,9 @@ class GeoDatabase {
   /// Registers a prefix's country (overwrites on re-registration).
   void assign(net::Ipv4Prefix prefix, CountryCode country);
 
+  /// Sizes the table for `expected` prefixes (FlatLpm::reserve).
+  void reserve(std::size_t expected) { lpm_.reserve(expected); }
+
   /// Country of the most specific covering prefix, or nullopt.
   [[nodiscard]] std::optional<CountryCode> country_of(net::Ipv4Addr addr) const;
 

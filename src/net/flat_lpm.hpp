@@ -31,8 +31,15 @@
 // which the table decides by consulting the matched prefix's stored
 // length — the classic DIR-24-8 update rule. Re-inserting an existing
 // prefix overwrites its payload in place and touches no table entries.
-// reserve() pre-sizes the payload pools from a prefix-count hint so a
-// RouteViews-sized build does not grow vectors hundreds of times.
+// reserve() allocates the top array and the cache and pre-sizes the
+// payload pools from a prefix-count hint, so a RouteViews-sized build
+// does not grow vectors hundreds of times, and a fill run on another
+// thread allocates nothing while the hint holds.
+//
+// Entry encoding: a table entry holds payload index i as i + 1, so "no
+// match" is the zero entry. The top array is never filled: its mapping
+// comes zeroed, and the 4 KiB pages (or 2 MiB regions) no prefix covers
+// are never written and never become resident.
 //
 // Thread model: identical to PrefixTrie — concurrent lookups are safe
 // (the result cache is atomic), inserts require exclusive access.
@@ -62,24 +69,24 @@ class FlatLpm {
  public:
   FlatLpm() = default;
 
-  /// Pre-sizes the pools for `expected` prefixes: payloads, prefixes,
-  /// the exact-match index, and the spill pool (routing-table mixes put
-  /// ~5% of prefixes at /25–/32; each can fan a fresh /24 slot into a
-  /// 256-entry block, and nearly all land in distinct slots).
+  /// Allocates the top array and the result cache, and pre-sizes the
+  /// pools for `expected` distinct prefixes: payloads, prefixes and the
+  /// exact-match index. The spill pool still grows on demand: how many
+  /// /25–/32 prefixes a table holds does not follow from its size (a
+  /// RouteViews mix has ~5%, the synthetic Internet none), and a guessed
+  /// reservation that is never touched still becomes a heap hole, which
+  /// later allocations do touch, once the table is freed.
   void reserve(std::size_t expected) {
+    allocate_top();
     values_.reserve(expected);
     prefixes_.reserve(expected);
     exact_.reserve(expected);
-    spill_.reserve(expected / 16 * kSpillEntries);
   }
 
   /// Inserts or overwrites the payload at `prefix`. First insert
   /// allocates the 64 MiB top array; an empty table costs nothing.
   void insert(Ipv4Prefix prefix, T value) {
-    if (top_.empty()) {
-      top_ = util::HugeArray<std::uint32_t>(kTopSlots, kNoMatch);
-      cache_.reset(new std::atomic<std::uint64_t>[kCacheSlots]());
-    }
+    allocate_top();
     invalidate_cache();
 
     const auto exact = exact_.find(prefix);
@@ -90,6 +97,7 @@ class FlatLpm {
       return;
     }
     const auto index = static_cast<std::uint32_t>(values_.size());
+    const std::uint32_t encoded = index + 1;
     values_.push_back(std::move(value));
     prefixes_.push_back(prefix);
     exact_.try_emplace(prefix, index);
@@ -110,10 +118,10 @@ class FlatLpm {
               static_cast<std::size_t>(entry & ~kSpillBit) << 8;
           for (std::size_t i = 0; i < kSpillEntries; ++i) {
             std::uint32_t& spilled = spill_[base + i];
-            if (covers(spilled, len)) spilled = index;
+            if (covers(spilled, len)) spilled = encoded;
           }
         } else if (covers(entry, len)) {
-          entry = index;
+          entry = encoded;
         }
       }
     } else {
@@ -132,7 +140,7 @@ class FlatLpm {
       const std::uint32_t count = 1u << (32 - len);
       for (std::uint32_t i = first; i < first + count; ++i) {
         std::uint32_t& spilled = spill_[base + i];
-        if (covers(spilled, len)) spilled = index;
+        if (covers(spilled, len)) spilled = encoded;
       }
     }
   }
@@ -141,8 +149,7 @@ class FlatLpm {
   /// back to one top-array load plus one spill load when the /24 slot
   /// holds any more-specific route. Stable until the next insert.
   [[nodiscard]] const T* lookup_ptr(Ipv4Addr addr) const noexcept {
-    const std::uint32_t entry = cached_slot_of(addr);
-    return entry == kNoMatch ? nullptr : &values_[entry];
+    return payload(cached_slot_of(addr));
   }
 
   [[nodiscard]] std::optional<T> lookup(Ipv4Addr addr) const {
@@ -155,7 +162,7 @@ class FlatLpm {
       Ipv4Addr addr) const {
     const std::uint32_t entry = cached_slot_of(addr);
     if (entry == kNoMatch) return std::nullopt;
-    return std::pair<Ipv4Prefix, T>{prefixes_[entry], values_[entry]};
+    return std::pair<Ipv4Prefix, T>{prefixes_[entry - 1], values_[entry - 1]};
   }
 
   /// Exact-match lookup of a stored prefix.
@@ -249,9 +256,9 @@ class FlatLpm {
  private:
   static constexpr std::size_t kTopSlots = 1u << 24;
   static constexpr std::size_t kSpillEntries = 256;
-  /// Entry encoding: kNoMatch = no covering prefix; high bit set = spill
-  /// block index (top array only); otherwise a payload index.
-  static constexpr std::uint32_t kNoMatch = 0x7FFFFFFFu;
+  /// Entry encoding: kNoMatch (zero) = no covering prefix; high bit set =
+  /// spill block index (top array only); otherwise payload index + 1.
+  static constexpr std::uint32_t kNoMatch = 0;
   static constexpr std::uint32_t kSpillBit = 0x80000000u;
 
   // Result cache: direct-mapped, 2^15 slots, one 64-bit word each —
@@ -270,7 +277,20 @@ class FlatLpm {
   /// — exact re-inserts short-circuit in insert().)
   [[nodiscard]] bool covers(std::uint32_t entry,
                             std::uint8_t len) const noexcept {
-    return entry == kNoMatch || prefixes_[entry].length() <= len;
+    return entry == kNoMatch || prefixes_[entry - 1].length() <= len;
+  }
+
+  /// The payload a resolved (non-spill) entry points at, or nullptr.
+  [[nodiscard]] const T* payload(std::uint32_t entry) const noexcept {
+    return entry == kNoMatch ? nullptr : &values_[entry - 1];
+  }
+
+  /// The 64 MiB top array and the result cache, on first use. The top
+  /// array's pages come zeroed (kNoMatch), so nothing is written here.
+  void allocate_top() {
+    if (!top_.empty()) return;
+    top_ = util::HugeArray<std::uint32_t>(kTopSlots, kNoMatch);
+    cache_.reset(new std::atomic<std::uint64_t>[kCacheSlots]());
   }
 
   [[nodiscard]] static std::size_t cache_slot(std::uint32_t addr) noexcept {
@@ -278,13 +298,15 @@ class FlatLpm {
         (addr * 0x9e3779b97f4a7c15ULL) >> (64 - kCacheBits));
   }
 
-  /// Writes one cache word. Callers that fill in bulk mark the cache
-  /// touched once via mark_touched() instead of per word.
+  /// Writes one cache word for a resolved table entry; the cache holds
+  /// the payload index itself (kCacheNoMatch for none). Callers that
+  /// fill in bulk mark the cache touched once via mark_touched() instead
+  /// of per word.
   void cache_fill(std::uint32_t addr, std::uint32_t entry) const noexcept {
     const std::uint64_t packed =
         (static_cast<std::uint64_t>(addr) << 32) |
         (static_cast<std::uint64_t>(cache_epoch_) << 24) |
-        (entry == kNoMatch ? kCacheNoMatch : entry);
+        (entry == kNoMatch ? kCacheNoMatch : entry - 1);
     cache_[cache_slot(addr)].store(packed, std::memory_order_relaxed);
   }
 
@@ -329,9 +351,9 @@ class FlatLpm {
         cache_[cache_slot(addr)].load(std::memory_order_relaxed);
     if ((word >> 32) == addr &&
         static_cast<std::uint8_t>(word >> 24) == cache_epoch_) {
-      const std::uint32_t entry =
+      const std::uint32_t index =
           static_cast<std::uint32_t>(word) & kCacheNoMatch;
-      return entry == kCacheNoMatch ? kNoMatch : entry;
+      return index == kCacheNoMatch ? kNoMatch : index + 1;
     }
     return slot_of(a);
   }
@@ -370,7 +392,7 @@ class FlatLpm {
       if (entry & kSpillBit)
         entry = spill_[(static_cast<std::size_t>(entry & ~kSpillBit) << 8) |
                        (addrs[i].value() & 0xFFu)];
-      out[i] = entry == kNoMatch ? nullptr : &values_[entry];
+      out[i] = payload(entry);
     }
   }
 
@@ -417,7 +439,7 @@ class FlatLpm {
       if (entry & kSpillBit)
         entry = spill_[(static_cast<std::size_t>(entry & ~kSpillBit) << 8) |
                        (addr & 0xFFu)];
-      out[at] = entry == kNoMatch ? nullptr : &values_[entry];
+      out[at] = payload(entry);
       cache_fill(addr, entry);
     }
   }

@@ -31,6 +31,9 @@ class RoutingTable {
   /// (the synthetic Internet has no MOAS conflicts).
   void announce(Ipv4Prefix prefix, Asn origin);
 
+  /// Sizes the table for `expected` announcements (FlatLpm::reserve).
+  void reserve(std::size_t expected) { lpm_.reserve(expected); }
+
   /// Origin AS of the most specific prefix covering `addr`.
   [[nodiscard]] std::optional<Asn> origin_of(Ipv4Addr addr) const;
 

@@ -22,9 +22,11 @@
 // exercised on machines where huge pages succeed.
 //
 // T must be trivially copyable and trivially destructible: the storage
-// is raw pages, constructed by fill, never destructed element-wise.
+// is raw pages, constructed by fill (or left as the kernel's zero pages
+// when the fill is all-zero bytes), never destructed element-wise.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -97,9 +99,12 @@ class HugeArray {
  public:
   HugeArray() = default;
 
-  /// Allocates `count` elements, every one set to `fill`.
+  /// Allocates `count` elements, every one set to `fill`. An all-zero
+  /// `fill` on an mmap backing writes nothing: fresh anonymous pages
+  /// read as zero, and pages never written never become resident.
   HugeArray(std::size_t count, const T& fill)
       : buffer_(count * sizeof(T)), count_(count) {
+    if (backing() != PageBacking::kHeap && all_zero(fill)) return;
     T* out = data();
     for (std::size_t i = 0; i < count_; ++i) out[i] = fill;
   }
@@ -131,6 +136,12 @@ class HugeArray {
   }
 
  private:
+  [[nodiscard]] static bool all_zero(const T& value) noexcept {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&value);
+    return std::all_of(bytes, bytes + sizeof(T),
+                       [](unsigned char b) { return b == 0; });
+  }
+
   HugeBuffer buffer_;
   std::size_t count_ = 0;
 };

@@ -2,11 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <string_view>
 #include <unordered_set>
 
 #include "gen/isp_observer.hpp"
-#include "util/fnv.hpp"
+#include "stream_pins.hpp"
 
 namespace ixp::gen {
 namespace {
@@ -108,22 +107,6 @@ TEST(Workload, SamplingRateIsPaperRate) {
   EXPECT_TRUE(checked);
 }
 
-/// FNV-1a over every emitted sample's wire fields, in stream order.
-std::uint64_t stream_hash(const Workload& w, int week) {
-  util::Fnv1a hash;
-  (void)w.generate_week(week, [&](const sflow::FlowSample& s) {
-    hash.mix(std::uint64_t{s.sequence});
-    hash.mix(std::uint64_t{s.source_port});
-    hash.mix(std::uint64_t{s.sampling_rate});
-    hash.mix(std::uint64_t{s.frame.frame_length});
-    hash.mix(std::uint64_t{s.frame.captured});
-    const auto bytes = s.frame.bytes();
-    hash.mix(std::string_view{reinterpret_cast<const char*>(bytes.data()),
-                              bytes.size()});
-  });
-  return hash.value();
-}
-
 // The generated stream is a contract: the lookup tables behind the draws
 // may change, the bytes may not. These hashes were computed on the
 // generator as it stood before its per-week entry-port table, client
@@ -131,22 +114,12 @@ std::uint64_t stream_hash(const Workload& w, int week) {
 // the member joins, so they cover ASes whose entry member has not joined
 // yet and falls back to a transit port.
 TEST(Workload, StreamBytesPinned) {
-  struct Pin {
-    std::uint64_t seed;
-    int week;
-    std::uint64_t hash;
-  };
-  constexpr Pin kPins[] = {
-      {1, 35, 0x6546c1be017471b2ull}, {1, 45, 0x67cda3ea849489e8ull},
-      {1, 51, 0x8b2c38c0de235812ull}, {7, 35, 0x784e0b20bdd4c29bull},
-      {7, 45, 0x0a31c845a93afea5ull}, {7, 51, 0x1483e65c5377c069ull},
-  };
   for (const std::uint64_t seed : {1ull, 7ull}) {
     ScaleConfig cfg = ScaleConfig::test();
     cfg.seed = seed;
     const InternetModel m{cfg};
     const Workload w{m};
-    for (const Pin& pin : kPins) {
+    for (const StreamPin& pin : kStreamPins) {
       if (pin.seed != seed) continue;
       EXPECT_EQ(stream_hash(w, pin.week), pin.hash)
           << "seed " << pin.seed << " week " << pin.week;

@@ -2,8 +2,15 @@
 // every downgrade step must come back usable and report what it got.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
+#include <vector>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 #include "util/huge_array.hpp"
 
@@ -47,6 +54,32 @@ TEST(HugeArray, ForcedSmallPagesTakesThePlainMapping) {
   force_small_pages(false);
   EXPECT_FALSE(small_pages_forced());
 }
+
+#if defined(__linux__)
+TEST(HugeArray, ZeroFillWritesNoPage) {
+  // An all-zero fill is left to the kernel's zeroed pages: none of them
+  // is resident until written (net::FlatLpm's "no match" entry is zero).
+  force_small_pages(true);
+  {
+    const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    HugeArray<std::uint32_t> arr(std::size_t{1} << 20, 0u);
+    ASSERT_EQ(arr.backing(), PageBacking::kSmall) << to_string(arr.backing());
+    const std::size_t pages = arr.size() * sizeof(std::uint32_t) / page;
+    std::vector<unsigned char> resident(pages);
+    const auto count_resident = [&] {
+      EXPECT_EQ(::mincore(arr.data(), pages * page, resident.data()), 0);
+      return std::count_if(resident.begin(), resident.end(),
+                           [](unsigned char r) { return (r & 1) != 0; });
+    };
+    EXPECT_EQ(count_resident(), 0);
+    arr[page / sizeof(std::uint32_t) * 3] = 1;
+    EXPECT_EQ(count_resident(), 1);
+    for (std::size_t i = 0; i < arr.size(); i += 1021)
+      EXPECT_EQ(arr[i], i == page / sizeof(std::uint32_t) * 3 ? 1u : 0u) << i;
+  }
+  force_small_pages(false);
+}
+#endif
 
 TEST(HugeArray, MoveTransfersBackingAndContents) {
   HugeArray<std::uint32_t> a(1024, 5u);
