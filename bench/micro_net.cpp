@@ -14,8 +14,8 @@
 
 #include "bench_json.hpp"
 #include "net/flat_lpm.hpp"
-#include "net/prefix_trie.hpp"
 #include "net/routing_table.hpp"
+#include "support/prefix_trie.hpp"
 #include "util/rng.hpp"
 
 namespace {

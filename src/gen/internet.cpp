@@ -45,32 +45,39 @@ InternetModel::InternetModel(const ScaleConfig& cfg) : cfg_(cfg) {
   util::Rng rng{cfg_.seed};
   build_ases_and_prefixes(rng);
 
-  // The routing and geo tables are filled on two helper threads while the
-  // remaining phases run here. The fills draw no random numbers, no later
-  // phase reads either table, and prefixes_ and each AS's asn/country are
-  // not written again, so they are read in place. Each table sees the
-  // prefixes in prefixes() order, as a serial fill would: every payload
-  // index, route_index and routes() is the same. The pools are reserved
-  // here, so the helpers allocate nothing; both are joined before the
-  // constructor returns or throws.
+  // The routing table is filled on a helper thread while the remaining
+  // phases run here. The fill draws no random numbers, no later phase
+  // reads the table, and prefixes_ and each AS's asn/country are not
+  // written again, so they are read in place. It announces the prefixes
+  // in prefixes() order, as a serial fill would: every route index,
+  // route_index and routes() is the same. The geo table needs no fill of
+  // its own: it holds the same prefixes in the same order, so it is
+  // built over the routing table's index with one country per route
+  // index, the last assignment winning as a re-assign() would. The pools
+  // are reserved here, so the helper allocates nothing; it is joined
+  // before the constructor returns or throws.
   const std::size_t distinct = distinct_prefix_count(prefixes_);
   routing_.reserve(distinct);
-  geo_.reserve(distinct);
-  util::BackgroundTask routing_fill{[this] {
-    for (const PrefixRecord& p : prefixes_)
-      routing_.announce(p.prefix, ases_[p.as_index].asn);
-  }};
-  util::BackgroundTask geo_fill{[this] {
-    for (const PrefixRecord& p : prefixes_)
-      geo_.assign(p.prefix, ases_[p.as_index].country);
+  std::vector<geo::CountryCode> countries;
+  countries.reserve(distinct);
+  util::BackgroundTask fill{[this, &countries] {
+    for (const PrefixRecord& p : prefixes_) {
+      const AsRecord& as = ases_[p.as_index];
+      const std::size_t route = routing_.announce(p.prefix, as.asn);
+      if (route == countries.size()) {
+        countries.push_back(as.country);
+      } else {
+        countries[route] = as.country;
+      }
+    }
   }};
   build_topology(rng);
   build_orgs_and_servers(rng);
   build_dns_and_certs(rng);
   build_sites(rng);
   build_resolvers(rng);
-  routing_fill.join();
-  geo_fill.join();
+  fill.join();
+  geo_ = geo::GeoDatabase{routing_, std::move(countries)};
 }
 
 // ---------------------------------------------------------------------------

@@ -7,26 +7,39 @@
 //
 // Backed by the same net::FlatLpm (DIR-24-8) as the routing table, so
 // country attribution costs one or two array loads per address rather
-// than a second trie walk per sample.
+// than a second trie walk per sample. The model's database holds no
+// index of its own: it is built over the routing table's, with one
+// country per route index (DESIGN.md §11.1). A database filled by
+// assign() keeps its own index and runs the same lookup code.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "geo/country.hpp"
 #include "net/flat_lpm.hpp"
 #include "net/ipv4.hpp"
+#include "net/routing_table.hpp"
 
 namespace ixp::geo {
 
 class GeoDatabase {
  public:
-  /// Registers a prefix's country (overwrites on re-registration).
-  void assign(net::Ipv4Prefix prefix, CountryCode country);
+  GeoDatabase() = default;
 
-  /// Sizes the table for `expected` prefixes (FlatLpm::reserve).
-  void reserve(std::size_t expected) { lpm_.reserve(expected); }
+  /// A database over `routing`'s prefix index: `by_route[i]` is the
+  /// country of route index i. Both tables are read-only from here on.
+  /// Throws std::invalid_argument unless there is one country per route.
+  GeoDatabase(const net::RoutingTable& routing,
+              std::vector<CountryCode> by_route)
+      : lpm_(routing.lpm(), std::move(by_route)) {}
+
+  /// Registers a prefix's country (overwrites on re-registration).
+  /// Throws std::logic_error when the prefix index is shared.
+  void assign(net::Ipv4Prefix prefix, CountryCode country);
 
   /// Country of the most specific covering prefix, or nullopt.
   [[nodiscard]] std::optional<CountryCode> country_of(net::Ipv4Addr addr) const;
@@ -49,6 +62,11 @@ class GeoDatabase {
 
   [[nodiscard]] std::size_t prefix_count() const noexcept {
     return lpm_.size();
+  }
+
+  /// The underlying table (to check which prefix index it answers from).
+  [[nodiscard]] const net::FlatLpm<CountryCode>& lpm() const noexcept {
+    return lpm_;
   }
 
  private:

@@ -2,8 +2,8 @@
 
 namespace ixp::net {
 
-void RoutingTable::announce(Ipv4Prefix prefix, Asn origin) {
-  lpm_.insert(prefix, Route{prefix, origin});
+std::size_t RoutingTable::announce(Ipv4Prefix prefix, Asn origin) {
+  return lpm_.insert(prefix, Route{prefix, origin});
 }
 
 std::optional<Asn> RoutingTable::origin_of(Ipv4Addr addr) const {

@@ -6,6 +6,8 @@
 // Lookups ride on net::FlatLpm (DIR-24-8): one or two array loads per
 // address instead of a trie walk. Hot callers should use the pointer
 // and batch forms; the optional-returning forms remain for convenience.
+// Another table (the model's geo database) can be built over this
+// table's prefix index; both are read-only from then on.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +29,11 @@ struct Route {
 /// Longest-prefix-match table of routed prefixes -> origin ASN.
 class RoutingTable {
  public:
-  /// Announces a prefix. A re-announcement overwrites the origin
-  /// (the synthetic Internet has no MOAS conflicts).
-  void announce(Ipv4Prefix prefix, Asn origin);
+  /// Announces a prefix and returns its route index. A re-announcement
+  /// overwrites the origin and keeps the index (the synthetic Internet
+  /// has no MOAS conflicts). Throws std::logic_error once another table
+  /// shares the prefix index.
+  std::size_t announce(Ipv4Prefix prefix, Asn origin);
 
   /// Sizes the table for `expected` announcements (FlatLpm::reserve).
   void reserve(std::size_t expected) { lpm_.reserve(expected); }
@@ -72,6 +76,9 @@ class RoutingTable {
 
   /// All routes in lexicographic prefix order.
   [[nodiscard]] std::vector<Route> routes() const;
+
+  /// The underlying table, for a table built over its prefix index.
+  [[nodiscard]] const FlatLpm<Route>& lpm() const noexcept { return lpm_; }
 
  private:
   FlatLpm<Route> lpm_;

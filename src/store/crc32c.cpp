@@ -1,6 +1,7 @@
 #include "store/crc32c.hpp"
 
 #include <array>
+#include <atomic>
 
 namespace ixp::store {
 
@@ -37,10 +38,13 @@ std::uint32_t load_le32(const std::byte* p) noexcept {
          (std::to_integer<std::uint32_t>(p[3]) << 24);
 }
 
+std::atomic<std::uint64_t> g_bytes{0};
+
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::byte> data,
                      std::uint32_t crc) noexcept {
+  g_bytes.fetch_add(data.size(), std::memory_order_relaxed);
   crc = ~crc;
   const std::byte* p = data.data();
   std::size_t n = data.size();
@@ -59,6 +63,10 @@ std::uint32_t crc32c(std::span<const std::byte> data,
           (crc >> 8);
   }
   return ~crc;
+}
+
+std::uint64_t crc32c_bytes() noexcept {
+  return g_bytes.load(std::memory_order_relaxed);
 }
 
 }  // namespace ixp::store

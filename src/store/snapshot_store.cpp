@@ -58,6 +58,23 @@ bool names_open_file(const std::string& path, int fd) noexcept {
   return ::stat(path.c_str(), &at_path) == 0 && ::fstat(fd, &opened) == 0 &&
          at_path.st_dev == opened.st_dev && at_path.st_ino == opened.st_ino;
 }
+
+/// The stamp of an fstat'ed file.
+FileStamp stamp_of(const struct stat& st) noexcept {
+#if defined(__APPLE__)
+  const struct timespec& mtime = st.st_mtimespec;
+  const struct timespec& ctime = st.st_ctimespec;
+#else
+  const struct timespec& mtime = st.st_mtim;
+  const struct timespec& ctime = st.st_ctim;
+#endif
+  const auto ns = [](const struct timespec& t) {
+    return static_cast<std::int64_t>(t.tv_sec) * 1'000'000'000 + t.tv_nsec;
+  };
+  return {static_cast<std::uint64_t>(st.st_dev),
+          static_cast<std::uint64_t>(st.st_ino),
+          static_cast<std::uint64_t>(st.st_size), ns(mtime), ns(ctime)};
+}
 #endif
 
 /// Per-section checksum. Covers the section's own id and length fields
@@ -147,8 +164,13 @@ std::vector<std::byte> encode_snapshot(std::span<const Section> sections) {
   return out.take();
 }
 
-SnapshotError validate_image(std::span<const std::byte> image,
-                             std::vector<SectionView>* sections_out) {
+namespace {
+
+/// validate_image with the CRCs optional: without them only the magic,
+/// version, seal and section framing are checked.
+SnapshotError check_image(std::span<const std::byte> image,
+                          std::vector<SectionView>* sections_out,
+                          bool checksums) {
   if (image.size() < kSnapshotHeaderBytes + kSnapshotFooterBytes)
     return SnapshotError::kTooShort;
   if (std::memcmp(image.data(), kSnapshotMagic, sizeof kSnapshotMagic) != 0)
@@ -164,8 +186,8 @@ SnapshotError validate_image(std::span<const std::byte> image,
       load_le32(footer + 8) != kFormatVersion ||
       load_le64(footer + 16) != image.size())
     return SnapshotError::kTruncatedSection;
-  if (load_le32(footer + 12) !=
-      crc32c(image.subspan(0, kSnapshotHeaderBytes)))
+  if (checksums && load_le32(footer + 12) !=
+                       crc32c(image.subspan(0, kSnapshotHeaderBytes)))
     return SnapshotError::kBadCrc;
 
   const std::uint32_t section_count = load_le32(image.data() + 12);
@@ -198,7 +220,7 @@ SnapshotError validate_image(std::span<const std::byte> image,
     const std::uint64_t length = load_le64(image.data() + at + 8);
     at += kSectionHeaderBytes;
     if (payload_end - at < length) return SnapshotError::kTruncatedSection;
-    if (section_crc(id, length, image.subspan(at, length)) != crc)
+    if (checksums && section_crc(id, length, image.subspan(at, length)) != crc)
       return SnapshotError::kBadCrc;
     if (sections_out != nullptr)
       sections_out->push_back({id, at, static_cast<std::size_t>(length)});
@@ -206,6 +228,13 @@ SnapshotError validate_image(std::span<const std::byte> image,
   }
   if (at != payload_end) return SnapshotError::kTruncatedSection;
   return SnapshotError::kNone;
+}
+
+}  // namespace
+
+SnapshotError validate_image(std::span<const std::byte> image,
+                             std::vector<SectionView>* sections_out) {
+  return check_image(image, sections_out, /*checksums=*/true);
 }
 
 bool commit_snapshot(const std::string& path,
@@ -362,6 +391,7 @@ SnapshotFile::SnapshotFile(SnapshotFile&& other) noexcept
       mapped_(other.mapped_),
       owned_(std::move(other.owned_)),
       sections_(std::move(other.sections_)),
+      stamp_(other.stamp_),
       error_(other.error_) {
   if (!mapped_ && !owned_.empty()) data_ = owned_.data();
   other.data_ = nullptr;
@@ -378,6 +408,7 @@ SnapshotFile& SnapshotFile::operator=(SnapshotFile&& other) noexcept {
     mapped_ = other.mapped_;
     owned_ = std::move(other.owned_);
     sections_ = std::move(other.sections_);
+    stamp_ = other.stamp_;
     error_ = other.error_;
     if (!mapped_ && !owned_.empty()) data_ = owned_.data();
     other.data_ = nullptr;
@@ -400,10 +431,11 @@ void SnapshotFile::release() noexcept {
   owned_.clear();
   owned_.shrink_to_fit();
   sections_.clear();
+  stamp_ = {};
 }
 
-void SnapshotFile::validate() noexcept {
-  error_ = validate_image({data_, size_}, &sections_);
+void SnapshotFile::validate(bool checksums) noexcept {
+  error_ = check_image({data_, size_}, &sections_, checksums);
   if (!ok()) {
     const SnapshotError error = error_;
     release();
@@ -417,7 +449,8 @@ SnapshotFile SnapshotFile::open(const std::string& path) {
   return file;
 }
 
-bool SnapshotFile::reopen(const std::string& path) {
+bool SnapshotFile::reopen(const std::string& path,
+                          const FileStamp* validated) {
   // Let go of the previous image but keep the scratch: the section table
   // (and the read buffer on the non-mmap path) retain their capacity, so
   // a loop reopening snapshots — the store scan, the merge walk, the
@@ -429,6 +462,7 @@ bool SnapshotFile::reopen(const std::string& path) {
   data_ = nullptr;
   size_ = 0;
   mapped_ = false;
+  stamp_ = {};
   error_ = SnapshotError::kOpenFailed;
 
 #if IXPSCOPE_HAVE_POSIX_IO
@@ -451,7 +485,8 @@ bool SnapshotFile::reopen(const std::string& path) {
     data_ = static_cast<const std::byte*>(map);
     size_ = size;
     mapped_ = true;
-    validate();
+    stamp_ = stamp_of(st);
+    validate(validated == nullptr || !(*validated == stamp_));
     return ok();
   }
   // mmap refused: fall through to the portable read path.
@@ -534,11 +569,13 @@ QuarantineEvent SnapshotStore::quarantine(const std::string& path,
   return event;
 }
 
-SnapshotFile SnapshotStore::load(
-    int week, std::optional<QuarantineEvent>* quarantined) const {
+SnapshotFile SnapshotStore::load(int week,
+                                 std::optional<QuarantineEvent>* quarantined,
+                                 const FileStamp* validated) const {
   if (quarantined != nullptr) quarantined->reset();
   const std::string path = path_for(week);
-  SnapshotFile file = SnapshotFile::open(path);
+  SnapshotFile file;
+  (void)file.reopen(path, validated);
   if (!file.ok() && file.error() != SnapshotError::kOpenFailed) {
     const QuarantineEvent event = quarantine(path, file.error());
     if (quarantined != nullptr) *quarantined = event;
@@ -556,6 +593,7 @@ SnapshotStore::ScanResult SnapshotStore::scan() const {
     return result;
   }
   SnapshotFile file;  // one handle, revalidated per entry (scratch reuse)
+  std::vector<std::pair<int, FileStamp>> valid;
   for (const auto& entry : it) {
     const std::string name = entry.path().filename().string();
     if (name.starts_with("week_") &&
@@ -596,12 +634,19 @@ SnapshotStore::ScanResult SnapshotStore::scan() const {
       continue;
     const std::string path = entry.path().string();
     if (file.reopen(path)) {
-      result.weeks.push_back(week);
+      valid.emplace_back(week, file.stamp());
     } else {
       result.quarantined.push_back(quarantine(path, file.error()));
     }
   }
-  std::sort(result.weeks.begin(), result.weeks.end());
+  std::sort(valid.begin(), valid.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  result.weeks.reserve(valid.size());
+  result.stamps.reserve(valid.size());
+  for (const auto& [week, stamp] : valid) {
+    result.weeks.push_back(week);
+    result.stamps.push_back(stamp);
+  }
   return result;
 }
 

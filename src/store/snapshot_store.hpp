@@ -114,6 +114,21 @@ struct SectionView {
     std::span<const std::byte> image,
     std::vector<SectionView>* sections_out = nullptr);
 
+/// What a snapshot file was when it was opened: device, inode, size and
+/// modification and change times. A file that still carries the stamp it
+/// had when it was validated has not been renamed over or resized since,
+/// nor rewritten in place (to the file system's timestamp granularity),
+/// so its bytes need no second CRC pass.
+struct FileStamp {
+  std::uint64_t device = 0;
+  std::uint64_t inode = 0;
+  std::uint64_t size = 0;
+  std::int64_t mtime_ns = 0;
+  std::int64_t ctime_ns = 0;
+
+  bool operator==(const FileStamp&) const = default;
+};
+
 /// Crash-point instrumentation for commit(): each hook runs at the named
 /// point of the commit protocol and may throw (StoreFaultInjector throws
 /// InjectedCrash) to simulate the process dying right there. Production
@@ -157,8 +172,11 @@ class SnapshotFile {
   /// revalidating in place. Equivalent to `*this = open(path)` but reuses
   /// the section-table (and, on the non-mmap path, the read-buffer)
   /// capacity across opens — the decode-side half of the store bench's
-  /// allocation budget. Returns ok().
-  bool reopen(const std::string& path);
+  /// allocation budget. When `validated` is the stamp of an earlier open
+  /// that validated this file and the mapped file still carries it, only
+  /// the framing is walked: its CRCs were checked then. Returns ok().
+  bool reopen(const std::string& path,
+              const FileStamp* validated = nullptr);
 
   /// Wraps an in-memory image (tests, benchmarks); validates identically.
   [[nodiscard]] static SnapshotFile adopt(std::vector<std::byte> bytes);
@@ -179,15 +197,19 @@ class SnapshotFile {
   }
   [[nodiscard]] bool is_mapped() const noexcept { return mapped_; }
 
+  /// The mapped file's stamp; all zero for an adopted or read image.
+  [[nodiscard]] const FileStamp& stamp() const noexcept { return stamp_; }
+
  private:
   void release() noexcept;
-  void validate() noexcept;
+  void validate(bool checksums = true) noexcept;
 
   const std::byte* data_ = nullptr;
   std::size_t size_ = 0;
   bool mapped_ = false;
   std::vector<std::byte> owned_;
   std::vector<SectionView> sections_;
+  FileStamp stamp_;
   SnapshotError error_ = SnapshotError::kOpenFailed;
 };
 
@@ -223,14 +245,18 @@ class SnapshotStore {
   /// Opens and validates week's snapshot. On any validation failure the
   /// file is quarantined and the event reported through `quarantined`;
   /// the returned file then carries the error. A missing file is plain
-  /// kOpenFailed with no quarantine.
+  /// kOpenFailed with no quarantine. `validated` is the stamp scan()
+  /// recorded for the week: a file that still carries it skips the CRC
+  /// pass (SnapshotFile::reopen).
   [[nodiscard]] SnapshotFile load(
-      int week, std::optional<QuarantineEvent>* quarantined = nullptr) const;
+      int week, std::optional<QuarantineEvent>* quarantined = nullptr,
+      const FileStamp* validated = nullptr) const;
 
   struct ScanResult {
     bool readable = true;    ///< false: the directory itself is unreadable
     std::string error;       ///< diagnostic when !readable
     std::vector<int> weeks;  ///< weeks with a valid snapshot, ascending
+    std::vector<FileStamp> stamps;  ///< by weeks: each file as validated
     std::vector<QuarantineEvent> quarantined;
     std::size_t stale_temps_removed = 0;
   };

@@ -36,8 +36,9 @@ WeeksResult WeeksRunner::run(const WeeksOptions& options,
   result.stale_temps_removed = scan.stale_temps_removed;
 
   for (int week = options.from_week; week <= options.to_week; ++week) {
-    const bool durable = std::binary_search(scan.weeks.begin(),
-                                            scan.weeks.end(), week);
+    const auto at =
+        std::lower_bound(scan.weeks.begin(), scan.weeks.end(), week);
+    const bool durable = at != scan.weeks.end() && *at == week;
     WeekOutcome outcome;
     outcome.week = week;
 
@@ -51,8 +52,11 @@ WeeksResult WeeksRunner::run(const WeeksOptions& options,
     expected.ingest_fingerprint = options.ingest_fingerprint;
 
     if (durable) {
+      // The scan checksummed this file: a file still carrying its stamp
+      // is mapped with the framing walked but no second CRC pass.
       std::optional<QuarantineEvent> quarantined;
-      const SnapshotFile file = store_.load(week, &quarantined);
+      const SnapshotFile file = store_.load(
+          week, &quarantined, &scan.stamps[at - scan.weeks.begin()]);
       if (quarantined) result.quarantined.push_back(*quarantined);
       if (file.ok()) {
         const auto provenance =

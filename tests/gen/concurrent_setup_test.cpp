@@ -1,7 +1,8 @@
-// Set-up runs on up to three threads (DESIGN.md §9.4): InternetModel fills
-// its routing and geo tables on two helpers while the caller builds the
-// rest, and Workload::generate_week draws on a producer thread while the
-// caller runs the sink. These tests hold both to what a single thread
+// Set-up runs on up to two threads beside the caller (DESIGN.md §9.4):
+// InternetModel fills its routing table on a helper while the caller
+// builds the rest, and builds its geo table over the routing table's
+// prefix index; Workload::generate_week draws on a producer thread while
+// the caller runs the sink. These tests hold both to what a single thread
 // produces, and carry the tsan label so ThreadSanitizer watches the
 // hand-offs.
 #include <gtest/gtest.h>
@@ -13,8 +14,7 @@
 
 #include "gen/internet.hpp"
 #include "gen/workload.hpp"
-#include "geo/geo_database.hpp"
-#include "net/routing_table.hpp"
+#include "serial_tables.hpp"
 #include "stream_pins.hpp"
 
 namespace ixp::gen {
@@ -31,40 +31,13 @@ const InternetModel& model() {
 }
 
 TEST(ConcurrentSetup, TablesEqualASerialRebuild) {
-  const InternetModel& m = model();
-  net::RoutingTable routing;
-  geo::GeoDatabase geo;
-  for (const PrefixRecord& p : m.prefixes()) {
-    routing.announce(p.prefix, m.ases()[p.as_index].asn);
-    geo.assign(p.prefix, m.ases()[p.as_index].country);
-  }
-  ASSERT_EQ(m.routing().prefix_count(), routing.prefix_count());
-  ASSERT_EQ(m.geo_db().prefix_count(), geo.prefix_count());
+  expect_tables_equal_serial_rebuild(model(), /*random=*/100'000);
+}
 
-  const std::vector<net::Route> built = m.routing().routes();
-  const std::vector<net::Route> serial = routing.routes();
-  ASSERT_EQ(built.size(), serial.size());
-  for (std::size_t i = 0; i < built.size(); ++i) {
-    EXPECT_EQ(built[i].prefix, serial[i].prefix) << i;
-    EXPECT_EQ(built[i].origin, serial[i].origin) << i;
-  }
-
-  for (const PrefixRecord& p : m.prefixes()) {
-    const net::Ipv4Addr ends[] = {p.prefix.address_at(0),
-                                  p.prefix.address_at(p.prefix.size() - 1)};
-    for (const net::Ipv4Addr addr : ends) {
-      const net::Route* got = m.routing().route_ptr(addr);
-      const net::Route* want = routing.route_ptr(addr);
-      ASSERT_NE(got, nullptr) << addr.to_string();
-      ASSERT_NE(want, nullptr) << addr.to_string();
-      EXPECT_EQ(got->prefix, want->prefix) << addr.to_string();
-      EXPECT_EQ(got->origin, want->origin) << addr.to_string();
-      EXPECT_EQ(m.routing().route_index(got), routing.route_index(want))
-          << addr.to_string();
-      EXPECT_EQ(m.geo_db().country_of(addr), geo.country_of(addr))
-          << addr.to_string();
-    }
-  }
+TEST(ConcurrentSetup, ModelTablesHoldOneIndex) {
+  // The geo table is a country column over the routing table's prefix
+  // index: a second index would be a second 64 MiB top array.
+  EXPECT_TRUE(model().geo_db().lpm().shares_index_with(model().routing().lpm()));
 }
 
 TEST(ConcurrentSetup, SinkRunsOnTheCallingThreadInStreamOrder) {

@@ -4,6 +4,8 @@
 
 #include <unordered_set>
 
+#include "serial_tables.hpp"
+
 namespace ixp::gen {
 namespace {
 
@@ -66,6 +68,17 @@ TEST(InternetModel, GeoMatchesAsCountry) {
     ASSERT_TRUE(country);
     EXPECT_EQ(*country, m.ases()[record.as_index].country);
   }
+}
+
+TEST(InternetModel, BenchScaleTablesEqualASerialRebuild) {
+  // At 1/256 the address cursor wraps past the top of the space, so later
+  // prefixes re-allocate earlier ones: their route and country are the
+  // later AS's, as a re-announce or re-assign() makes them.
+  ScaleConfig cfg = ScaleConfig::bench(1.0 / 256.0);
+  cfg.seed = 1;
+  const InternetModel m{cfg};
+  EXPECT_EQ(reallocated_prefixes(m), 10'604u);
+  expect_tables_equal_serial_rebuild(m, /*random=*/1'000'000);
 }
 
 TEST(InternetModel, LocalityPartitionIsComplete) {

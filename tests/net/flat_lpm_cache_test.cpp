@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "net/flat_lpm.hpp"
-#include "net/prefix_trie.hpp"
+#include "support/prefix_trie.hpp"
 #include "util/huge_array.hpp"
 #include "util/rng.hpp"
 

@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/prefix_trie.hpp"
+#include "support/prefix_trie.hpp"
 #include "util/rng.hpp"
 
 namespace ixp::net {

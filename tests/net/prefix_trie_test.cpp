@@ -1,4 +1,4 @@
-#include "net/prefix_trie.hpp"
+#include "support/prefix_trie.hpp"
 
 #include <gtest/gtest.h>
 

@@ -360,6 +360,62 @@ TEST(SnapshotStore, SaveLoadScanAndQuarantine) {
   EXPECT_TRUE(five.ok());
 }
 
+TEST(SnapshotStore, LoadSkipsTheCrcOnlyForTheFileScanValidated) {
+  const TempDir dir{"stamp"};
+  const SnapshotStore store{dir.path()};
+  const auto image = test_image();
+  std::string error;
+  ASSERT_TRUE(commit_snapshot(store.path_for(4), image, &error)) << error;
+  std::uint64_t before = crc32c_bytes();
+  ASSERT_EQ(validate_image(image), SnapshotError::kNone);
+  const std::uint64_t once = crc32c_bytes() - before;
+  ASSERT_GT(once, image.size() / 2);
+
+  const auto scan = store.scan();
+  ASSERT_EQ(scan.weeks, (std::vector<int>{4}));
+  ASSERT_EQ(scan.stamps.size(), 1u);
+  const FileStamp stamp = scan.stamps[0];
+  EXPECT_EQ(stamp.size, image.size());
+  std::vector<SectionView> sections;
+  ASSERT_EQ(validate_image(image, &sections), SnapshotError::kNone);
+
+  {
+    // The file the scan validated: its framing is walked, no CRC runs.
+    before = crc32c_bytes();
+    const SnapshotFile trusted = store.load(4, nullptr, &stamp);
+    EXPECT_EQ(crc32c_bytes() - before, 0u);
+    ASSERT_TRUE(trusted.ok());
+    EXPECT_EQ(trusted.stamp(), stamp);
+    ASSERT_EQ(trusted.sections().size(), sections.size());
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+      EXPECT_EQ(trusted.sections()[i].id, sections[i].id);
+      EXPECT_EQ(trusted.sections()[i].offset, sections[i].offset);
+      EXPECT_EQ(trusted.sections()[i].length, sections[i].length);
+    }
+  }
+  for (const bool with_stamp : {true, false}) {
+    // Another stamp, or none: one full pass.
+    FileStamp other = stamp;
+    other.ctime_ns += 1;
+    before = crc32c_bytes();
+    EXPECT_TRUE(store.load(4, nullptr, with_stamp ? &other : nullptr).ok());
+    EXPECT_EQ(crc32c_bytes() - before, once) << with_stamp;
+  }
+
+  // A rotten file renamed over the validated one is another inode: the
+  // CRC pass runs, catches the rot and quarantines the file.
+  auto rotten = image;
+  rotten[kSnapshotHeaderBytes + kSectionHeaderBytes] ^= std::byte{0x10};
+  write_file(store.path_for(4) + ".new", rotten);
+  fs::rename(store.path_for(4) + ".new", store.path_for(4));
+  std::optional<QuarantineEvent> event;
+  const SnapshotFile swapped = store.load(4, &event, &stamp);
+  EXPECT_EQ(swapped.error(), SnapshotError::kBadCrc);
+  ASSERT_TRUE(event.has_value());
+  EXPECT_EQ(event->error, SnapshotError::kBadCrc);
+  EXPECT_FALSE(fs::exists(store.path_for(4)));
+}
+
 TEST(SnapshotStore, ScanQuarantinesEveryFaultClassCleanly) {
   const auto pristine = test_image();
   for (const StorageFault fault : kAllStorageFaults) {

@@ -227,6 +227,31 @@ TEST_F(WeeksRunnerTest, FirstRunComputesSecondRunResumesByteIdentical) {
   EXPECT_GT(second.longitudinal.mean_weekly_churn, 0.0);
 }
 
+TEST_F(WeeksRunnerTest, NoOpResumeChecksumsEachSnapshotOnce) {
+  const TempDir dir{"crc_once"};
+  ASSERT_TRUE(run_weeks(dir.path()).ok);
+
+  // What validating every snapshot once checksums.
+  const SnapshotStore store{dir.path()};
+  std::uint64_t once = 0;
+  for (int week = kFromWeek; week <= kToWeek; ++week) {
+    const auto image = read_file(store.path_for(week));
+    const std::uint64_t before = crc32c_bytes();
+    ASSERT_EQ(validate_image(image), SnapshotError::kNone);
+    once += crc32c_bytes() - before;
+  }
+  ASSERT_GT(once, 0u);
+
+  // The scan checksums each file; the load of the same file does not.
+  const std::uint64_t before = crc32c_bytes();
+  const auto resumed = run_weeks(dir.path());
+  const std::uint64_t checksummed = crc32c_bytes() - before;
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  EXPECT_EQ(resumed.weeks_resumed, 3u);
+  EXPECT_TRUE(resumed.quarantined.empty());
+  EXPECT_EQ(checksummed, once);
+}
+
 TEST_F(WeeksRunnerTest, EveryCrashPointRecoversToByteIdenticalRun) {
   const TempDir baseline_dir{"crash_baseline"};
   const auto baseline = run_weeks(baseline_dir.path());
