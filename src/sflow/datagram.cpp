@@ -11,6 +11,13 @@ std::byte* extend(std::vector<std::byte>& out, std::size_t n) {
   return out.data() + at;
 }
 
+/// decode_into's one failure exit: no samples or counters survive it.
+bool reject(Datagram& out) {
+  out.samples.clear();
+  out.counters.clear();
+  return false;
+}
+
 }  // namespace
 
 void encode_header(std::byte* at, net::Ipv4Addr agent, std::uint32_t sequence,
@@ -63,12 +70,10 @@ std::vector<std::byte> encode(const Datagram& datagram) {
 }
 
 bool decode_into(std::span<const std::byte> bytes, Datagram& out) {
-  out.samples.clear();
-  out.counters.clear();
   const std::byte* const p = bytes.data();
   const std::size_t size = bytes.size();
-  if (size < Datagram::kHeaderBytes) return false;
-  if (load_be32(p) != Datagram::kVersion) return false;
+  if (size < Datagram::kHeaderBytes || load_be32(p) != Datagram::kVersion)
+    return reject(out);
   out.agent = net::Ipv4Addr{load_be32(p + 4)};
   out.sequence = load_be32(p + 8);
   out.uptime_ms = load_be32(p + 12);
@@ -77,13 +82,13 @@ bool decode_into(std::span<const std::byte> bytes, Datagram& out) {
 
   // Each sample occupies at least its 16 fixed header bytes, so an
   // implausible count is rejected before any storage is touched.
-  if (std::uint64_t{count} * 16 > size - at) return false;
+  if (std::uint64_t{count} * 16 > size - at) return reject(out);
+  // Resized in place, not cleared first: a cursor's records mostly hold
+  // the same number of samples, so no slot is re-zeroed, and every
+  // header field of a slot is rewritten below.
   out.samples.resize(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    if (size - at < 16) {
-      out.samples.clear();
-      return false;
-    }
+    if (size - at < 16) return reject(out);
     FlowSample& sample = out.samples[i];
     sample.sequence = load_be32(p + at);
     sample.source_port = load_be32(p + at + 4);
@@ -91,25 +96,25 @@ bool decode_into(std::span<const std::byte> bytes, Datagram& out) {
     sample.frame.frame_length = load_be16(p + at + 12);
     const std::uint16_t captured = load_be16(p + at + 14);
     at += 16;
-    if (captured > kCaptureBytes || size - at < captured) {
-      out.samples.clear();
-      return false;
-    }
+    if (captured > kCaptureBytes || size - at < captured) return reject(out);
     sample.frame.captured = captured;
-    std::memcpy(sample.frame.data.data(), p + at, captured);
+    // A fixed-size copy compiles to a few vector moves; a copy of
+    // `captured` bytes goes through libc's size dispatch on every sample.
+    // So copy the whole block whenever the datagram holds it, and count
+    // bytes only near its end (a record's last sample, a short datagram).
+    // The bytes past `captured` are then the record's next bytes.
+    if (size - at >= kCaptureBytes) {
+      std::memcpy(sample.frame.data.data(), p + at, kCaptureBytes);
+    } else {
+      std::memcpy(sample.frame.data.data(), p + at, captured);
+    }
     at += captured;
   }
 
-  if (size - at < 4) {
-    out.samples.clear();
-    return false;
-  }
+  if (size - at < 4) return reject(out);
   const std::uint32_t counter_count = load_be32(p + at);
   at += 4;
-  if (std::uint64_t{counter_count} * 36 > size - at) {
-    out.samples.clear();
-    return false;
-  }
+  if (std::uint64_t{counter_count} * 36 > size - at) return reject(out);
   out.counters.resize(counter_count);
   for (std::uint32_t i = 0; i < counter_count; ++i) {
     CounterSample& counter = out.counters[i];
@@ -124,11 +129,7 @@ bool decode_into(std::span<const std::byte> bytes, Datagram& out) {
                         load_be32(p + at + 32);
     at += 36;
   }
-  if (at != size) {
-    out.samples.clear();
-    out.counters.clear();
-    return false;
-  }
+  if (at != size) return reject(out);
   return true;
 }
 

@@ -110,6 +110,11 @@ void encode_counters(std::span<const CounterSample> counters,
 /// the trace-replay hot path is built on (one datagram scratch per
 /// reader/cursor, zero steady-state heap traffic). Returns false and
 /// clears `out`'s vectors on any malformation decode() would reject.
+/// Each capture is copied as one fixed kCaptureBytes block whenever
+/// `bytes` holds that many past the sample header, and `out`'s sample
+/// slots are reused without zeroing, so a frame's `data` past `captured`
+/// is unspecified (SampledFrame). No read leaves `bytes`. decode() has
+/// the same contract.
 [[nodiscard]] bool decode_into(std::span<const std::byte> bytes, Datagram& out);
 
 }  // namespace ixp::sflow

@@ -26,6 +26,10 @@ inline constexpr std::size_t kTcpPayloadCapture = 74;
 /// Captured UDP payload bytes: 128 - 14 (eth) - 20 (ip) - 8 (udp).
 inline constexpr std::size_t kUdpPayloadCapture = 86;
 
+/// Only the first `captured` bytes of `data` are the capture. After a
+/// decode_into() the rest are unspecified: the record bytes that followed
+/// the capture, or what the buffer held before. Read through bytes(), or
+/// check `captured` before reading `data` directly.
 struct SampledFrame {
   std::array<std::byte, kCaptureBytes> data{};
   std::uint16_t captured = 0;      // valid bytes in `data`

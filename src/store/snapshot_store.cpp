@@ -630,7 +630,11 @@ SnapshotStore::ScanResult SnapshotStore::scan() const {
     int week = 0;
     const auto [ptr, parse_ec] =
         std::from_chars(digits.data(), digits.data() + digits.size(), week);
-    if (parse_ec != std::errc{} || ptr != digits.data() + digits.size())
+    // Only the name path_for() gives the week is the store's: a load
+    // opens that name, so `week_45.snap` or `week_-045.snap` is skipped
+    // like any other file the store does not own.
+    if (parse_ec != std::errc{} || ptr != digits.data() + digits.size() ||
+        name != std::filesystem::path{path_for(week)}.filename().string())
       continue;
     const std::string path = entry.path().string();
     if (file.reopen(path)) {

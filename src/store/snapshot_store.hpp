@@ -261,10 +261,11 @@ class SnapshotStore {
     std::size_t stale_temps_removed = 0;
   };
 
-  /// Walks the directory: validates every `week_*.snap` (quarantining the
-  /// corrupt ones), removes stale `.tmp` leftovers that no live commit
-  /// still owns (ownership = an flock held for the duration of the
-  /// write — a racing process's in-flight temp is left alone), and
+  /// Walks the directory: validates every snapshot at the name path_for()
+  /// gives its week (quarantining the corrupt ones; any other name is
+  /// skipped, never checksummed), removes stale `.tmp` leftovers that no
+  /// live commit still owns (ownership = an flock held for the duration
+  /// of the write — a racing process's in-flight temp is left alone), and
   /// returns the weeks that are durably on disk.
   [[nodiscard]] ScanResult scan() const;
 

@@ -186,6 +186,19 @@ void write_file(const std::string& path, std::span<const std::byte> bytes) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
+/// The bytes that validating each week's canonical snapshot once
+/// checksums.
+std::uint64_t checksummed_once(const SnapshotStore& store) {
+  std::uint64_t once = 0;
+  for (int week = kFromWeek; week <= kToWeek; ++week) {
+    const auto image = read_file(store.path_for(week));
+    const std::uint64_t before = crc32c_bytes();
+    EXPECT_EQ(validate_image(image), SnapshotError::kNone);
+    once += crc32c_bytes() - before;
+  }
+  return once;
+}
+
 void store_le32(std::vector<std::byte>& image, std::size_t at,
                 std::uint32_t value) {
   for (int i = 0; i < 4; ++i)
@@ -231,15 +244,7 @@ TEST_F(WeeksRunnerTest, NoOpResumeChecksumsEachSnapshotOnce) {
   const TempDir dir{"crc_once"};
   ASSERT_TRUE(run_weeks(dir.path()).ok);
 
-  // What validating every snapshot once checksums.
-  const SnapshotStore store{dir.path()};
-  std::uint64_t once = 0;
-  for (int week = kFromWeek; week <= kToWeek; ++week) {
-    const auto image = read_file(store.path_for(week));
-    const std::uint64_t before = crc32c_bytes();
-    ASSERT_EQ(validate_image(image), SnapshotError::kNone);
-    once += crc32c_bytes() - before;
-  }
+  const std::uint64_t once = checksummed_once(SnapshotStore{dir.path()});
   ASSERT_GT(once, 0u);
 
   // The scan checksums each file; the load of the same file does not.
@@ -250,6 +255,43 @@ TEST_F(WeeksRunnerTest, NoOpResumeChecksumsEachSnapshotOnce) {
   EXPECT_EQ(resumed.weeks_resumed, 3u);
   EXPECT_TRUE(resumed.quarantined.empty());
   EXPECT_EQ(checksummed, once);
+}
+
+TEST_F(WeeksRunnerTest, ScanSkipsSnapshotsOutsideTheirCanonicalName) {
+  const TempDir dir{"orphans"};
+  ASSERT_TRUE(run_weeks(dir.path()).ok);
+
+  // Week 45's snapshot renamed to `week_45.snap`, and a copy of it at
+  // `week_-045.snap`: both names parse to a week, neither is path_for's.
+  const SnapshotStore store{dir.path()};
+  const std::string renamed = dir.path() + "/week_45.snap";
+  const std::string negative = dir.path() + "/week_-045.snap";
+  fs::rename(store.path_for(45), renamed);
+  fs::copy_file(renamed, negative);
+
+  const auto recomputed = run_weeks(dir.path());
+  ASSERT_TRUE(recomputed.ok) << recomputed.error;
+  EXPECT_EQ(recomputed.weeks_resumed, 2u);
+  EXPECT_EQ(recomputed.weeks_computed, 1u);
+  EXPECT_TRUE(recomputed.quarantined.empty());
+  EXPECT_TRUE(fs::exists(store.path_for(45)));
+
+  const std::uint64_t once = checksummed_once(store);
+  const std::uint64_t before = crc32c_bytes();
+  const auto resumed = run_weeks(dir.path());
+  const std::uint64_t checksummed = crc32c_bytes() - before;
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  EXPECT_EQ(resumed.weeks_resumed, 3u);
+  EXPECT_EQ(resumed.weeks_computed, 0u);
+  ASSERT_EQ(resumed.weeks.size(), 3u);
+  for (int week = kFromWeek; week <= kToWeek; ++week)
+    EXPECT_EQ(resumed.weeks[week - kFromWeek].week, week);
+  EXPECT_EQ(store.scan().weeks, (std::vector<int>{44, 45, 46}));
+  // Neither orphan was checksummed, quarantined or removed.
+  EXPECT_EQ(checksummed, once);
+  EXPECT_TRUE(resumed.quarantined.empty());
+  EXPECT_TRUE(fs::exists(renamed));
+  EXPECT_TRUE(fs::exists(negative));
 }
 
 TEST_F(WeeksRunnerTest, EveryCrashPointRecoversToByteIdenticalRun) {
