@@ -3,11 +3,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <span>
-#include <vector>
 
 #include "core/parallel_analyzer.hpp"
-#include "ingest/ingest_source.hpp"
 
 namespace ixp::expcommon {
 
@@ -42,27 +39,19 @@ Context Context::create(const std::string& experiment) {
             << "\n";
 
   const auto t0 = std::chrono::steady_clock::now();
-  ctx.model = std::make_unique<gen::InternetModel>(ctx.cfg);
-  ctx.workload = std::make_unique<gen::Workload>(*ctx.model);
-  std::vector<net::Asn> members;
-  for (const auto* m : ctx.model->ixp().members_at(ctx.cfg.last_week))
-    members.push_back(m->asn);
-  ctx.locality = ctx.model->as_graph().classify(members);
+  ctx.study = std::make_unique<analysis::Study>(ctx.cfg);
   const auto t1 = std::chrono::steady_clock::now();
-  std::cout << "model: " << ctx.model->servers().size() << " servers, "
-            << ctx.model->orgs().size() << " orgs, built in "
+  const gen::InternetModel& model = ctx.model();
+  std::cout << "model: " << model.servers().size() << " servers, "
+            << model.orgs().size() << " orgs, built in "
             << std::chrono::duration_cast<std::chrono::milliseconds>(t1 - t0).count()
             << " ms\n";
   return ctx;
 }
 
 core::WeeklyReport Context::run_week(int week) const {
-  core::VantagePoint vp{model->ixp(),   model->routing(), model->geo_db(),
-                        locality,       model->dns_db(),
-                        dns::PublicSuffixList::builtin(), model->root_store()};
-  const auto fetch = [this, week](net::Ipv4Addr addr, int times) {
-    return model->fetch_chains(addr, times, week);
-  };
+  core::VantagePoint vp = study->vantage();
+  const classify::ChainFetcher fetch = study->fetcher(week);
 
   // The report is identical at every thread count (merge is a monoid),
   // so repeats and threading only change wall-clock, never the output.
@@ -74,13 +63,9 @@ core::WeeklyReport Context::run_week(int week) const {
   options.threads = static_cast<unsigned>(args.threads);
   core::ParallelAnalyzer analyzer{vp, options};
   for (std::uint64_t r = 0; r < repeats; ++r) {
-    std::vector<sflow::FlowSample> stream;
-    (void)workload->generate_week(
-        week,
-        [&stream](const sflow::FlowSample& sample) { stream.push_back(sample); });
-    ingest::SpanSource source{stream, options.batch_size};
+    gen::WeekSource source = study->week(week);
     report = analyzer.analyze(week, source, fetch);
-    samples += stream.size();
+    samples += source.truth().total_samples;
   }
   const auto t1 = std::chrono::steady_clock::now();
 

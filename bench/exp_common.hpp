@@ -18,12 +18,9 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 
+#include "analysis/study.hpp"
 #include "bench_json.hpp"
-#include "core/vantage_point.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
@@ -31,9 +28,7 @@ namespace ixp::expcommon {
 
 struct Context {
   gen::ScaleConfig cfg;
-  std::unique_ptr<gen::InternetModel> model;
-  std::unique_ptr<gen::Workload> workload;
-  std::unordered_map<net::Asn, net::Locality> locality;
+  std::unique_ptr<analysis::Study> study;
   double volume = 1.0;   // population scale vs. paper
   bool quick = false;
   bench::BenchArgs args;
@@ -47,7 +42,15 @@ struct Context {
   /// As above, but parses the uniform bench command line first.
   static Context create(const std::string& experiment, int argc, char** argv);
 
-  /// Runs the full measurement pipeline for one week.
+  [[nodiscard]] const gen::InternetModel& model() const {
+    return study->model();
+  }
+  [[nodiscard]] const gen::Workload& workload() const {
+    return study->workload();
+  }
+
+  /// Runs the full measurement pipeline for one week, pulled from the
+  /// generator batch by batch.
   [[nodiscard]] core::WeeklyReport run_week(int week) const;
 
   /// Server-population scale vs. the paper's 1.5M weekly server IPs.

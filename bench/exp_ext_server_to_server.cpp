@@ -32,11 +32,11 @@ int main(int argc, char** argv) {
     for (const auto& obs : report.servers) servers.insert(obs.addr);
 
     // Pass B: attribute each peering sample.
-    classify::PeeringFilter filter{ctx.model->ixp(), week};
+    classify::PeeringFilter filter{ctx.model().ixp(), week};
     classify::FilterCounters counters;
     double s2s_bytes = 0.0;
     double u2s_bytes = 0.0;
-    (void)ctx.workload->generate_week(week, [&](const sflow::FlowSample& s) {
+    (void)ctx.workload().generate_week(week, [&](const sflow::FlowSample& s) {
       const auto peering = filter.filter(s, counters);
       if (!peering) return;
       const bool src_server = servers.count(peering->frame.ip->src) > 0;

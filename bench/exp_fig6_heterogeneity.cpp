@@ -22,10 +22,10 @@ int main(int argc, char** argv) {
   std::vector<classify::ServerMetadata> metadata;
   metadata.reserve(report.servers.size());
   for (const auto& obs : report.servers) metadata.push_back(obs.metadata);
-  const core::OrgClusterer clusterer{ctx.model->dns_db(),
+  const core::OrgClusterer clusterer{ctx.model().dns_db(),
                                      dns::PublicSuffixList::builtin()};
   const auto clustering = clusterer.cluster(metadata);
-  const auto view = analysis::build_heterogeneity(clustering, ctx.model->routing());
+  const auto view = analysis::build_heterogeneity(clustering, ctx.model().routing());
 
   const double server_scale = ctx.quick ? 1.0 : ctx.server_scale();
 

@@ -20,20 +20,20 @@ using namespace ixp;
 
 void analyze_org(const expcommon::Context& ctx, const char* name,
                  const char* paper_note) {
-  const auto org = ctx.model->org_by_name(name);
+  const auto org = ctx.model().org_by_name(name);
   if (!org) return;
-  const auto& record = ctx.model->orgs()[*org];
+  const auto& record = ctx.model().orgs()[*org];
   if (!record.home_as) return;
 
   std::unordered_map<net::Ipv4Addr, std::uint32_t> server_org;
-  for (const std::uint32_t s : ctx.model->org_servers(*org))
-    server_org.emplace(ctx.model->servers()[s].addr, *org);
+  for (const std::uint32_t s : ctx.model().org_servers(*org))
+    server_org.emplace(ctx.model().servers()[s].addr, *org);
   std::unordered_map<std::uint32_t, net::Asn> org_home{
-      {*org, ctx.model->ases()[*record.home_as].asn}};
+      {*org, ctx.model().ases()[*record.home_as].asn}};
 
-  analysis::AttributionPass pass{ctx.model->ixp(), 45, std::move(server_org),
+  analysis::AttributionPass pass{ctx.model().ixp(), 45, std::move(server_org),
                                  std::move(org_home)};
-  (void)ctx.workload->generate_week(
+  (void)ctx.workload().generate_week(
       45, [&pass](const sflow::FlowSample& s) { pass.observe(s); });
 
   const auto* links = pass.links_of(*org);

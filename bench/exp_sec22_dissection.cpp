@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
   // Sample-level attribution for the server byte share (pass B).
   std::unordered_map<net::Ipv4Addr, std::uint32_t> server_org;
   for (const auto& obs : report.servers) server_org.emplace(obs.addr, 0u);
-  analysis::AttributionPass pass{ctx.model->ixp(), 45, std::move(server_org), {}};
-  (void)ctx.workload->generate_week(
+  analysis::AttributionPass pass{ctx.model().ixp(), 45, std::move(server_org), {}};
+  (void)ctx.workload().generate_week(
       45, [&pass](const sflow::FlowSample& s) { pass.observe(s); });
 
   std::cout << "\nserver-related share of peering bytes: "

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   std::unordered_set<net::Ipv4Addr> ixp_servers;
   for (const auto& obs : report.servers) ixp_servers.insert(obs.addr);
 
-  const gen::IspObserver isp{*ctx.model};
+  const gen::IspObserver isp{ctx.model()};
   const auto isp_servers = isp.observed_servers(45);
 
   std::size_t overlap = 0;
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   std::size_t confirmed = 0;
   for (const net::Ipv4Addr addr : ixp_servers) {
     if (isp_servers.count(addr) == 0) continue;
-    if (ctx.model->server_by_addr(addr)) ++confirmed;
+    if (ctx.model().server_by_addr(addr)) ++confirmed;
   }
 
   util::Table table{"ISP vs IXP server visibility"};

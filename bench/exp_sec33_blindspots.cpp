@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
   const auto probe_name = *dns::DnsName::parse("probe.ixpscope.net");
   probe_db.add_a(probe_name, net::Ipv4Addr{192, 0, 2, 1});
   const auto usable =
-      ctx.model->resolvers().usable_resolvers(probe_db, probe_name);
-  std::cout << "resolver filtering: " << ctx.model->resolvers().size()
+      ctx.model().resolvers().usable_resolvers(probe_db, probe_name);
+  std::cout << "resolver filtering: " << ctx.model().resolvers().size()
             << " candidates -> " << usable.size() << " usable in "
             << dns::ResolverPopulation::distinct_ases(usable)
             << " ASes  (paper: 280K -> ~25K in ~12K ASes)\n\n";
@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
   }
   util::Table alexa{"Alexa-style site-list recovery from IXP URIs"};
   alexa.header({"list", "measured", "paper"});
-  const std::size_t sites = ctx.model->sites().size();
+  const std::size_t sites = ctx.model().sites().size();
   const auto row = [&](std::size_t top, const char* label, const char* paper) {
-    const auto recovery = analysis::alexa_recovery(*ctx.model, top, recovered);
+    const auto recovery = analysis::alexa_recovery(ctx.model(), top, recovered);
     alexa.row({label, util::percent(recovery.share(), 1), paper});
   };
   row(sites / 1000 ? sites / 1000 : 1, "top-1K (scaled)", "80%");
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   for (const auto& obs : report.servers) ixp_servers.insert(obs.addr);
   util::Rng rng{ctx.cfg.seed ^ 0x5eeb};
   const std::size_t per_site = ctx.quick ? 4 : 12;
-  const auto sweep = analysis::resolver_sweep(*ctx.model, usable, recovered,
+  const auto sweep = analysis::resolver_sweep(ctx.model(), usable, recovered,
                                               ixp_servers, per_site, 45, rng);
   std::cout << "\nresolver sweep: queried " << sweep.queried_sites
             << " uncovered sites via " << per_site
@@ -92,19 +92,19 @@ int main(int argc, char** argv) {
             << "  (paper: >40% of the 240K)\n";
 
   // --- Akamai footprint deep-dive --------------------------------------------
-  if (const auto akamai = ctx.model->org_by_name("akamai")) {
+  if (const auto akamai = ctx.model().org_by_name("akamai")) {
     std::size_t at_ixp = 0;
     std::unordered_set<net::Asn> ixp_ases;
-    for (const std::uint32_t s : ctx.model->org_servers(*akamai)) {
-      const auto addr = ctx.model->servers()[s].addr;
+    for (const std::uint32_t s : ctx.model().org_servers(*akamai)) {
+      const auto addr = ctx.model().servers()[s].addr;
       if (ixp_servers.count(addr) == 0) continue;
       ++at_ixp;
-      if (const auto asn = ctx.model->routing().origin_of(addr))
+      if (const auto asn = ctx.model().routing().origin_of(addr))
         ixp_ases.insert(*asn);
     }
     const auto active =
-        analysis::discover_org_footprint(*ctx.model, *akamai, usable, rng);
-    const auto truth = ctx.model->org_servers(*akamai).size();
+        analysis::discover_org_footprint(ctx.model(), *akamai, usable, rng);
+    const auto truth = ctx.model().org_servers(*akamai).size();
     std::cout << "\nAkamai footprint:\n";
     std::cout << "  at the IXP:          " << at_ixp << " servers in "
               << ixp_ases.size() << " ASes  (paper: 28K in 278)\n";

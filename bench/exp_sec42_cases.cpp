@@ -21,9 +21,9 @@ int main(int argc, char** argv) {
   const auto ctx = expcommon::Context::create("Section 4.2: changes in the face of significant stability", argc, argv);
   const auto& cfg = ctx.cfg;
 
-  const auto ec2 = ctx.model->org_by_name("ec2");
-  const auto nimbus = ctx.model->org_by_name("nimbus");
-  const auto reseller_asn = ctx.model->ases()[ctx.model->reseller_as()].asn;
+  const auto ec2 = ctx.model().org_by_name("ec2");
+  const auto nimbus = ctx.model().org_by_name("nimbus");
+  const auto reseller_asn = ctx.model().ases()[ctx.model().reseller_as()].asn;
 
   struct WeekRow {
     analysis::HttpsTrendRow https;
@@ -40,12 +40,12 @@ int main(int argc, char** argv) {
 
     std::unordered_set<net::Ipv4Addr> servers;
     for (const auto& obs : report.servers) servers.insert(obs.addr);
-    if (ec2) row.ec2_dcs = analysis::match_published_ranges(*ctx.model, *ec2, servers);
+    if (ec2) row.ec2_dcs = analysis::match_published_ranges(ctx.model(), *ec2, servers);
     if (nimbus)
-      row.nimbus_dcs = analysis::match_published_ranges(*ctx.model, *nimbus, servers);
+      row.nimbus_dcs = analysis::match_published_ranges(ctx.model(), *nimbus, servers);
 
     // Reseller: server IPs whose traffic entered over the reseller port.
-    analysis::AttributionPass pass{ctx.model->ixp(), week,
+    analysis::AttributionPass pass{ctx.model().ixp(), week,
                                    [&] {
                                      std::unordered_map<net::Ipv4Addr, std::uint32_t> m;
                                      for (const auto& obs : report.servers)
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
                                      return m;
                                    }(),
                                    {}};
-    (void)ctx.workload->generate_week(
+    (void)ctx.workload().generate_week(
         week, [&pass](const sflow::FlowSample& s) { pass.observe(s); });
     row.reseller_server_ips = pass.ingress_server_ips(reseller_asn);
 

@@ -35,10 +35,10 @@ Validation validate(const expcommon::Context& ctx,
   for (const auto& [authority, members] : clustering.clusters) {
     const bool large = members.size() >= 10;
     for (const net::Ipv4Addr addr : members) {
-      const auto index = ctx.model->server_by_addr(addr);
+      const auto index = ctx.model().server_by_addr(addr);
       if (!index) continue;
       ++v.clustered;
-      const auto& truth = ctx.model->orgs()[ctx.model->servers()[*index].org];
+      const auto& truth = ctx.model().orgs()[ctx.model().servers()[*index].org];
       const bool ok = truth.domain == authority;
       if (ok) ++v.correct;
       (large ? large_total : small_total) += 1;
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   for (const auto& obs : report.servers) metadata.push_back(obs.metadata);
 
   // --- the full three-step pipeline ----------------------------------------
-  const core::OrgClusterer full{ctx.model->dns_db(),
+  const core::OrgClusterer full{ctx.model().dns_db(),
                                 dns::PublicSuffixList::builtin()};
   const auto clustering = full.cluster(metadata);
 
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   util::Table ablation{"\nAblation: clustering depth and vote key"};
   ablation.header({"variant", "clustered", "coverage", "FP rate"});
   const auto run_variant = [&](const char* label, core::ClusterOptions options) {
-    const core::OrgClusterer clusterer{ctx.model->dns_db(),
+    const core::OrgClusterer clusterer{ctx.model().dns_db(),
                                        dns::PublicSuffixList::builtin(), options};
     const auto result = clusterer.cluster(metadata);
     const auto v = validate(ctx, result);

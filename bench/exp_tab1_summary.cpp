@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\nNote: AS/subnet/country rows are structural (kept at paper"
                " scale);\nIP rows scale with the configured volume.\n"
-            << "members at week 45: " << ctx.model->ixp().member_count_at(45)
+            << "members at week 45: " << ctx.model().ixp().member_count_at(45)
             << " (paper: 452)\n";
   return 0;
 }

@@ -51,9 +51,9 @@ int main(int argc, char** argv) {
   const auto country_label = [](geo::CountryCode code) { return code.to_string(); };
   const auto as_label = [&](net::Asn asn) {
     // Annotate named-head ASNs with the org/eyeball name for readability.
-    for (const auto& org : ctx.model->orgs()) {
+    for (const auto& org : ctx.model().orgs()) {
       if (org.named_head && org.home_as &&
-          ctx.model->ases()[*org.home_as].asn == asn)
+          ctx.model().ases()[*org.home_as].asn == asn)
         return asn.to_string() + " (" + org.name + ")";
     }
     for (const auto& spec : gen::named_eyeball_specs()) {

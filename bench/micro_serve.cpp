@@ -22,14 +22,11 @@
 //                      phases `ixpscope analyze` exercises
 #include <cstdio>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "analysis/study.hpp"
 #include "bench_json.hpp"
 #include "core/serve_service.hpp"
-#include "core/vantage_point.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
 #include "sflow/datagram.hpp"
 #include "sflow/socket_intake.hpp"
 #include "util/rng.hpp"
@@ -147,17 +144,9 @@ int main(int argc, char** argv) {
   // End to end at the test scale: the model build is amortized across
   // iterations, each iteration is one service lifetime (offer everything,
   // drain, publish the final snapshot).
-  const gen::InternetModel model{gen::ScaleConfig::test()};
-  std::vector<net::Asn> members;
-  for (const auto* m : model.ixp().members_at(45)) members.push_back(m->asn);
-  const auto locality = model.as_graph().classify(members);
-  core::VantagePoint vantage{model.ixp(),   model.routing(),  model.geo_db(),
-                             locality,      model.dns_db(),
-                             dns::PublicSuffixList::builtin(),
-                             model.root_store()};
-  const auto fetch = [&model](net::Ipv4Addr addr, int times) {
-    return model.fetch_chains(addr, times, 45);
-  };
+  const analysis::Study study{gen::ScaleConfig::test()};
+  core::VantagePoint vantage = study.vantage();
+  const classify::ChainFetcher fetch = study.fetcher(45);
 
   for (const unsigned threads : {1u, 2u}) {
     suite.run_case(

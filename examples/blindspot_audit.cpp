@@ -8,34 +8,21 @@
 #include <unordered_set>
 
 #include "analysis/blind_spots.hpp"
+#include "analysis/study.hpp"
 #include "core/parallel_analyzer.hpp"
-#include "core/vantage_point.hpp"
 #include "dns/public_suffix.hpp"
-#include "gen/workload.hpp"
 #include "util/format.hpp"
 
 int main(int argc, char** argv) {
   using namespace ixp;
   const std::size_t per_site = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 8;
 
-  const gen::InternetModel model{gen::ScaleConfig::test()};
-  const gen::Workload workload{model};
-  std::vector<net::Asn> members;
-  for (const auto* m : model.ixp().members_at(45)) members.push_back(m->asn);
-  const auto locality = model.as_graph().classify(members);
-
-  core::VantagePoint vantage{
-      model.ixp(),   model.routing(),  model.geo_db(), locality,
-      model.dns_db(), dns::PublicSuffixList::builtin(), model.root_store()};
-  std::vector<sflow::FlowSample> samples;
-  workload.generate_week(
-      45, [&](const sflow::FlowSample& s) { samples.push_back(s); });
+  const analysis::Study study{gen::ScaleConfig::test()};
+  const gen::InternetModel& model = study.model();
+  core::VantagePoint vantage = study.vantage();
   core::ParallelAnalyzer analyzer{vantage};
-  ingest::SpanSource source{samples, core::ParallelOptions{}.batch_size};
-  const auto report =
-      analyzer.analyze(45, source, [&](net::Ipv4Addr addr, int times) {
-        return model.fetch_chains(addr, times, 45);
-      });
+  gen::WeekSource week = study.week(45);
+  const auto report = analyzer.analyze(45, week, study.fetcher(45));
 
   // Domains recovered from the payload URIs.
   const auto& psl = dns::PublicSuffixList::builtin();

@@ -6,10 +6,8 @@
 #include <iostream>
 
 #include "analysis/churn_tracker.hpp"
+#include "analysis/study.hpp"
 #include "core/parallel_analyzer.hpp"
-#include "core/vantage_point.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
@@ -22,26 +20,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const gen::InternetModel model{gen::ScaleConfig::test()};
-  const gen::Workload workload{model};
-  std::vector<net::Asn> members;
-  for (const auto* m : model.ixp().members_at(last)) members.push_back(m->asn);
-  const auto locality = model.as_graph().classify(members);
+  const analysis::Study study{gen::ScaleConfig::test()};
+  core::VantagePoint vantage = study.vantage();
+  core::ParallelAnalyzer analyzer{vantage};
 
   analysis::ChurnTracker tracker{first, last};
   for (int week = first; week <= last; ++week) {
-    core::VantagePoint vantage{
-        model.ixp(),   model.routing(),  model.geo_db(), locality,
-        model.dns_db(), dns::PublicSuffixList::builtin(), model.root_store()};
-    std::vector<sflow::FlowSample> samples;
-    workload.generate_week(
-        week, [&](const sflow::FlowSample& s) { samples.push_back(s); });
-    core::ParallelAnalyzer analyzer{vantage};
-    ingest::SpanSource source{samples, core::ParallelOptions{}.batch_size};
-    const auto report =
-        analyzer.analyze(week, source, [&](net::Ipv4Addr addr, int times) {
-          return model.fetch_chains(addr, times, week);
-        });
+    gen::WeekSource source = study.week(week);
+    const auto report = analyzer.analyze(week, source, study.fetcher(week));
     for (const auto& obs : report.servers) {
       tracker.observe(obs.addr.value(), week, geo::region_of(obs.country),
                       obs.bytes);

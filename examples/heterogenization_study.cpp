@@ -12,18 +12,16 @@
 
 #include "analysis/attribution.hpp"
 #include "analysis/heterogeneity.hpp"
+#include "analysis/study.hpp"
 #include "core/parallel_analyzer.hpp"
-#include "core/vantage_point.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
 #include "util/format.hpp"
 
 int main(int argc, char** argv) {
   using namespace ixp;
   const std::string org_name = argc > 1 ? argv[1] : "akamai";
 
-  const gen::InternetModel model{gen::ScaleConfig::test()};
-  const gen::Workload workload{model};
+  const analysis::Study study{gen::ScaleConfig::test()};
+  const gen::InternetModel& model = study.model();
   const auto org = model.org_by_name(org_name);
   if (!org) {
     std::cerr << "unknown organization: " << org_name << "\n";
@@ -31,21 +29,10 @@ int main(int argc, char** argv) {
   }
 
   // Measurement pass for week 45.
-  std::vector<net::Asn> members;
-  for (const auto* m : model.ixp().members_at(45)) members.push_back(m->asn);
-  const auto locality = model.as_graph().classify(members);
-  core::VantagePoint vantage{
-      model.ixp(),   model.routing(),  model.geo_db(), locality,
-      model.dns_db(), dns::PublicSuffixList::builtin(), model.root_store()};
-  std::vector<sflow::FlowSample> samples;
-  workload.generate_week(
-      45, [&](const sflow::FlowSample& s) { samples.push_back(s); });
+  core::VantagePoint vantage = study.vantage();
   core::ParallelAnalyzer analyzer{vantage};
-  ingest::SpanSource source{samples, core::ParallelOptions{}.batch_size};
-  const auto report =
-      analyzer.analyze(45, source, [&](net::Ipv4Addr addr, int times) {
-        return model.fetch_chains(addr, times, 45);
-      });
+  gen::WeekSource week = study.week(45);
+  const auto report = analyzer.analyze(45, week, study.fetcher(45));
 
   // Cluster all identified servers by organization (§5.1).
   std::vector<classify::ServerMetadata> metadata;
@@ -74,7 +61,8 @@ int main(int argc, char** argv) {
         {*org, model.ases()[*model.orgs()[*org].home_as].asn}};
     analysis::AttributionPass pass{model.ixp(), 45, std::move(server_org),
                                    std::move(home)};
-    for (const sflow::FlowSample& s : samples) pass.observe(s);
+    (void)study.workload().generate_week(
+        45, [&](const sflow::FlowSample& s) { pass.observe(s); });
     std::cout << "  traffic not via own member link: "
               << util::percent(pass.indirect_share(*org), 1)
               << " (Akamai in the paper: 11.1%)\n";

@@ -3,26 +3,25 @@
 //
 //   ./quickstart
 //
-// This is the minimal end-to-end use of the library: InternetModel is the
-// world, Workload streams one week of sampled frames, VantagePoint is the
-// measurement pipeline (filtering -> dissection -> HTTPS probing ->
-// metadata) and ParallelAnalyzer feeds it the week in batches.
+// This is the minimal end-to-end use of the library: a Study holds the
+// world (InternetModel) and its Workload, week() pulls one week of
+// sampled frames from the generator, VantagePoint is the measurement
+// pipeline (filtering -> dissection -> HTTPS probing -> metadata) and
+// ParallelAnalyzer feeds it the week in batches.
 // Everything is deterministic: run it twice, or with more threads, and
 // get the same numbers.
 #include <iostream>
 
+#include "analysis/study.hpp"
 #include "core/parallel_analyzer.hpp"
-#include "core/vantage_point.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
 #include "util/format.hpp"
 
 int main() {
   using namespace ixp;
 
   // 1. A small synthetic Internet (the test preset: ~800 ASes).
-  const gen::InternetModel model{gen::ScaleConfig::test()};
-  const gen::Workload workload{model};
+  const analysis::Study study{gen::ScaleConfig::test()};
+  const gen::InternetModel& model = study.model();
   std::cout << "world: " << model.ases().size() << " ASes, "
             << model.prefixes().size() << " prefixes, "
             << model.servers().size() << " servers of "
@@ -30,23 +29,14 @@ int main() {
             << model.ixp().member_count_at(45) << " IXP members\n";
 
   // 2. The measurement side only gets public databases + the fabric.
-  std::vector<net::Asn> members;
-  for (const auto* m : model.ixp().members_at(45)) members.push_back(m->asn);
-  const auto locality = model.as_graph().classify(members);
-  core::VantagePoint vantage{
-      model.ixp(),   model.routing(),  model.geo_db(), locality,
-      model.dns_db(), dns::PublicSuffixList::builtin(), model.root_store()};
+  core::VantagePoint vantage = study.vantage();
 
-  // 3. Record week 45 and run it through the analysis engine.
-  std::vector<sflow::FlowSample> samples;
-  workload.generate_week(
-      45, [&](const sflow::FlowSample& sample) { samples.push_back(sample); });
+  // 3. Pull week 45 from the generator through the analysis engine; the
+  //    fetcher is the active measurement (the servers' certificates).
   core::ParallelAnalyzer analyzer{vantage};  // one worker thread
-  ingest::SpanSource source{samples, core::ParallelOptions{}.batch_size};
-  const core::WeeklyReport report = analyzer.analyze(
-      45, source, [&](net::Ipv4Addr addr, int times) {
-        return model.fetch_chains(addr, times, 45);  // active measurement
-      });
+  gen::WeekSource week = study.week(45);
+  const core::WeeklyReport report =
+      analyzer.analyze(45, week, study.fetcher(45));
 
   // 4. What did the IXP see?
   std::cout << "\nweek 45 at the vantage point:\n";

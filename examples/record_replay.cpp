@@ -7,9 +7,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "core/vantage_point.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
+#include "analysis/study.hpp"
 #include "ingest/ingest_source.hpp"
 #include "sflow/mapped_trace.hpp"
 #include "sflow/trace.hpp"
@@ -20,8 +18,7 @@ int main(int argc, char** argv) {
   const std::string path =
       argc > 1 ? argv[1] : "/tmp/ixpscope_week45.trace";
 
-  const gen::InternetModel model{gen::ScaleConfig::test()};
-  const gen::Workload workload{model};
+  const analysis::Study study{gen::ScaleConfig::test()};
 
   // --- record ---------------------------------------------------------------
   {
@@ -31,7 +28,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     sflow::TraceWriter writer{out, net::Ipv4Addr{172, 16, 0, 1}, 128};
-    workload.generate_week(
+    study.workload().generate_week(
         45, [&](const sflow::FlowSample& s) { writer.write(s); });
     writer.flush();
     std::cout << "recorded " << util::with_thousands(writer.samples_written())
@@ -47,12 +44,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<net::Asn> members;
-  for (const auto* m : model.ixp().members_at(45)) members.push_back(m->asn);
-  const auto locality = model.as_graph().classify(members);
-  core::VantagePoint vantage{
-      model.ixp(),   model.routing(),  model.geo_db(), locality,
-      model.dns_db(), dns::PublicSuffixList::builtin(), model.root_store()};
+  core::VantagePoint vantage = study.vantage();
   core::WeekSession session = vantage.open_week(45);
   std::uint64_t replayed = 0;
   ingest::MappedSource source{trace, sflow::ReadPolicy::lenient()};
@@ -61,9 +53,7 @@ int main(int argc, char** argv) {
     session.observe_batch(batch.samples);
     replayed += batch.samples.size();
   }
-  const auto report = session.finish([&](net::Ipv4Addr addr, int times) {
-    return model.fetch_chains(addr, times, 45);
-  });
+  const auto report = session.finish(study.fetcher(45));
 
   std::cout << "replayed " << util::with_thousands(replayed) << " samples ("
             << (source.stats().degraded() ? "DAMAGED" : "clean") << ")\n";

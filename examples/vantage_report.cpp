@@ -9,10 +9,8 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "analysis/study.hpp"
 #include "core/parallel_analyzer.hpp"
-#include "core/vantage_point.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
@@ -25,24 +23,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const gen::InternetModel model{gen::ScaleConfig::bench(volume)};
-  const gen::Workload workload{model};
-  std::vector<net::Asn> members;
-  for (const auto* m : model.ixp().members_at(week)) members.push_back(m->asn);
-  const auto locality = model.as_graph().classify(members);
-
-  core::VantagePoint vantage{
-      model.ixp(),   model.routing(),  model.geo_db(), locality,
-      model.dns_db(), dns::PublicSuffixList::builtin(), model.root_store()};
-  std::vector<sflow::FlowSample> samples;
-  workload.generate_week(
-      week, [&](const sflow::FlowSample& s) { samples.push_back(s); });
+  const analysis::Study study{gen::ScaleConfig::bench(volume)};
+  core::VantagePoint vantage = study.vantage();
   core::ParallelAnalyzer analyzer{vantage};
-  ingest::SpanSource source{samples, core::ParallelOptions{}.batch_size};
-  const auto report =
-      analyzer.analyze(week, source, [&](net::Ipv4Addr addr, int times) {
-        return model.fetch_chains(addr, times, week);
-      });
+  gen::WeekSource source = study.week(week);
+  const auto report = analyzer.analyze(week, source, study.fetcher(week));
 
   std::cout << "=== week " << week << " @ volume " << volume << " ===\n\n";
 

@@ -16,11 +16,10 @@
 // concurrently with no sequence handoff, because every batch carries its
 // own position-derived stream key. A serial source (no split() plan) is
 // pumped by the calling thread through a bounded queue while the workers
-// run the hot path (filtering, HTTP matching, evidence accumulation). The
-// serve service does not use this path — it runs its own pump workers over
-// LiveQueueSource — so today the only serial source driven through it is
-// parallel_fault_test's SerialSource; ROADMAP item 1(b) plans a production
-// caller, a generated week pulled batch by batch.
+// run the hot path (filtering, HTTP matching, evidence accumulation); a
+// generated week (gen::WeekSource) arrives this way, its generation
+// running beside the workers. The serve service does not use this path —
+// it runs its own pump workers over LiveQueueSource.
 //
 // The engine exposes its two halves separately: reduce() is the
 // observation phase alone — fan out, merge, hand back the week's fully

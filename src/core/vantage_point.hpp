@@ -196,6 +196,14 @@ class VantagePoint {
                const dns::ZoneDatabase& dns, const dns::PublicSuffixList& psl,
                const x509::RootStore& roots, VantageOptions options = {});
 
+  /// The vantage point keeps a pointer to the locality map, so a
+  /// temporary one would dangle once the declaration ends.
+  VantagePoint(const fabric::Ixp& ixp, const net::RoutingTable& routing,
+               const geo::GeoDatabase& geo,
+               std::unordered_map<net::Asn, net::Locality>&& locality,
+               const dns::ZoneDatabase& dns, const dns::PublicSuffixList& psl,
+               const x509::RootStore& roots, VantageOptions options = {}) = delete;
+
   /// Opens a new observation week and hands back its session.
   [[nodiscard]] WeekSession open_week(int week) {
     return WeekSession{*this, week};

@@ -189,17 +189,17 @@ struct Workload::ActiveSet {
   std::vector<std::uint32_t> dual_initiators;
 };
 
-/// The hand-off between generate_week's producer thread and the calling
-/// thread: a fixed ring of kRingBatches batches of kRingBatchSamples
-/// samples, allocated by the caller. The producer builds each sample in
-/// place in slot() and commit()s it; a full batch is handed over, and the
-/// producer blocks while every batch is handed over and not yet
-/// delivered. The caller's drain() delivers whole batches in order.
-/// stop(), from either side, ends the run: the producer's next hand-off
-/// throws Stopped, and drain() returns.
+/// The hand-off between a week's producer thread and its consumer (a
+/// WeekSource): a fixed ring of kRingBatches batches of kRingBatchSamples
+/// samples. The producer builds each sample in place in slot() and
+/// commit()s it; a full batch is handed over, and the producer blocks
+/// while every batch is handed over and not yet released. The consumer
+/// take()s whole batches in order and release()s each once it is done
+/// with it. stop(), from either side, ends the run: the producer's next
+/// hand-off throws Stopped, and take() reports the end.
 class Workload::SampleRing {
  public:
-  /// Thrown in the producer once the caller has stopped.
+  /// Thrown in the producer once the consumer has stopped.
   struct Stopped {};
 
   /// Every slot starts as `blank`; the producer overwrites the fields
@@ -239,25 +239,25 @@ class Workload::SampleRing {
     wake_.notify_all();
   }
 
-  // --- caller side ----------------------------------------------------------
-  /// Calls `sink` on every sample, in order, until the stream ends or
-  /// either side stops it.
-  void drain(const SampleSink& sink) {
-    for (std::size_t next = 0;; ++next) {
-      std::size_t size = 0;
-      {
-        std::unique_lock lock{mutex_};
-        wake_.wait(lock, [&] { return produced_ > next || done_ || stopped_; });
-        if (stopped_ || produced_ == next) return;
-        size = sizes_[next % kRingBatches];
-      }
-      const sflow::FlowSample* batch =
-          &slots_[(next % kRingBatches) * kRingBatchSamples];
-      for (std::size_t i = 0; i < size; ++i) sink(batch[i]);
-      const std::lock_guard lock{mutex_};
-      consumed_ = next + 1;
-      wake_.notify_all();
+  // --- consumer side --------------------------------------------------------
+  /// Waits for batch `index` and returns its samples; empty once the
+  /// stream ended before it or either side stopped.
+  std::span<const sflow::FlowSample> take(std::size_t index) {
+    std::size_t size = 0;
+    {
+      std::unique_lock lock{mutex_};
+      wake_.wait(lock, [&] { return produced_ > index || done_ || stopped_; });
+      if (stopped_ || produced_ == index) return {};
+      size = sizes_[index % kRingBatches];
     }
+    return {&slots_[(index % kRingBatches) * kRingBatchSamples], size};
+  }
+
+  /// Gives batch `index` (and every one before it) back to the producer.
+  void release(std::size_t index) {
+    const std::lock_guard lock{mutex_};
+    consumed_ = index + 1;
+    wake_.notify_all();
   }
 
  private:
@@ -277,33 +277,61 @@ class Workload::SampleRing {
   // also reads it unlocked.
   std::size_t sizes_[kRingBatches] = {};
   std::size_t produced_ = 0;  // batches handed over
-  std::size_t consumed_ = 0;  // batches delivered
+  std::size_t consumed_ = 0;  // batches released
   bool done_ = false;
   bool stopped_ = false;
 };
 
 WeeklyTruth Workload::generate_week(int week, const SampleSink& sink) const {
+  WeekSource source{*this, week};
+  ingest::SampleBatch batch;
+  while (source.next_batch(batch) == ingest::SourceStatus::kBatch)
+    for (const sflow::FlowSample& sample : batch.samples) sink(sample);
+  return source.truth();
+}
+
+namespace {
+
+sflow::FlowSample blank_sample() {
   sflow::FlowSample blank;
   blank.sampling_rate = sflow::kPaperSamplingRate;
-  SampleRing ring{blank};
-  WeeklyTruth truth;
-  util::BackgroundTask producer{[&] {
+  return blank;
+}
+
+}  // namespace
+
+WeekSource::WeekSource(const Workload& workload, int week)
+    : ring_(std::make_unique<Workload::SampleRing>(blank_sample())) {
+  producer_ = std::make_unique<util::BackgroundTask>([this, &workload, week] {
     try {
-      truth = draw_week(week, ring);
-      ring.finish();
+      truth_ = workload.draw_week(week, *ring_);
+      ring_->finish();
     } catch (...) {
-      ring.stop();
+      ring_->stop();
       throw;
     }
-  }};
-  try {
-    ring.drain(sink);
-  } catch (...) {
-    ring.stop();  // the producer's destructor-join follows
-    throw;
+  });
+}
+
+WeekSource::~WeekSource() {
+  ring_->stop();
+  producer_.reset();  // joins; a producer error nobody pulled is dropped
+}
+
+ingest::SourceStatus WeekSource::next_batch(ingest::SampleBatch& out) {
+  if (ended_) return ingest::SourceStatus::kEnd;
+  if (next_ > 0) ring_->release(next_ - 1);
+  const std::span<const sflow::FlowSample> batch = ring_->take(next_);
+  if (batch.empty()) {
+    ended_ = true;
+    producer_->join();  // rethrows what the producer threw
+    return ingest::SourceStatus::kEnd;
   }
-  producer.join();
-  return truth;
+  out.samples = batch;
+  out.first_seq = first_seq_;
+  first_seq_ += batch.size();
+  ++next_;
+  return ingest::SourceStatus::kBatch;
 }
 
 WeeklyTruth Workload::draw_week(int week, SampleRing& ring) const {

@@ -10,7 +10,9 @@
 //
 // Generation is deterministic per (model seed, week): re-generating a week
 // produces the identical stream. The draws run on a producer thread of
-// their own while the calling thread runs the sink (DESIGN.md §9.4).
+// their own while the consumer pulls batches of them: WeekSource hands a
+// week to the analysis engine as an ingest::IngestSource, and
+// generate_week is a loop over one (DESIGN.md §9.4).
 #pragma once
 
 #include <functional>
@@ -19,8 +21,13 @@
 #include <vector>
 
 #include "gen/internet.hpp"
+#include "ingest/ingest_source.hpp"
 #include "sflow/datagram.hpp"
 #include "sflow/sampler.hpp"
+
+namespace ixp::util {
+class BackgroundTask;
+}  // namespace ixp::util
 
 namespace ixp::gen {
 
@@ -54,17 +61,16 @@ struct WeeklyTruth {
 
 class Workload {
  public:
-  /// generate_week's hand-off ring: kRingBatches batches of
-  /// kRingBatchSamples samples, about 0.6 MB.
+  /// The hand-off ring between the producer and the consumer of a week:
+  /// kRingBatches batches of kRingBatchSamples samples, about 0.6 MB.
   static constexpr std::size_t kRingBatches = 4;
   static constexpr std::size_t kRingBatchSamples = 1024;
 
   explicit Workload(const InternetModel& model);
 
-  /// Generates the full sample stream of `week` into `sink`. The draws run
-  /// on a producer thread that fills a fixed ring of sample batches; the
-  /// calling thread delivers them to `sink`. An exception on either side
-  /// stops the other and is rethrown here.
+  /// Generates the full sample stream of `week` into `sink`: pulls a
+  /// WeekSource to its end and delivers every sample of every batch. An
+  /// exception on either side stops the other and is rethrown here.
   WeeklyTruth generate_week(int week, const SampleSink& sink) const;
 
   /// Indices of servers that are visible and active in `week`.
@@ -73,10 +79,11 @@ class Workload {
   [[nodiscard]] const InternetModel& model() const noexcept { return *model_; }
 
  private:
+  friend class WeekSource;
   struct ActiveSet;
   class SampleRing;
 
-  /// The producer half of generate_week: draws the stream of `week` into
+  /// The producer half of a WeekSource: draws the stream of `week` into
   /// `ring` and returns its truth.
   WeeklyTruth draw_week(int week, SampleRing& ring) const;
 
@@ -137,6 +144,41 @@ class Workload {
   std::vector<BackgroundPrefix> background_prefixes_;  // indexed like prefixes()
   // Per-org site ranks for Host headers.
   std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> org_sites_;
+};
+
+/// One generated week, pulled batch by batch: the consumer half of the
+/// workload's sample ring, as an ingest::IngestSource. Construction starts
+/// the producer thread. Each next_batch() hands out a view of one ring
+/// batch (kRingBatchSamples samples, the last one shorter) and gives the
+/// batch it handed out before back to the producer. Keys are running
+/// sample indices from 0, exactly ingest::SpanSource's over the same
+/// stream, so a pulled week reduces to the same shard and report as a
+/// collected one. split() stays empty: core::ParallelAnalyzer pumps the
+/// source from one thread while generation runs beside it. An exception
+/// the producer throws reaches the caller from next_batch(). The
+/// destructor stops and joins the producer, so no thread outlives the
+/// source (core::ProcessPool forks between weeks). The workload must
+/// outlive the source.
+class WeekSource final : public ingest::IngestSource {
+ public:
+  WeekSource(const Workload& workload, int week);
+  ~WeekSource() override;
+
+  WeekSource(const WeekSource&) = delete;
+  WeekSource& operator=(const WeekSource&) = delete;
+
+  ingest::SourceStatus next_batch(ingest::SampleBatch& out) override;
+
+  /// The week's ground truth; valid once next_batch() returned kEnd.
+  [[nodiscard]] const WeeklyTruth& truth() const noexcept { return truth_; }
+
+ private:
+  std::unique_ptr<Workload::SampleRing> ring_;
+  WeeklyTruth truth_;  // written by the producer, read after its join
+  std::unique_ptr<util::BackgroundTask> producer_;
+  std::size_t next_ = 0;         // the ring batch the next pull hands out
+  std::uint64_t first_seq_ = 0;  // running index of that batch's first sample
+  bool ended_ = false;
 };
 
 }  // namespace ixp::gen

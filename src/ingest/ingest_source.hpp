@@ -3,10 +3,11 @@
 // Anything that can deliver batches of FlowSamples with stream-position
 // keys is a source, and the analyzer, the serve pump workers, and the CLI
 // all consume this single API instead of one code path per input shape.
-// Three adapters ship: SpanSource (an in-memory sample span), MappedSource
-// (a recorded trace, decoded by TraceCursor) and core::LiveQueueSource
-// (the collector service's live socket feed, pulled directly by serve's
-// own workers rather than through ParallelAnalyzer).
+// Four adapters ship: SpanSource (an in-memory sample span), MappedSource
+// (a recorded trace, decoded by TraceCursor), gen::WeekSource (a generated
+// week, pulled from the generator's producer thread batch by batch) and
+// core::LiveQueueSource (the collector service's live socket feed, pulled
+// directly by serve's own workers rather than through ParallelAnalyzer).
 //
 // The contract has three parts:
 //
@@ -30,12 +31,12 @@
 //     consumable sub-sources; worker threads claim and drain them with
 //     no cross-worker sequence handoff, because every batch carries its
 //     own position-derived key. A serial source returns an empty vector
-//     and the analyzer pumps it from one thread instead; the only such
-//     source driven through the analyzer today is parallel_fault_test's
-//     SerialSource, and ROADMAP item 1(b) plans a production one (a
-//     generated week). Sub-sources borrow the parent (which must outlive
-//     them) and partition its accounting; after a split() the parent
-//     itself must not be pulled again.
+//     and the analyzer pumps it from one thread instead: gen::WeekSource,
+//     which every generated week (the CLI's diff and weeks, the
+//     experiments) is fed through, and parallel_fault_test's SerialSource.
+//     Sub-sources borrow the parent (which must outlive them) and
+//     partition its accounting; after a split() the parent itself must
+//     not be pulled again.
 #pragma once
 
 #include <cstdint>

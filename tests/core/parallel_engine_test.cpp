@@ -11,10 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/study.hpp"
 #include "core/parallel_analyzer.hpp"
-#include "core/vantage_point.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
 #include "ingest/ingest_source.hpp"
 #include "probe/sweeps.hpp"
 #include "sflow/mapped_trace.hpp"
@@ -29,43 +27,23 @@ constexpr int kWeek = 45;
 class ParallelEngineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    model_ = new gen::InternetModel{gen::ScaleConfig::test()};
-    std::vector<net::Asn> members;
-    for (const auto* m : model_->ixp().members_at(kWeek))
-      members.push_back(m->asn);
-    locality_ = new std::unordered_map<net::Asn, net::Locality>(
-        model_->as_graph().classify(members));
+    study_ = new analysis::Study{gen::ScaleConfig::test()};
 
     samples_ = new std::vector<sflow::FlowSample>;
-    const gen::Workload workload{*model_};
-    workload.generate_week(
+    study_->workload().generate_week(
         kWeek, [](const sflow::FlowSample& s) { samples_->push_back(s); });
 
     // The reference: one session, one shard, stream order.
-    auto vp = make_vantage();
+    auto vp = study_->vantage();
     WeekSession session = vp.open_week(kWeek);
     session.observe_batch(*samples_);
-    baseline_ = new WeeklyReport{session.finish(fetcher())};
+    baseline_ = new WeeklyReport{session.finish(study_->fetcher(kWeek))};
   }
 
   static void TearDownTestSuite() {
     delete baseline_;
     delete samples_;
-    delete locality_;
-    delete model_;
-  }
-
-  static VantagePoint make_vantage() {
-    return VantagePoint{model_->ixp(),   model_->routing(),
-                        model_->geo_db(), *locality_,
-                        model_->dns_db(), dns::PublicSuffixList::builtin(),
-                        model_->root_store()};
-  }
-
-  static classify::ChainFetcher fetcher() {
-    return [](net::Ipv4Addr addr, int times) {
-      return model_->fetch_chains(addr, times, kWeek);
-    };
+    delete study_;
   }
 
   /// Field-for-field equality against the baseline report. EXPECT_EQ on
@@ -136,15 +114,12 @@ class ParallelEngineTest : public ::testing::Test {
     }
   }
 
-  static gen::InternetModel* model_;
-  static std::unordered_map<net::Asn, net::Locality>* locality_;
+  static analysis::Study* study_;
   static std::vector<sflow::FlowSample>* samples_;
   static WeeklyReport* baseline_;
 };
 
-gen::InternetModel* ParallelEngineTest::model_ = nullptr;
-std::unordered_map<net::Asn, net::Locality>* ParallelEngineTest::locality_ =
-    nullptr;
+analysis::Study* ParallelEngineTest::study_ = nullptr;
 std::vector<sflow::FlowSample>* ParallelEngineTest::samples_ = nullptr;
 WeeklyReport* ParallelEngineTest::baseline_ = nullptr;
 
@@ -175,23 +150,23 @@ WeeklyReport run_shard_split(VantagePoint& vp,
 }
 
 TEST_F(ParallelEngineTest, TwoShardsReproduceBaseline) {
-  auto vp = make_vantage();
-  expect_matches_baseline(run_shard_split(vp, *samples_, fetcher(), 2, 1));
+  auto vp = study_->vantage();
+  expect_matches_baseline(run_shard_split(vp, *samples_, study_->fetcher(kWeek), 2, 1));
 }
 
 TEST_F(ParallelEngineTest, ThreeShardsMergedOutOfOrder) {
-  auto vp = make_vantage();
-  expect_matches_baseline(run_shard_split(vp, *samples_, fetcher(), 3, 2));
+  auto vp = study_->vantage();
+  expect_matches_baseline(run_shard_split(vp, *samples_, study_->fetcher(kWeek), 3, 2));
 }
 
 TEST_F(ParallelEngineTest, SevenShardsMergedOutOfOrder) {
-  auto vp = make_vantage();
-  expect_matches_baseline(run_shard_split(vp, *samples_, fetcher(), 7, 4));
+  auto vp = study_->vantage();
+  expect_matches_baseline(run_shard_split(vp, *samples_, study_->fetcher(kWeek), 7, 4));
 }
 
 TEST_F(ParallelEngineTest, PairwiseShardMergeIsAssociative) {
   // (a . b) . c  versus  a . (b . c) over a 3-way split of the stream.
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   const auto split3 = [&](WeekSession& session) {
     std::vector<WeekShard> shards;
     for (int k = 0; k < 3; ++k) shards.push_back(session.make_shard());
@@ -207,7 +182,7 @@ TEST_F(ParallelEngineTest, PairwiseShardMergeIsAssociative) {
     shards[0].merge(std::move(shards[2]));  // . c
     left.absorb(std::move(shards[0]));
   }
-  const auto left_report = left.finish(fetcher());
+  const auto left_report = left.finish(study_->fetcher(kWeek));
 
   WeekSession right = vp.open_week(kWeek);
   {
@@ -216,7 +191,7 @@ TEST_F(ParallelEngineTest, PairwiseShardMergeIsAssociative) {
     shards[0].merge(std::move(shards[1]));  // a .
     right.absorb(std::move(shards[0]));
   }
-  const auto right_report = right.finish(fetcher());
+  const auto right_report = right.finish(study_->fetcher(kWeek));
 
   expect_matches_baseline(left_report);
   expect_matches_baseline(right_report);
@@ -232,7 +207,7 @@ TEST_F(ParallelEngineTest, EmptyShardMergesMatchSingleShardState) {
   // an empty shard in is a no-op; and the consumed shard, left holding
   // the empty tables, is reusable. Every step must encode exactly like
   // one shard that observed the whole stream.
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   WeekSession session = vp.open_week(kWeek);
   WeekShard single = session.make_shard();
   for (std::size_t i = 0; i < samples_->size(); ++i)
@@ -269,37 +244,37 @@ TEST_F(ParallelEngineTest, EmptyShardMergesMatchSingleShardState) {
   for (std::size_t i = 1; i < samples_->size(); i += 2)
     observe_one(rest, (*samples_)[i], i);
   reused.absorb(std::move(rest));
-  expect_matches_baseline(reused.finish(fetcher()));
+  expect_matches_baseline(reused.finish(study_->fetcher(kWeek)));
 }
 
 TEST_F(ParallelEngineTest, SpanAnalyzerTwoThreadsMatchesBaseline) {
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ParallelOptions options;
   options.threads = 2;
   options.batch_size = 64;  // many batches -> real interleaving
   ParallelAnalyzer analyzer{vp, options};
   ingest::SpanSource source{*samples_, options.batch_size};
-  expect_matches_baseline(analyzer.analyze(kWeek, source, fetcher()));
+  expect_matches_baseline(analyzer.analyze(kWeek, source, study_->fetcher(kWeek)));
 }
 
 TEST_F(ParallelEngineTest, SpanAnalyzerFourThreadsMatchesBaseline) {
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ParallelOptions options;
   options.threads = 4;
   options.batch_size = 37;  // deliberately odd: ragged final batch
   ParallelAnalyzer analyzer{vp, options};
   ingest::SpanSource source{*samples_, options.batch_size};
-  expect_matches_baseline(analyzer.analyze(kWeek, source, fetcher()));
+  expect_matches_baseline(analyzer.analyze(kWeek, source, study_->fetcher(kWeek)));
 }
 
 TEST_F(ParallelEngineTest, SpanAnalyzerEightThreadsMatchesBaseline) {
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ParallelOptions options;
   options.threads = 8;  // more workers than a shard's worth of batches
   options.batch_size = 51;
   ParallelAnalyzer analyzer{vp, options};
   ingest::SpanSource source{*samples_, options.batch_size};
-  expect_matches_baseline(analyzer.analyze(kWeek, source, fetcher()));
+  expect_matches_baseline(analyzer.analyze(kWeek, source, study_->fetcher(kWeek)));
 }
 
 TEST_F(ParallelEngineTest, TraceReplayThreadedMatchesBaseline) {
@@ -317,24 +292,24 @@ TEST_F(ParallelEngineTest, TraceReplayThreadedMatchesBaseline) {
   const auto trace = sflow::MappedTrace::adopt(std::move(bytes));
   ASSERT_TRUE(trace.ok());
 
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ParallelOptions options;
   options.threads = 3;
   options.batch_size = 128;
   ParallelAnalyzer analyzer{vp, options};
   ingest::MappedSource source{trace};
-  const auto report = analyzer.analyze(kWeek, source, fetcher());
+  const auto report = analyzer.analyze(kWeek, source, study_->fetcher(kWeek));
   EXPECT_TRUE(source.ok());
   expect_matches_baseline(report);
 }
 
 TEST_F(ParallelEngineTest, SingleThreadAnalyzerMatchesBaseline) {
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ParallelOptions options;
   options.threads = 1;
   ParallelAnalyzer analyzer{vp, options};
   ingest::SpanSource source{*samples_, options.batch_size};
-  expect_matches_baseline(analyzer.analyze(kWeek, source, fetcher()));
+  expect_matches_baseline(analyzer.analyze(kWeek, source, study_->fetcher(kWeek)));
 }
 
 TEST_F(ParallelEngineTest, ThreadedFinishMatchesSerial) {
@@ -345,20 +320,12 @@ TEST_F(ParallelEngineTest, ThreadedFinishMatchesSerial) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     gen::ScaleConfig cfg = gen::ScaleConfig::test();
     cfg.seed = seed;
-    const gen::InternetModel model{cfg};
-    std::vector<net::Asn> members;
-    for (const auto* m : model.ixp().members_at(kWeek)) members.push_back(m->asn);
-    const auto locality = model.as_graph().classify(members);
+    const analysis::Study study{cfg};
     std::vector<sflow::FlowSample> samples;
-    gen::Workload{model}.generate_week(
+    study.workload().generate_week(
         kWeek, [&](const sflow::FlowSample& s) { samples.push_back(s); });
-    VantagePoint vp{model.ixp(),    model.routing(),
-                    model.geo_db(), locality,
-                    model.dns_db(), dns::PublicSuffixList::builtin(),
-                    model.root_store()};
-    const classify::ChainFetcher fetch = [&](net::Ipv4Addr addr, int times) {
-      return model.fetch_chains(addr, times, kWeek);
-    };
+    VantagePoint vp = study.vantage();
+    const classify::ChainFetcher fetch = study.fetcher(kWeek);
 
     std::vector<std::byte> serial_shard;
     std::vector<std::byte> serial_report;
@@ -392,21 +359,21 @@ TEST_F(ParallelEngineTest, EveryChunkingGivesTheSameFunnelAndConfirmedSet) {
   // Whatever the chunking, the summed funnel and the confirmed servers
   // are those of one sweep over every candidate, and the report is the
   // baseline's.
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   WeekShard shard = vp.open_week(kWeek).make_shard();
   shard.observe_batch(*samples_, 0);
   const std::vector<net::Ipv4Addr> candidates =
       shard.dissector().https_candidates();
-  probe::HttpsSweep whole{model_->root_store(), dns::PublicSuffixList::builtin(),
+  probe::HttpsSweep whole{study_->model().root_store(), dns::PublicSuffixList::builtin(),
                           VantageOptions{}.fetches_per_ip};
-  const probe::HttpsSweepResult want = whole.run_with_fetcher(candidates, fetcher());
+  const probe::HttpsSweepResult want = whole.run_with_fetcher(candidates, study_->fetcher(kWeek));
   ASSERT_GT(want.confirmed.size(), 0u);
 
   for (const std::size_t chunks : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                                    std::size_t{7}, classify::kPartitions}) {
     SCOPED_TRACE("chunks " + std::to_string(chunks));
     const WeeklyReport got =
-        vp.finish_week_in_chunks(WeekShard{shard}, fetcher(), 4, chunks);
+        vp.finish_week_in_chunks(WeekShard{shard}, study_->fetcher(kWeek), 4, chunks);
     EXPECT_EQ(got.https_funnel.candidates, want.funnel.candidates);
     EXPECT_EQ(got.https_funnel.responded, want.funnel.responded);
     EXPECT_EQ(got.https_funnel.confirmed, want.funnel.confirmed);
@@ -423,11 +390,11 @@ TEST_F(ParallelEngineTest, SweepHandsBackEachConfirmedServersFirstChain) {
   // The metadata harvest reads the chain the sweep fetched first instead
   // of fetching each confirmed server once more: it must be the chain a
   // single fetch returns.
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   WeekShard shard = vp.open_week(kWeek).make_shard();
   shard.observe_batch(*samples_, 0);
-  const classify::ChainFetcher fetch = fetcher();
-  probe::HttpsSweep sweep{model_->root_store(), dns::PublicSuffixList::builtin(),
+  const classify::ChainFetcher fetch = study_->fetcher(kWeek);
+  probe::HttpsSweep sweep{study_->model().root_store(), dns::PublicSuffixList::builtin(),
                           VantageOptions{}.fetches_per_ip};
   const probe::HttpsSweepResult swept =
       sweep.run_with_fetcher(shard.dissector().https_candidates(), fetch);

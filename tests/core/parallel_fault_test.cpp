@@ -20,10 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/study.hpp"
 #include "core/parallel_analyzer.hpp"
-#include "core/vantage_point.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
 #include "ingest/ingest_source.hpp"
 #include "sflow/fault_injector.hpp"
 #include "sflow/mapped_trace.hpp"
@@ -37,45 +35,22 @@ constexpr int kWeek = 45;
 class ParallelFaultTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    model_ = new gen::InternetModel{gen::ScaleConfig::test()};
-    std::vector<net::Asn> members;
-    for (const auto* m : model_->ixp().members_at(kWeek))
-      members.push_back(m->asn);
-    locality_ = new std::unordered_map<net::Asn, net::Locality>(
-        model_->as_graph().classify(members));
+    study_ = new analysis::Study{gen::ScaleConfig::test()};
     samples_ = new std::vector<sflow::FlowSample>;
-    const gen::Workload workload{*model_};
-    workload.generate_week(
+    study_->workload().generate_week(
         kWeek, [](const sflow::FlowSample& s) { samples_->push_back(s); });
   }
 
   static void TearDownTestSuite() {
     delete samples_;
-    delete locality_;
-    delete model_;
+    delete study_;
   }
 
-  static VantagePoint make_vantage() {
-    return VantagePoint{model_->ixp(),   model_->routing(),
-                        model_->geo_db(), *locality_,
-                        model_->dns_db(), dns::PublicSuffixList::builtin(),
-                        model_->root_store()};
-  }
-
-  static classify::ChainFetcher fetcher() {
-    return [](net::Ipv4Addr addr, int times) {
-      return model_->fetch_chains(addr, times, kWeek);
-    };
-  }
-
-  static gen::InternetModel* model_;
-  static std::unordered_map<net::Asn, net::Locality>* locality_;
+  static analysis::Study* study_;
   static std::vector<sflow::FlowSample>* samples_;
 };
 
-gen::InternetModel* ParallelFaultTest::model_ = nullptr;
-std::unordered_map<net::Asn, net::Locality>* ParallelFaultTest::locality_ =
-    nullptr;
+analysis::Study* ParallelFaultTest::study_ = nullptr;
 std::vector<sflow::FlowSample>* ParallelFaultTest::samples_ = nullptr;
 
 /// The determinism contract, reduced to its load-bearing fields.
@@ -135,31 +110,31 @@ ParallelOptions throwing_options(unsigned threads, std::uint64_t bad_seq) {
 }
 
 TEST_F(ParallelFaultTest, StrictWorkerExceptionRethrownNoDeadlock) {
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   // The poisoned batch sits mid-stream: the reader will still be pushing
   // against the tiny queue when the worker dies, which is exactly the
   // blocked-push scenario abort() must unwedge.
   ParallelAnalyzer analyzer{vp, throwing_options(4, 512)};
   SerialSource source{*samples_, 64};
-  EXPECT_THROW((void)analyzer.analyze(kWeek, source, fetcher()),
+  EXPECT_THROW((void)analyzer.analyze(kWeek, source, study_->fetcher(kWeek)),
                std::runtime_error);
 }
 
 TEST_F(ParallelFaultTest, StrictSpanWorkerExceptionRethrown) {
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ParallelAnalyzer analyzer{vp, throwing_options(4, 512)};
   ingest::SpanSource source{*samples_, 64};
-  EXPECT_THROW((void)analyzer.analyze(kWeek, source, fetcher()),
+  EXPECT_THROW((void)analyzer.analyze(kWeek, source, study_->fetcher(kWeek)),
                std::runtime_error);
 }
 
 TEST_F(ParallelFaultTest, LenientWorkerCompletesDegraded) {
   auto options = throwing_options(4, 512);
   options.lenient_workers = true;
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ParallelAnalyzer analyzer{vp, options};
   ingest::SpanSource source{*samples_, options.batch_size};
-  const auto report = analyzer.analyze(kWeek, source, fetcher());
+  const auto report = analyzer.analyze(kWeek, source, study_->fetcher(kWeek));
   EXPECT_TRUE(report.degraded);
   ASSERT_EQ(report.worker_errors.size(), 4u);
   std::uint64_t dropped = 0;
@@ -168,13 +143,13 @@ TEST_F(ParallelFaultTest, LenientWorkerCompletesDegraded) {
 }
 
 TEST_F(ParallelFaultTest, CleanRunIsNotDegraded) {
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ParallelOptions options;
   options.threads = 2;
   options.batch_size = 64;
   ParallelAnalyzer analyzer{vp, options};
   ingest::SpanSource source{*samples_, options.batch_size};
-  const auto report = analyzer.analyze(kWeek, source, fetcher());
+  const auto report = analyzer.analyze(kWeek, source, study_->fetcher(kWeek));
   EXPECT_FALSE(report.degraded);
   EXPECT_TRUE(report.worker_errors.empty());
 }
@@ -193,13 +168,13 @@ TEST_F(ParallelFaultTest, CorruptTraceLenientReportIdenticalAcrossThreads) {
   std::vector<WeeklyReport> reports;
   std::vector<sflow::ReaderStats> stats;
   for (const unsigned threads : {1u, 2u, 8u}) {
-    auto vp = make_vantage();
+    auto vp = study_->vantage();
     ParallelOptions options;
     options.threads = threads;
     options.batch_size = 256;
     ParallelAnalyzer analyzer{vp, options};
     ingest::MappedSource source{trace, sflow::ReadPolicy::lenient()};
-    reports.push_back(analyzer.analyze(kWeek, source, fetcher()));
+    reports.push_back(analyzer.analyze(kWeek, source, study_->fetcher(kWeek)));
     EXPECT_TRUE(source.ok()) << threads << " threads";
     EXPECT_TRUE(source.stats().degraded()) << threads << " threads";
     stats.push_back(source.stats());
@@ -236,23 +211,23 @@ TEST_F(ParallelFaultTest, MappedSplitReportMatchesUnsplitOnCleanAndCorrupt) {
     ASSERT_TRUE(trace.ok());
 
     // Unsplit baseline: one thread, one segment, lenient.
-    auto vp = make_vantage();
+    auto vp = study_->vantage();
     ParallelOptions serial_options;
     serial_options.threads = 1;
     ParallelAnalyzer baseline{vp, serial_options};
     ingest::MappedSource unsplit{trace, sflow::ReadPolicy::lenient()};
-    const auto serial = baseline.analyze(kWeek, unsplit, fetcher());
+    const auto serial = baseline.analyze(kWeek, unsplit, study_->fetcher(kWeek));
     ASSERT_TRUE(unsplit.ok());
     ASSERT_EQ(unsplit.segments().size(), 1u);
 
     for (const unsigned threads : {4u, 8u}) {
       SCOPED_TRACE(std::to_string(threads) + " threads");
-      auto vp2 = make_vantage();
+      auto vp2 = study_->vantage();
       ParallelOptions options;
       options.threads = threads;
       ParallelAnalyzer analyzer{vp2, options};
       ingest::MappedSource source{trace, sflow::ReadPolicy::lenient()};
-      const auto split = analyzer.analyze(kWeek, source, fetcher());
+      const auto split = analyzer.analyze(kWeek, source, study_->fetcher(kWeek));
       EXPECT_GT(source.segments().size(), 1u);
       expect_reports_equal(serial, split);
 
@@ -281,12 +256,12 @@ TEST_F(ParallelFaultTest, MappedStrictPolicyReportsBudgetExceeded) {
 
   const auto trace = sflow::MappedTrace::adopt(std::move(corrupted));
   ASSERT_TRUE(trace.ok());
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ParallelOptions options;
   options.threads = 4;
   ParallelAnalyzer analyzer{vp, options};
   ingest::MappedSource source{trace, sflow::ReadPolicy::strict()};
-  (void)analyzer.analyze(kWeek, source, fetcher());
+  (void)analyzer.analyze(kWeek, source, study_->fetcher(kWeek));
   EXPECT_GT(source.stats().errors(), 0u);
   EXPECT_FALSE(source.within_budget());
   EXPECT_FALSE(source.ok());
@@ -304,10 +279,10 @@ TEST_F(ParallelFaultTest, MappedStrictWorkerExceptionRethrownNoDeadlock) {
                                std::uint64_t) {
     if (hits->fetch_add(1) == 40) throw std::runtime_error{"classifier blew up"};
   };
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ParallelAnalyzer analyzer{vp, options};
   ingest::MappedSource source{trace, sflow::ReadPolicy::lenient()};
-  EXPECT_THROW((void)analyzer.analyze(kWeek, source, fetcher()),
+  EXPECT_THROW((void)analyzer.analyze(kWeek, source, study_->fetcher(kWeek)),
                std::runtime_error);
 }
 
@@ -322,10 +297,10 @@ TEST_F(ParallelFaultTest, MappedLenientWorkerCompletesDegraded) {
                                std::uint64_t) {
     if (hits->fetch_add(1) == 40) throw std::runtime_error{"classifier blew up"};
   };
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ParallelAnalyzer analyzer{vp, options};
   ingest::MappedSource source{trace, sflow::ReadPolicy::lenient()};
-  const auto report = analyzer.analyze(kWeek, source, fetcher());
+  const auto report = analyzer.analyze(kWeek, source, study_->fetcher(kWeek));
   EXPECT_TRUE(report.degraded);
   ASSERT_EQ(report.worker_errors.size(), 4u);
   std::uint64_t dropped = 0;

@@ -23,14 +23,11 @@
 #include <string>
 #include <thread>
 #include <unistd.h>
-#include <unordered_map>
 #include <vector>
 
+#include "analysis/study.hpp"
 #include "core/parallel_analyzer.hpp"
 #include "core/serve_service.hpp"
-#include "core/vantage_point.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
 #include "ingest/ingest_source.hpp"
 #include "sflow/fault_injector.hpp"
 #include "sflow/socket_intake.hpp"
@@ -45,44 +42,22 @@ constexpr int kWeek = 45;
 class ServeTest : public ::testing::Test {
  public:
   static void SetUpTestSuite() {
-    model_ = new gen::InternetModel{gen::ScaleConfig::test()};
-    std::vector<net::Asn> members;
-    for (const auto* m : model_->ixp().members_at(kWeek))
-      members.push_back(m->asn);
-    locality_ = new std::unordered_map<net::Asn, net::Locality>(
-        model_->as_graph().classify(members));
+    study_ = new analysis::Study{gen::ScaleConfig::test()};
     samples_ = new std::vector<sflow::FlowSample>;
-    const gen::Workload workload{*model_};
-    workload.generate_week(
+    study_->workload().generate_week(
         kWeek, [](const sflow::FlowSample& s) { samples_->push_back(s); });
   }
 
   static void TearDownTestSuite() {
     delete samples_;
-    delete locality_;
-    delete model_;
+    delete study_;
   }
 
-  static VantagePoint make_vantage() {
-    return VantagePoint{model_->ixp(),   model_->routing(),
-                        model_->geo_db(), *locality_,
-                        model_->dns_db(), dns::PublicSuffixList::builtin(),
-                        model_->root_store()};
-  }
-
-  static classify::ChainFetcher fetcher() {
-    return [](net::Ipv4Addr addr, int times) {
-      return model_->fetch_chains(addr, times, kWeek);
-    };
-  }
-
-  static gen::InternetModel* model_;
-  static std::unordered_map<net::Asn, net::Locality>* locality_;
+  static analysis::Study* study_;
   static std::vector<sflow::FlowSample>* samples_;
 };
 
-gen::InternetModel* ServeTest::model_ = nullptr;
-std::unordered_map<net::Asn, net::Locality>* ServeTest::locality_ = nullptr;
+analysis::Study* ServeTest::study_ = nullptr;
 std::vector<sflow::FlowSample>* ServeTest::samples_ = nullptr;
 
 /// The determinism contract, reduced to its load-bearing fields.
@@ -172,23 +147,23 @@ void wait_observed(const ServeService& service, std::uint64_t n) {
 }
 
 WeeklyReport analyze_baseline(std::span<const std::byte> bytes) {
-  auto vp = ServeTest::make_vantage();
+  auto vp = ServeTest::study_->vantage();
   ParallelOptions options;
   options.threads = 1;
   ParallelAnalyzer analyzer{vp, options};
   ingest::MappedSource source{bytes, sflow::ReadPolicy::lenient()};
-  auto report = analyzer.analyze(kWeek, source, ServeTest::fetcher());
+  auto report = analyzer.analyze(kWeek, source, ServeTest::study_->fetcher(kWeek));
   EXPECT_TRUE(source.ok());
   return report;
 }
 
 WeeklyReport span_baseline(const std::vector<sflow::FlowSample>& samples) {
-  auto vp = ServeTest::make_vantage();
+  auto vp = ServeTest::study_->vantage();
   ParallelOptions options;
   options.threads = 1;
   ParallelAnalyzer analyzer{vp, options};
   ingest::SpanSource source{samples, options.batch_size};
-  return analyzer.analyze(kWeek, source, ServeTest::fetcher());
+  return analyzer.analyze(kWeek, source, ServeTest::study_->fetcher(kWeek));
 }
 
 TEST_F(ServeTest, ReplayedSnapshotMatchesAnalyzeForAnyWorkerAndAgentCount) {
@@ -219,11 +194,11 @@ TEST_F(ServeTest, ReplayedSnapshotMatchesAnalyzeForAnyWorkerAndAgentCount) {
     const auto records = replay_records(*c.bytes);
     ASSERT_FALSE(records.empty());
 
-    auto vp = make_vantage();
+    auto vp = study_->vantage();
     ServeOptions options;
     options.week = kWeek;
     options.threads = c.threads;
-    ServeService service{vp, fetcher(), options};
+    ServeService service{vp, study_->fetcher(kWeek), options};
     service.start();
     for (std::size_t i = 0; i < records.size(); ++i)
       ASSERT_TRUE(offer_record(service, records[i], c.agents, i));
@@ -264,11 +239,11 @@ TEST_F(ServeTest, SequenceGapsDoNotDependOnWorkerCount) {
   ASSERT_FALSE(records.empty());
 
   const auto replay_lost = [&](unsigned threads, int agents) {
-    auto vp = make_vantage();
+    auto vp = study_->vantage();
     ServeOptions options;
     options.week = kWeek;
     options.threads = threads;
-    ServeService service{vp, fetcher(), options};
+    ServeService service{vp, study_->fetcher(kWeek), options};
     service.start();
     for (std::size_t i = 0; i < records.size(); ++i)
       EXPECT_TRUE(offer_record(service, records[i], agents, i));
@@ -310,11 +285,11 @@ TEST_F(ServeTest, PeriodicSnapshotsSealEpochsAndDrainStaysCumulative) {
     first_half.insert(first_half.end(), records[i].samples.begin(),
                       records[i].samples.end());
 
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ServeOptions options;
   options.week = kWeek;
   options.threads = 2;
-  ServeService service{vp, fetcher(), options};
+  ServeService service{vp, study_->fetcher(kWeek), options};
   service.start();
   EXPECT_EQ(service.current(), nullptr);
 
@@ -348,12 +323,12 @@ TEST_F(ServeTest, SlidingWindowCoversOnlyRecentEpochs) {
                 records[i].samples.end());
   }
 
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ServeOptions options;
   options.week = kWeek;
   options.threads = 2;
   options.window_epochs = 1;
-  ServeService service{vp, fetcher(), options};
+  ServeService service{vp, study_->fetcher(kWeek), options};
   service.start();
 
   for (std::size_t i = 0; i < half; ++i)
@@ -383,12 +358,12 @@ TEST_F(ServeTest, WindowLargerThanSealedEpochsFoldsWhatExists) {
     first_half.insert(first_half.end(), records[i].samples.begin(),
                       records[i].samples.end());
 
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ServeOptions options;
   options.week = kWeek;
   options.threads = 2;
   options.window_epochs = 8;  // far more than will ever be sealed
-  ServeService service{vp, fetcher(), options};
+  ServeService service{vp, study_->fetcher(kWeek), options};
   service.start();
 
   for (std::size_t i = 0; i < half; ++i)
@@ -414,11 +389,11 @@ TEST_F(ServeTest, CumulativeSnapshotsReportFoldedEpochCoverage) {
   const auto records = replay_records(bytes);
   ASSERT_GT(records.size(), 4u);
 
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ServeOptions options;
   options.week = kWeek;
   options.threads = 1;
-  ServeService service{vp, fetcher(), options};  // window 0 = cumulative
+  ServeService service{vp, study_->fetcher(kWeek), options};  // window 0 = cumulative
   service.start();
   for (std::size_t i = 0; i < records.size(); ++i)
     ASSERT_TRUE(offer_record(service, records[i], 1, i));
@@ -439,11 +414,11 @@ TEST_F(ServeTest, DrainRacingInFlightSnapshotsStaysCumulative) {
   const auto baseline = analyze_baseline(bytes);
   const auto records = replay_records(bytes);
 
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ServeOptions options;
   options.week = kWeek;
   options.threads = 2;
-  ServeService service{vp, fetcher(), options};
+  ServeService service{vp, study_->fetcher(kWeek), options};
   service.start();
   for (std::size_t i = 0; i < records.size(); ++i)
     ASSERT_TRUE(offer_record(service, records[i], 1, i));
@@ -466,12 +441,12 @@ TEST_F(ServeTest, OverloadShedsFloodingAgentWithExactCounts) {
   const auto records = replay_records(bytes);
   ASSERT_GT(records.size(), 8u);
 
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ServeOptions options;
   options.week = kWeek;
   options.threads = 2;
   options.queue_capacity = 4;  // tiny bound; the flood must shed, not stall
-  ServeService service{vp, fetcher(), options};
+  ServeService service{vp, study_->fetcher(kWeek), options};
 
   // Flood before the workers start: with nobody draining, offer() must
   // keep returning (never block) and count each overflow against the one
@@ -501,11 +476,11 @@ TEST_F(ServeTest, UndecodableDatagramsAreCountedNotFatal) {
   const auto records = replay_records(bytes);
   const auto baseline = analyze_baseline(bytes);
 
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ServeOptions options;
   options.week = kWeek;
   options.threads = 2;
-  ServeService service{vp, fetcher(), options};
+  ServeService service{vp, study_->fetcher(kWeek), options};
   service.start();
   for (std::size_t i = 0; i < records.size(); ++i) {
     ASSERT_TRUE(offer_record(service, records[i], 1, i));
@@ -531,7 +506,7 @@ TEST_F(ServeTest, SequenceEvictionHookFiresUnderForgedAgentFlood) {
   const auto records = replay_records(bytes);
   ASSERT_GT(records.size(), 8u);
 
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ServeOptions options;
   options.week = kWeek;
   options.threads = 1;
@@ -540,7 +515,7 @@ TEST_F(ServeTest, SequenceEvictionHookFiresUnderForgedAgentFlood) {
   options.eviction_log = [&logged](net::Ipv4Addr, std::uint32_t) {
     logged.fetch_add(1, std::memory_order_relaxed);
   };
-  ServeService service{vp, fetcher(), options};
+  ServeService service{vp, study_->fetcher(kWeek), options};
   service.start();
   for (std::size_t i = 0; i < records.size(); ++i)
     ASSERT_TRUE(offer_record(service, records[i], /*agents=*/8, i));
@@ -569,11 +544,11 @@ TEST_F(ServeTest, UnixSocketReplayMatchesAnalyze) {
   if (!intake.listen_unix(path, &error))
     GTEST_SKIP() << "cannot bind unix socket: " << error;
 
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   ServeOptions options;
   options.week = kWeek;
   options.threads = 4;
-  ServeService service{vp, fetcher(), options};
+  ServeService service{vp, study_->fetcher(kWeek), options};
   service.start();
 
   // A unix datagram send blocks when the receiver's buffer is full, so

@@ -7,9 +7,24 @@
 #include <algorithm>
 #include <cstring>
 #include <span>
+#include <type_traits>
+#include <unordered_map>
 
 namespace ixp::core {
 namespace {
+
+using LocalityMap = std::unordered_map<net::Asn, net::Locality>;
+
+// The vantage point keeps a pointer to its locality map: a temporary map
+// must not compile, an lvalue one must.
+static_assert(!std::is_constructible_v<
+              VantagePoint, const fabric::Ixp&, const net::RoutingTable&,
+              const geo::GeoDatabase&, LocalityMap&&, const dns::ZoneDatabase&,
+              const dns::PublicSuffixList&, const x509::RootStore&>);
+static_assert(std::is_constructible_v<
+              VantagePoint, const fabric::Ixp&, const net::RoutingTable&,
+              const geo::GeoDatabase&, LocalityMap&, const dns::ZoneDatabase&,
+              const dns::PublicSuffixList&, const x509::RootStore&>);
 
 using net::Asn;
 using net::Ipv4Addr;

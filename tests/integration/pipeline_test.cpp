@@ -6,10 +6,8 @@
 
 #include "analysis/attribution.hpp"
 #include "analysis/heterogeneity.hpp"
+#include "analysis/study.hpp"
 #include "core/parallel_analyzer.hpp"
-#include "core/vantage_point.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
 
 namespace ixp {
 namespace {
@@ -17,47 +15,27 @@ namespace {
 class PipelineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    model_ = new gen::InternetModel{gen::ScaleConfig::test()};
-    workload_ = new gen::Workload{*model_};
-
-    std::vector<net::Asn> members;
-    for (const auto* m : model_->ixp().members_at(45)) members.push_back(m->asn);
-    locality_ = new std::unordered_map<net::Asn, net::Locality>(
-        model_->as_graph().classify(members));
-
-    core::VantagePoint vp{model_->ixp(),   model_->routing(),
-                          model_->geo_db(), *locality_,
-                          model_->dns_db(), dns::PublicSuffixList::builtin(),
-                          model_->root_store()};
-    std::vector<sflow::FlowSample> samples;
-    truth_ = new gen::WeeklyTruth{workload_->generate_week(
-        45, [&](const sflow::FlowSample& s) { samples.push_back(s); })};
+    study_ = new analysis::Study{gen::ScaleConfig::test()};
+    core::VantagePoint vp = study_->vantage();
     core::ParallelAnalyzer analyzer{vp};
-    ingest::SpanSource source{samples, core::ParallelOptions{}.batch_size};
-    report_ = new core::WeeklyReport{analyzer.analyze(
-        45, source, [&](net::Ipv4Addr addr, int times) {
-          return model_->fetch_chains(addr, times, 45);
-        })};
+    gen::WeekSource week = study_->week(45);
+    report_ = new core::WeeklyReport{
+        analyzer.analyze(45, week, study_->fetcher(45))};
+    truth_ = new gen::WeeklyTruth{week.truth()};
   }
 
   static void TearDownTestSuite() {
     delete report_;
     delete truth_;
-    delete locality_;
-    delete workload_;
-    delete model_;
+    delete study_;
   }
 
-  static gen::InternetModel* model_;
-  static gen::Workload* workload_;
-  static std::unordered_map<net::Asn, net::Locality>* locality_;
+  static analysis::Study* study_;
   static gen::WeeklyTruth* truth_;
   static core::WeeklyReport* report_;
 };
 
-gen::InternetModel* PipelineTest::model_ = nullptr;
-gen::Workload* PipelineTest::workload_ = nullptr;
-std::unordered_map<net::Asn, net::Locality>* PipelineTest::locality_ = nullptr;
+analysis::Study* PipelineTest::study_ = nullptr;
 gen::WeeklyTruth* PipelineTest::truth_ = nullptr;
 core::WeeklyReport* PipelineTest::report_ = nullptr;
 
@@ -90,8 +68,8 @@ TEST_F(PipelineTest, FilterCountsMatchGeneratorTruth) {
 
 TEST_F(PipelineTest, VisibilityRowsArePlausible) {
   EXPECT_GT(report_->peering_ips, 10'000u);
-  EXPECT_GT(report_->peering_ases, model_->config().as_count * 9 / 10);
-  EXPECT_GT(report_->peering_prefixes, model_->config().prefix_count / 2);
+  EXPECT_GT(report_->peering_ases, study_->model().config().as_count * 9 / 10);
+  EXPECT_GT(report_->peering_prefixes, study_->model().config().prefix_count / 2);
   EXPECT_GT(report_->peering_countries, 80u);
   EXPECT_LT(report_->server_ips, report_->peering_ips);
   EXPECT_GT(report_->server_ips, 500u);
@@ -102,16 +80,16 @@ TEST_F(PipelineTest, IdentifiedServersAreRealServers) {
   // No false positives: every identified server IP is a model server.
   std::size_t checked = 0;
   for (const auto& obs : report_->servers) {
-    const auto index = model_->server_by_addr(obs.addr);
+    const auto index = study_->model().server_by_addr(obs.addr);
     ASSERT_TRUE(index) << obs.addr.to_string();
-    EXPECT_TRUE(model_->servers()[*index].visible());
+    EXPECT_TRUE(study_->model().servers()[*index].visible());
     ++checked;
   }
   EXPECT_GT(checked, 0u);
 }
 
 TEST_F(PipelineTest, MostActiveServersAreIdentified) {
-  const auto active = workload_->active_visible_servers(45);
+  const auto active = study_->workload().active_visible_servers(45);
   EXPECT_GT(static_cast<double>(report_->server_ips),
             0.35 * static_cast<double>(active.size()));
 }
@@ -130,9 +108,9 @@ TEST_F(PipelineTest, HttpsFunnelShapeHolds) {
 TEST_F(PipelineTest, ConfirmedHttpsAreTrueHttpsServers) {
   for (const auto& obs : report_->servers) {
     if (!obs.https) continue;
-    const auto index = model_->server_by_addr(obs.addr);
+    const auto index = study_->model().server_by_addr(obs.addr);
     ASSERT_TRUE(index);
-    EXPECT_EQ(model_->servers()[*index].tls, gen::TlsBehavior::kValidStable);
+    EXPECT_EQ(study_->model().servers()[*index].tls, gen::TlsBehavior::kValidStable);
   }
 }
 
@@ -159,7 +137,7 @@ TEST_F(PipelineTest, ClusteringStepsAndAccuracy) {
   metadata.reserve(report_->servers.size());
   for (const auto& obs : report_->servers) metadata.push_back(obs.metadata);
 
-  const core::OrgClusterer clusterer{model_->dns_db(),
+  const core::OrgClusterer clusterer{study_->model().dns_db(),
                                      dns::PublicSuffixList::builtin()};
   const auto clustering = clusterer.cluster(metadata);
   EXPECT_GT(clustering.clustered(), metadata.size() * 6 / 10);
@@ -171,9 +149,9 @@ TEST_F(PipelineTest, ClusteringStepsAndAccuracy) {
   std::size_t wrong = 0;
   for (const auto& [addr, assignment] : clustering.by_server) {
     if (assignment.step == 0) continue;
-    const auto index = model_->server_by_addr(addr);
+    const auto index = study_->model().server_by_addr(addr);
     ASSERT_TRUE(index);
-    const auto& truth_org = model_->orgs()[model_->servers()[*index].org];
+    const auto& truth_org = study_->model().orgs()[study_->model().servers()[*index].org];
     (assignment.authority == truth_org.domain ? correct : wrong) += 1;
   }
   ASSERT_GT(correct + wrong, 0u);
@@ -185,23 +163,23 @@ TEST_F(PipelineTest, ClusteringStepsAndAccuracy) {
 TEST_F(PipelineTest, AttributionServerShareAboveSeventyPercent) {
   std::unordered_map<net::Ipv4Addr, std::uint32_t> server_org;
   for (const auto& obs : report_->servers) server_org.emplace(obs.addr, 0u);
-  analysis::AttributionPass pass{model_->ixp(), 45, std::move(server_org), {}};
-  (void)workload_->generate_week(
+  analysis::AttributionPass pass{study_->model().ixp(), 45, std::move(server_org), {}};
+  (void)study_->workload().generate_week(
       45, [&](const sflow::FlowSample& s) { pass.observe(s); });
   EXPECT_GT(pass.server_share(), 0.55);
   EXPECT_LT(pass.server_share(), 0.95);
 }
 
 TEST_F(PipelineTest, AkamaiIndirectShareNearPaper) {
-  const auto akamai = *model_->org_by_name("akamai");
+  const auto akamai = *study_->model().org_by_name("akamai");
   std::unordered_map<net::Ipv4Addr, std::uint32_t> server_org;
-  for (const std::uint32_t s : model_->org_servers(akamai))
-    server_org.emplace(model_->servers()[s].addr, akamai);
+  for (const std::uint32_t s : study_->model().org_servers(akamai))
+    server_org.emplace(study_->model().servers()[s].addr, akamai);
   std::unordered_map<std::uint32_t, net::Asn> org_home{
-      {akamai, model_->ases()[*model_->orgs()[akamai].home_as].asn}};
-  analysis::AttributionPass pass{model_->ixp(), 45, std::move(server_org),
+      {akamai, study_->model().ases()[*study_->model().orgs()[akamai].home_as].asn}};
+  analysis::AttributionPass pass{study_->model().ixp(), 45, std::move(server_org),
                                  std::move(org_home)};
-  (void)workload_->generate_week(
+  (void)study_->workload().generate_week(
       45, [&](const sflow::FlowSample& s) { pass.observe(s); });
   // Paper: 11.1% of Akamai traffic does not use the direct links.
   EXPECT_NEAR(pass.indirect_share(akamai), 0.111, 0.08);

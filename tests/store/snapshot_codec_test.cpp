@@ -12,13 +12,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "core/vantage_point.hpp"
+#include "analysis/study.hpp"
 #include "core/week_shard.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
 #include "store/snapshot_store.hpp"
 
 namespace ixp::store {
@@ -29,36 +26,15 @@ constexpr int kWeek = 45;
 class SnapshotCodecTest : public ::testing::Test {
  public:
   static void SetUpTestSuite() {
-    model_ = new gen::InternetModel{gen::ScaleConfig::test()};
-    std::vector<net::Asn> members;
-    for (const auto* m : model_->ixp().members_at(kWeek))
-      members.push_back(m->asn);
-    locality_ = new std::unordered_map<net::Asn, net::Locality>(
-        model_->as_graph().classify(members));
+    study_ = new analysis::Study{gen::ScaleConfig::test()};
     samples_ = new std::vector<sflow::FlowSample>;
-    const gen::Workload workload{*model_};
-    workload.generate_week(
+    study_->workload().generate_week(
         kWeek, [](const sflow::FlowSample& s) { samples_->push_back(s); });
   }
 
   static void TearDownTestSuite() {
     delete samples_;
-    delete locality_;
-    delete model_;
-  }
-
-  static core::VantagePoint make_vantage() {
-    return core::VantagePoint{model_->ixp(),   model_->routing(),
-                              model_->geo_db(), *locality_,
-                              model_->dns_db(),
-                              dns::PublicSuffixList::builtin(),
-                              model_->root_store()};
-  }
-
-  static classify::ChainFetcher fetcher() {
-    return [](net::Ipv4Addr addr, int times) {
-      return model_->fetch_chains(addr, times, kWeek);
-    };
+    delete study_;
   }
 
   /// A shard that observed samples [begin, end) at their true stream
@@ -73,18 +49,15 @@ class SnapshotCodecTest : public ::testing::Test {
     return shard;
   }
 
-  static gen::InternetModel* model_;
-  static std::unordered_map<net::Asn, net::Locality>* locality_;
+  static analysis::Study* study_;
   static std::vector<sflow::FlowSample>* samples_;
 };
 
-gen::InternetModel* SnapshotCodecTest::model_ = nullptr;
-std::unordered_map<net::Asn, net::Locality>* SnapshotCodecTest::locality_ =
-    nullptr;
+analysis::Study* SnapshotCodecTest::study_ = nullptr;
 std::vector<sflow::FlowSample>* SnapshotCodecTest::samples_ = nullptr;
 
 TEST_F(SnapshotCodecTest, ShardRoundTripIsLosslessAndByteStable) {
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   const core::WeekSession session = vp.open_week(kWeek);
   const core::WeekShard shard = observe_range(session, 0, samples_->size());
   ASSERT_GT(shard.samples_observed(), 0u);
@@ -94,7 +67,7 @@ TEST_F(SnapshotCodecTest, ShardRoundTripIsLosslessAndByteStable) {
   // Canonical form: encoding the same state twice is byte-identical.
   EXPECT_EQ(SnapshotCodec::encode_shard(shard), bytes);
 
-  const auto decoded = SnapshotCodec::decode_shard(bytes, model_->ixp());
+  const auto decoded = SnapshotCodec::decode_shard(bytes, study_->model().ixp());
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->week(), kWeek);
   EXPECT_EQ(decoded->samples_observed(), shard.samples_observed());
@@ -104,7 +77,7 @@ TEST_F(SnapshotCodecTest, ShardRoundTripIsLosslessAndByteStable) {
 }
 
 TEST_F(SnapshotCodecTest, DecodedShardMergesExactlyLikeTheLiveOne) {
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   const core::WeekSession session = vp.open_week(kWeek);
   const std::size_t half = samples_->size() / 2;
 
@@ -122,7 +95,7 @@ TEST_F(SnapshotCodecTest, DecodedShardMergesExactlyLikeTheLiveOne) {
   core::WeekShard resumed = a;
   {
     const auto bytes = SnapshotCodec::encode_shard(b);
-    auto b_decoded = SnapshotCodec::decode_shard(bytes, model_->ixp());
+    auto b_decoded = SnapshotCodec::decode_shard(bytes, study_->model().ixp());
     ASSERT_TRUE(b_decoded.has_value());
     resumed.merge(std::move(*b_decoded));
   }
@@ -131,17 +104,17 @@ TEST_F(SnapshotCodecTest, DecodedShardMergesExactlyLikeTheLiveOne) {
   // and so are the reports they finish into.
   EXPECT_EQ(SnapshotCodec::encode_shard(resumed),
             SnapshotCodec::encode_shard(live));
-  const auto live_report = vp.finish_week(std::move(live), fetcher());
-  const auto resumed_report = vp.finish_week(std::move(resumed), fetcher());
+  const auto live_report = vp.finish_week(std::move(live), study_->fetcher(kWeek));
+  const auto resumed_report = vp.finish_week(std::move(resumed), study_->fetcher(kWeek));
   EXPECT_EQ(SnapshotCodec::encode_report(resumed_report),
             SnapshotCodec::encode_report(live_report));
 }
 
 TEST_F(SnapshotCodecTest, ReportRoundTripIsLosslessAndByteStable) {
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   core::WeekSession session = vp.open_week(kWeek);
   session.observe_batch(*samples_);
-  const core::WeeklyReport report = session.finish(fetcher());
+  const core::WeeklyReport report = session.finish(study_->fetcher(kWeek));
   ASSERT_GT(report.server_ips, 0u);
   ASSERT_FALSE(report.servers.empty());
 
@@ -170,10 +143,10 @@ TEST_F(SnapshotCodecTest, ReportRoundTripIsLosslessAndByteStable) {
 }
 
 TEST_F(SnapshotCodecTest, LocalityCountsSurviveTheRoundTrip) {
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   core::WeekSession session = vp.open_week(kWeek);
   session.observe_batch(*samples_);
-  core::WeeklyReport report = session.finish(fetcher());
+  core::WeeklyReport report = session.finish(study_->fetcher(kWeek));
   std::size_t peering_prefixes = 0;
   std::size_t peering_ases = 0;
   for (const core::LocalityTally& tally : report.peering_locality) {
@@ -200,10 +173,10 @@ TEST_F(SnapshotCodecTest, LocalityCountsSurviveTheRoundTrip) {
 }
 
 TEST_F(SnapshotCodecTest, DegradedFlagAndWorkerErrorsSurviveTheRoundTrip) {
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   core::WeekSession session = vp.open_week(kWeek);
   session.observe_batch(*samples_);
-  core::WeeklyReport report = session.finish(fetcher());
+  core::WeeklyReport report = session.finish(study_->fetcher(kWeek));
   report.degraded = true;
   report.worker_errors = {0, 3, 1};
 
@@ -215,7 +188,7 @@ TEST_F(SnapshotCodecTest, DegradedFlagAndWorkerErrorsSurviveTheRoundTrip) {
 }
 
 TEST_F(SnapshotCodecTest, StrictDecodersRejectTruncationAndPadding) {
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   const core::WeekSession session = vp.open_week(kWeek);
   const core::WeekShard shard = observe_range(session, 0, 256);
   const auto shard_bytes = SnapshotCodec::encode_shard(shard);
@@ -223,7 +196,7 @@ TEST_F(SnapshotCodecTest, StrictDecodersRejectTruncationAndPadding) {
   core::WeekSession full = vp.open_week(kWeek);
   full.observe_batch(*samples_);
   const auto report_bytes =
-      SnapshotCodec::encode_report(full.finish(fetcher()));
+      SnapshotCodec::encode_report(full.finish(study_->fetcher(kWeek)));
 
   for (const auto* bytes : {&shard_bytes, &report_bytes}) {
     auto truncated = *bytes;
@@ -232,10 +205,10 @@ TEST_F(SnapshotCodecTest, StrictDecodersRejectTruncationAndPadding) {
     padded.push_back(std::byte{0});
     if (bytes == &shard_bytes) {
       EXPECT_FALSE(
-          SnapshotCodec::decode_shard(truncated, model_->ixp()).has_value());
+          SnapshotCodec::decode_shard(truncated, study_->model().ixp()).has_value());
       EXPECT_FALSE(
-          SnapshotCodec::decode_shard(padded, model_->ixp()).has_value());
-      EXPECT_FALSE(SnapshotCodec::decode_shard({}, model_->ixp()).has_value());
+          SnapshotCodec::decode_shard(padded, study_->model().ixp()).has_value());
+      EXPECT_FALSE(SnapshotCodec::decode_shard({}, study_->model().ixp()).has_value());
     } else {
       EXPECT_FALSE(SnapshotCodec::decode_report(truncated).has_value());
       EXPECT_FALSE(SnapshotCodec::decode_report(padded).has_value());
@@ -245,7 +218,7 @@ TEST_F(SnapshotCodecTest, StrictDecodersRejectTruncationAndPadding) {
 }
 
 TEST_F(SnapshotCodecTest, ShardDecodeRejectsUnrepresentableByteCount) {
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   const core::WeekSession session = vp.open_week(kWeek);
   const core::WeekShard shard = observe_range(session, 0, 256);
   const auto bytes = SnapshotCodec::encode_shard(shard);
@@ -265,15 +238,15 @@ TEST_F(SnapshotCodecTest, ShardDecodeRejectsUnrepresentableByteCount) {
 
   // The largest count the 56-bit field holds still round-trips ...
   const auto largest = with_bytes(classify::kMaxActivityBytes);
-  const auto decoded = SnapshotCodec::decode_shard(largest, model_->ixp());
+  const auto decoded = SnapshotCodec::decode_shard(largest, study_->model().ixp());
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(SnapshotCodec::encode_shard(*decoded), largest);
   // ... and one more would be truncated, so the shard does not decode.
   EXPECT_FALSE(SnapshotCodec::decode_shard(
-                   with_bytes(classify::kMaxActivityBytes + 1), model_->ixp())
+                   with_bytes(classify::kMaxActivityBytes + 1), study_->model().ixp())
                    .has_value());
   EXPECT_FALSE(SnapshotCodec::decode_shard(with_bytes(~std::uint64_t{0}),
-                                           model_->ixp())
+                                           study_->model().ixp())
                    .has_value());
 }
 

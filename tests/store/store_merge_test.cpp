@@ -19,13 +19,10 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "analysis/study.hpp"
 #include "core/parallel_analyzer.hpp"
-#include "core/vantage_point.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
 #include "ingest/ingest_source.hpp"
 #include "store/snapshot_codec.hpp"
 #include "support/store_fault.hpp"
@@ -38,73 +35,36 @@ namespace fs = std::filesystem;
 constexpr int kFromWeek = 44;
 constexpr int kToWeek = 46;
 
-class OwnedWeekSource final : public ingest::IngestSource {
- public:
-  explicit OwnedWeekSource(std::vector<sflow::FlowSample> samples)
-      : samples_(std::move(samples)), span_(samples_, 512) {}
-
-  ingest::SourceStatus next_batch(ingest::SampleBatch& out) override {
-    return span_.next_batch(out);
-  }
-  std::vector<std::unique_ptr<ingest::IngestSource>> split(
-      std::size_t want) override {
-    return span_.split(want);
-  }
-
- private:
-  std::vector<sflow::FlowSample> samples_;
-  ingest::SpanSource span_;
-};
-
 class StoreMergeTest : public ::testing::Test {
  public:
   static void SetUpTestSuite() {
-    model_ = new gen::InternetModel{gen::ScaleConfig::test()};
-    std::vector<net::Asn> members;
-    for (const auto* m : model_->ixp().members_at(kToWeek))
-      members.push_back(m->asn);
-    locality_ = new std::unordered_map<net::Asn, net::Locality>(
-        model_->as_graph().classify(members));
+    study_ = new analysis::Study{gen::ScaleConfig::test()};
     week_samples_ = new std::map<int, std::vector<sflow::FlowSample>>;
-    const gen::Workload workload{*model_};
     for (int week = kFromWeek; week <= kToWeek; ++week) {
       auto& samples = (*week_samples_)[week];
-      workload.generate_week(
+      study_->workload().generate_week(
           week, [&](const sflow::FlowSample& s) { samples.push_back(s); });
     }
   }
 
   static void TearDownTestSuite() {
     delete week_samples_;
-    delete locality_;
-    delete model_;
-  }
-
-  static core::VantagePoint make_vantage() {
-    return core::VantagePoint{model_->ixp(),   model_->routing(),
-                              model_->geo_db(), *locality_,
-                              model_->dns_db(),
-                              dns::PublicSuffixList::builtin(),
-                              model_->root_store()};
+    delete study_;
   }
 
   static WeeksRunner::SourceFactory source_factory() {
     return [](int week) -> std::unique_ptr<ingest::IngestSource> {
-      return std::make_unique<OwnedWeekSource>(week_samples_->at(week));
+      return std::make_unique<gen::WeekSource>(study_->workload(), week);
     };
   }
 
   static WeeksRunner::FetcherFactory fetcher_factory() {
-    return [](int week) -> classify::ChainFetcher {
-      return [week](net::Ipv4Addr addr, int times) {
-        return model_->fetch_chains(addr, times, week);
-      };
-    };
+    return [](int week) { return study_->fetcher(week); };
   }
 
   /// Runs weeks [from, to] into `dir` (one machine's share of the range).
   static WeeksResult run_range(const std::string& dir, int from, int to) {
-    auto vp = make_vantage();
+    auto vp = study_->vantage();
     core::ParallelOptions popt;
     popt.threads = 2;
     core::ParallelAnalyzer analyzer{vp, popt};
@@ -119,7 +79,7 @@ class StoreMergeTest : public ::testing::Test {
                            const std::string& out,
                            std::uint64_t model_fingerprint = 0,
                            std::uint64_t ingest_fingerprint = 0) {
-    auto vp = make_vantage();
+    auto vp = study_->vantage();
     MergeOptions options;
     options.inputs = inputs;
     options.out = out;
@@ -137,7 +97,7 @@ class StoreMergeTest : public ::testing::Test {
   static void save_partial_shard(const std::string& dir, int week,
                                  std::size_t begin, std::size_t end,
                                  bool unrepresentable = false) {
-    auto vp = make_vantage();
+    auto vp = study_->vantage();
     core::WeekSession session = vp.open_week(week);
     core::WeekShard shard = session.make_shard();
     const auto& samples = week_samples_->at(week);
@@ -173,14 +133,11 @@ class StoreMergeTest : public ::testing::Test {
     ASSERT_TRUE(store.save(week, sections, &error)) << error;
   }
 
-  static gen::InternetModel* model_;
-  static std::unordered_map<net::Asn, net::Locality>* locality_;
+  static analysis::Study* study_;
   static std::map<int, std::vector<sflow::FlowSample>>* week_samples_;
 };
 
-gen::InternetModel* StoreMergeTest::model_ = nullptr;
-std::unordered_map<net::Asn, net::Locality>* StoreMergeTest::locality_ =
-    nullptr;
+analysis::Study* StoreMergeTest::study_ = nullptr;
 std::map<int, std::vector<sflow::FlowSample>>* StoreMergeTest::week_samples_ =
     nullptr;
 

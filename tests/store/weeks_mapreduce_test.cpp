@@ -17,16 +17,12 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "analysis/study.hpp"
 #include "core/parallel_analyzer.hpp"
-#include "core/vantage_point.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
 #include "ingest/ingest_source.hpp"
 #include "store/snapshot_codec.hpp"
 
@@ -39,75 +35,29 @@ constexpr int kFromWeek = 44;
 constexpr int kToWeek = 47;
 constexpr int kWeekCount = kToWeek - kFromWeek + 1;
 
-class OwnedWeekSource final : public ingest::IngestSource {
- public:
-  explicit OwnedWeekSource(std::vector<sflow::FlowSample> samples)
-      : samples_(std::move(samples)), span_(samples_, 512) {}
-
-  ingest::SourceStatus next_batch(ingest::SampleBatch& out) override {
-    return span_.next_batch(out);
-  }
-  std::vector<std::unique_ptr<ingest::IngestSource>> split(
-      std::size_t want) override {
-    return span_.split(want);
-  }
-
- private:
-  std::vector<sflow::FlowSample> samples_;
-  ingest::SpanSource span_;
-};
-
 class WeeksMapReduceTest : public ::testing::Test {
  public:
   static void SetUpTestSuite() {
-    model_ = new gen::InternetModel{gen::ScaleConfig::test()};
-    std::vector<net::Asn> members;
-    for (const auto* m : model_->ixp().members_at(kToWeek))
-      members.push_back(m->asn);
-    locality_ = new std::unordered_map<net::Asn, net::Locality>(
-        model_->as_graph().classify(members));
-    week_samples_ = new std::map<int, std::vector<sflow::FlowSample>>;
-    const gen::Workload workload{*model_};
-    for (int week = kFromWeek; week <= kToWeek; ++week) {
-      auto& samples = (*week_samples_)[week];
-      workload.generate_week(
-          week, [&](const sflow::FlowSample& s) { samples.push_back(s); });
-    }
+    study_ = new analysis::Study{gen::ScaleConfig::test()};
   }
 
-  static void TearDownTestSuite() {
-    delete week_samples_;
-    delete locality_;
-    delete model_;
-  }
-
-  static core::VantagePoint make_vantage() {
-    return core::VantagePoint{model_->ixp(),   model_->routing(),
-                              model_->geo_db(), *locality_,
-                              model_->dns_db(),
-                              dns::PublicSuffixList::builtin(),
-                              model_->root_store()};
-  }
+  static void TearDownTestSuite() { delete study_; }
 
   static WeeksRunner::SourceFactory source_factory() {
     return [](int week) -> std::unique_ptr<ingest::IngestSource> {
-      return std::make_unique<OwnedWeekSource>(week_samples_->at(week));
+      return std::make_unique<gen::WeekSource>(study_->workload(), week);
     };
   }
 
   static WeeksRunner::FetcherFactory fetcher_factory() {
-    return [](int week) -> classify::ChainFetcher {
-      return [week](net::Ipv4Addr addr, int times) {
-        return model_->fetch_chains(addr, times, week);
-      };
-    };
+    return [](int week) { return study_->fetcher(week); };
   }
 
   /// One map-reduce invocation against `dir` with `jobs` workers.
   static MapReduceResult run_jobs(
       const std::string& dir, int jobs,
       const std::function<void(int, int)>& before_week = {}) {
-    auto vp = make_vantage();
+    auto vp = study_->vantage();
     core::ParallelOptions popt;
     popt.threads = 2;
     core::ParallelAnalyzer analyzer{vp, popt};
@@ -121,16 +71,10 @@ class WeeksMapReduceTest : public ::testing::Test {
                                fetcher_factory());
   }
 
-  static gen::InternetModel* model_;
-  static std::unordered_map<net::Asn, net::Locality>* locality_;
-  static std::map<int, std::vector<sflow::FlowSample>>* week_samples_;
+  static analysis::Study* study_;
 };
 
-gen::InternetModel* WeeksMapReduceTest::model_ = nullptr;
-std::unordered_map<net::Asn, net::Locality>* WeeksMapReduceTest::locality_ =
-    nullptr;
-std::map<int, std::vector<sflow::FlowSample>>*
-    WeeksMapReduceTest::week_samples_ = nullptr;
+analysis::Study* WeeksMapReduceTest::study_ = nullptr;
 
 class TempDir {
  public:
@@ -291,7 +235,7 @@ TEST_F(WeeksMapReduceTest, TwoRacingFullRunnersConvergeOnOneStore) {
   // them converge to one valid snapshot per week.
   const TempDir dir{"race"};
   const auto statuses = core::ProcessPool::run(2, [&](int) -> int {
-    auto vp = make_vantage();
+    auto vp = study_->vantage();
     core::ParallelOptions popt;
     popt.threads = 2;
     core::ParallelAnalyzer analyzer{vp, popt};
@@ -319,7 +263,7 @@ TEST_F(WeeksMapReduceTest, TwoRacingFullRunnersConvergeOnOneStore) {
 
 TEST_F(WeeksMapReduceTest, EmptyRangeIsAPlainError) {
   const TempDir dir{"empty"};
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   core::ParallelOptions popt;
   core::ParallelAnalyzer analyzer{vp, popt};
   WeeksRunner runner{vp, analyzer, SnapshotStore{dir.path()}};
@@ -340,7 +284,7 @@ TEST_F(WeeksMapReduceTest, UnusableStoreFailsBeforeForking) {
   fs::create_directories(dir.path());
   const std::string occupied = dir.path() + "/occupied";
   { std::ofstream out{occupied}; out << "x"; }
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   core::ParallelOptions popt;
   core::ParallelAnalyzer analyzer{vp, popt};
   WeeksRunner runner{vp, analyzer, SnapshotStore{occupied}};

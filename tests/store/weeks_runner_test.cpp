@@ -14,17 +14,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "analysis/study.hpp"
 #include "core/parallel_analyzer.hpp"
-#include "core/vantage_point.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
 #include "ingest/ingest_source.hpp"
 #include "store/crc32c.hpp"
 #include "store/snapshot_codec.hpp"
@@ -39,70 +35,22 @@ namespace fs = std::filesystem;
 constexpr int kFromWeek = 44;
 constexpr int kToWeek = 46;
 
-/// Owns one generated week's samples and batches them through a
-/// SpanSource — the same adapter shape `ixpscope weeks` uses.
-class OwnedWeekSource final : public ingest::IngestSource {
- public:
-  explicit OwnedWeekSource(std::vector<sflow::FlowSample> samples)
-      : samples_(std::move(samples)), span_(samples_, 512) {}
-
-  ingest::SourceStatus next_batch(ingest::SampleBatch& out) override {
-    return span_.next_batch(out);
-  }
-  std::vector<std::unique_ptr<ingest::IngestSource>> split(
-      std::size_t want) override {
-    return span_.split(want);
-  }
-
- private:
-  std::vector<sflow::FlowSample> samples_;
-  ingest::SpanSource span_;
-};
-
 class WeeksRunnerTest : public ::testing::Test {
  public:
   static void SetUpTestSuite() {
-    model_ = new gen::InternetModel{gen::ScaleConfig::test()};
-    std::vector<net::Asn> members;
-    for (const auto* m : model_->ixp().members_at(kToWeek))
-      members.push_back(m->asn);
-    locality_ = new std::unordered_map<net::Asn, net::Locality>(
-        model_->as_graph().classify(members));
-    week_samples_ = new std::map<int, std::vector<sflow::FlowSample>>;
-    const gen::Workload workload{*model_};
-    for (int week = kFromWeek; week <= kToWeek; ++week) {
-      auto& samples = (*week_samples_)[week];
-      workload.generate_week(
-          week, [&](const sflow::FlowSample& s) { samples.push_back(s); });
-    }
+    study_ = new analysis::Study{gen::ScaleConfig::test()};
   }
 
-  static void TearDownTestSuite() {
-    delete week_samples_;
-    delete locality_;
-    delete model_;
-  }
-
-  static core::VantagePoint make_vantage() {
-    return core::VantagePoint{model_->ixp(),   model_->routing(),
-                              model_->geo_db(), *locality_,
-                              model_->dns_db(),
-                              dns::PublicSuffixList::builtin(),
-                              model_->root_store()};
-  }
+  static void TearDownTestSuite() { delete study_; }
 
   static WeeksRunner::SourceFactory source_factory() {
     return [](int week) -> std::unique_ptr<ingest::IngestSource> {
-      return std::make_unique<OwnedWeekSource>(week_samples_->at(week));
+      return std::make_unique<gen::WeekSource>(study_->workload(), week);
     };
   }
 
   static WeeksRunner::FetcherFactory fetcher_factory() {
-    return [](int week) -> classify::ChainFetcher {
-      return [week](net::Ipv4Addr addr, int times) {
-        return model_->fetch_chains(addr, times, week);
-      };
-    };
+    return [](int week) { return study_->fetcher(week); };
   }
 
   /// One full driver invocation against `dir`. The fingerprints default
@@ -113,7 +61,7 @@ class WeeksRunnerTest : public ::testing::Test {
                                unsigned threads = 2,
                                std::uint64_t model_fingerprint = 0,
                                std::uint64_t ingest_fingerprint = 0) {
-    auto vp = make_vantage();
+    auto vp = study_->vantage();
     core::ParallelOptions popt;
     popt.threads = threads;
     core::ParallelAnalyzer analyzer{vp, popt};
@@ -126,16 +74,10 @@ class WeeksRunnerTest : public ::testing::Test {
     return runner.run(options, source_factory(), fetcher_factory(), hooks);
   }
 
-  static gen::InternetModel* model_;
-  static std::unordered_map<net::Asn, net::Locality>* locality_;
-  static std::map<int, std::vector<sflow::FlowSample>>* week_samples_;
+  static analysis::Study* study_;
 };
 
-gen::InternetModel* WeeksRunnerTest::model_ = nullptr;
-std::unordered_map<net::Asn, net::Locality>* WeeksRunnerTest::locality_ =
-    nullptr;
-std::map<int, std::vector<sflow::FlowSample>>* WeeksRunnerTest::week_samples_ =
-    nullptr;
+analysis::Study* WeeksRunnerTest::study_ = nullptr;
 
 class TempDir {
  public:
@@ -470,7 +412,7 @@ TEST_F(WeeksRunnerTest, ThreadCountDoesNotChangeTheBytes) {
 
 TEST_F(WeeksRunnerTest, EmptyRangeIsAPlainError) {
   const TempDir dir{"empty"};
-  auto vp = make_vantage();
+  auto vp = study_->vantage();
   core::ParallelOptions popt;
   core::ParallelAnalyzer analyzer{vp, popt};
   WeeksRunner runner{vp, analyzer, SnapshotStore{dir.path()}};

@@ -42,12 +42,11 @@
 #include <string>
 
 #include "analysis/longitudinal.hpp"
+#include "analysis/study.hpp"
 #include "analysis/weekly_delta.hpp"
 #include "core/parallel_analyzer.hpp"
 #include "core/serve_service.hpp"
 #include "core/vantage_point.hpp"
-#include "gen/internet.hpp"
-#include "gen/workload.hpp"
 #include "ingest/ingest_source.hpp"
 #include "net/bgp_dump.hpp"
 #include "probe/metadata_pass.hpp"
@@ -295,36 +294,10 @@ bool parse(int argc, char** argv, Options& opt) {
   return true;
 }
 
-struct World {
-  std::unique_ptr<gen::InternetModel> model;
-  std::unique_ptr<gen::Workload> workload;
-  std::unordered_map<net::Asn, net::Locality> locality;
-};
-
-World build_world(const Options& opt) {
-  World world;
-  const auto cfg =
-      opt.quick ? gen::ScaleConfig::test() : gen::ScaleConfig::bench(opt.volume);
-  world.model = std::make_unique<gen::InternetModel>(cfg);
-  world.workload = std::make_unique<gen::Workload>(*world.model);
-  std::vector<net::Asn> members;
-  for (const auto* m : world.model->ixp().members_at(cfg.last_week))
-    members.push_back(m->asn);
-  world.locality = world.model->as_graph().classify(members);
-  return world;
-}
-
-core::VantagePoint make_vantage(const World& world) {
-  return core::VantagePoint{
-      world.model->ixp(),   world.model->routing(),  world.model->geo_db(),
-      world.locality,       world.model->dns_db(),
-      dns::PublicSuffixList::builtin(), world.model->root_store()};
-}
-
-classify::ChainFetcher make_fetcher(const World& world, int week) {
-  return [&world, week](net::Ipv4Addr addr, int times) {
-    return world.model->fetch_chains(addr, times, week);
-  };
+/// The model scale the global flags select.
+gen::ScaleConfig scale_of(const Options& opt) {
+  return opt.quick ? gen::ScaleConfig::test()
+                   : gen::ScaleConfig::bench(opt.volume);
 }
 
 void print_report(const core::WeeklyReport& report) {
@@ -347,8 +320,8 @@ void print_report(const core::WeeklyReport& report) {
 }
 
 int cmd_info(const Options& opt) {
-  const auto world = build_world(opt);
-  const auto& model = *world.model;
+  const analysis::Study study{scale_of(opt)};
+  const auto& model = study.model();
   std::cout << "ixpscope model (seed " << model.config().seed << ")\n";
   std::cout << "  ASes:        " << util::with_thousands(model.ases().size())
             << "\n";
@@ -372,14 +345,14 @@ int cmd_info(const Options& opt) {
 
 int cmd_generate(const Options& opt) {
   if (opt.out_path.empty()) return usage();
-  const auto world = build_world(opt);
+  const analysis::Study study{scale_of(opt)};
   std::ofstream out{opt.out_path, std::ios::binary};
   if (!out) {
     std::cerr << "cannot write " << opt.out_path << "\n";
     return 1;
   }
   sflow::TraceWriter writer{out, net::Ipv4Addr{172, 16, 0, 1}, 128};
-  world.workload->generate_week(
+  study.workload().generate_week(
       opt.week, [&](const sflow::FlowSample& s) { writer.write(s); });
   writer.flush();
   std::cout << "wrote " << util::with_thousands(writer.samples_written())
@@ -446,14 +419,14 @@ int cmd_analyze(const Options& opt) {
   sflow::MappedTrace trace;
   if (const int code = open_trace(opt.in_path, trace); code != 0) return code;
 
-  const auto world = build_world(opt);
-  core::VantagePoint vantage = make_vantage(world);
+  const analysis::Study study{scale_of(opt)};
+  core::VantagePoint vantage = study.vantage();
   core::ParallelOptions popt;
   popt.threads = static_cast<unsigned>(opt.ingest.threads);
   core::ParallelAnalyzer analyzer{vantage, popt};
   ingest::MappedSource source{trace, opt.ingest.policy()};
   const auto report =
-      analyzer.analyze(opt.week, source, make_fetcher(world, opt.week));
+      analyzer.analyze(opt.week, source, study.fetcher(opt.week));
   if (!source.within_budget()) {
     // Over budget: the report covers only what survived the damage, so
     // refuse it rather than pass it off as the trace's result.
@@ -552,8 +525,8 @@ int cmd_serve(const Options& opt) {
     return 1;
   }
 
-  const auto world = build_world(opt);
-  core::VantagePoint vantage = make_vantage(world);
+  const analysis::Study study{scale_of(opt)};
+  core::VantagePoint vantage = study.vantage();
   core::ServeOptions sopt;
   sopt.week = opt.week;
   sopt.threads = static_cast<unsigned>(opt.ingest.threads);
@@ -564,7 +537,7 @@ int cmd_serve(const Options& opt) {
     std::cerr << "serve: evicted the row of agent "
               << agent.to_string() << " (last seq " << last_sequence << ")\n";
   };
-  core::ServeService service{vantage, make_fetcher(world, opt.week), sopt};
+  core::ServeService service{vantage, study.fetcher(opt.week), sopt};
   service.start();
 
   std::signal(SIGINT, handle_stop_signal);
@@ -688,24 +661,15 @@ int cmd_replay(const Options& opt) {
   return 0;
 }
 
-/// One generated week, in stream order.
-std::vector<sflow::FlowSample> generate_samples(const World& world, int week) {
-  std::vector<sflow::FlowSample> samples;
-  world.workload->generate_week(
-      week, [&](const sflow::FlowSample& s) { samples.push_back(s); });
-  return samples;
-}
-
 int cmd_diff(const Options& opt) {
-  const auto world = build_world(opt);
-  core::VantagePoint vantage = make_vantage(world);
+  const analysis::Study study{scale_of(opt)};
+  core::VantagePoint vantage = study.vantage();
   core::ParallelOptions popt;
   popt.threads = static_cast<unsigned>(opt.ingest.threads);
   core::ParallelAnalyzer analyzer{vantage, popt};
   const auto run = [&](int week) {
-    const auto samples = generate_samples(world, week);
-    ingest::SpanSource source{samples, popt.batch_size};
-    return analyzer.analyze(week, source, make_fetcher(world, week));
+    gen::WeekSource source = study.week(week);
+    return analyzer.analyze(week, source, study.fetcher(week));
   };
   const auto earlier = run(opt.from_week);
   const auto later = run(opt.to_week);
@@ -730,37 +694,15 @@ int cmd_diff(const Options& opt) {
   return 0;
 }
 
-/// An owning ingest::IngestSource over one generated week: holds the
-/// samples and delegates batching/splitting to a SpanSource, so the
-/// parallel engine consumes a synthetic week exactly like a trace.
-class GeneratedWeekSource final : public ingest::IngestSource {
- public:
-  GeneratedWeekSource(std::vector<sflow::FlowSample> samples,
-                      std::size_t batch_size)
-      : samples_(std::move(samples)), span_(samples_, batch_size) {}
-
-  ingest::SourceStatus next_batch(ingest::SampleBatch& out) override {
-    return span_.next_batch(out);
-  }
-  [[nodiscard]] sflow::ReaderStats stats() const override {
-    return span_.stats();
-  }
-  [[nodiscard]] bool ok() const override { return span_.ok(); }
-  std::vector<std::unique_ptr<ingest::IngestSource>> split(
-      std::size_t want) override {
-    return span_.split(want);
-  }
-
- private:
-  std::vector<sflow::FlowSample> samples_;
-  ingest::SpanSource span_;
-};
-
-/// The ingest-policy half of a snapshot's provenance record: the weeks
-/// pipeline consumes seeded generated weeks in fixed 512-sample batches,
-/// so the fingerprint names exactly that. Changing how weeks are fed
-/// (source kind, batching) must change this value — that is what forces
-/// old snapshots onto the quarantine-and-recompute path.
+/// The ingest half of a snapshot's provenance record. A week's report and
+/// shard bytes depend on the generated stream and on its samples'
+/// running-index keys, not on the adapter that delivers them: a pulled
+/// gen::WeekSource and a SpanSource over the same collected week give
+/// the same bytes, in batches of any size. So the value keeps the inputs
+/// it was first hashed from, and stores written by either feed resume.
+/// A change that moves the stream or its keys must change it; that is
+/// what forces old snapshots onto the quarantine-and-recompute path.
+/// cli_weeks_week45 pins the snapshot bytes this value vouches for.
 std::uint64_t weeks_ingest_fingerprint() {
   util::Fnv1a hash;
   hash.mix(std::string_view{"generated-week-source"});
@@ -801,8 +743,8 @@ int cmd_weeks(const Options& opt) {
     return 2;
   }
 
-  const auto world = build_world(opt);
-  core::VantagePoint vantage = make_vantage(world);
+  const analysis::Study study{scale_of(opt)};
+  core::VantagePoint vantage = study.vantage();
   core::ParallelOptions popt;
   popt.threads = static_cast<unsigned>(opt.ingest.threads);
   core::ParallelAnalyzer analyzer{vantage, popt};
@@ -810,15 +752,14 @@ int cmd_weeks(const Options& opt) {
 
   const auto make_source =
       [&](int week) -> std::unique_ptr<ingest::IngestSource> {
-    return std::make_unique<GeneratedWeekSource>(generate_samples(world, week),
-                                                 512);
+    return std::make_unique<gen::WeekSource>(study.workload(), week);
   };
-  const auto fetcher_for = [&](int week) { return make_fetcher(world, week); };
+  const auto fetcher_for = [&](int week) { return study.fetcher(week); };
 
   store::MapReduceOptions mopt;
   mopt.weeks.from_week = opt.from_week;
   mopt.weeks.to_week = opt.to_week;
-  mopt.weeks.model_fingerprint = world.model->config().fingerprint();
+  mopt.weeks.model_fingerprint = study.model().config().fingerprint();
   mopt.weeks.ingest_fingerprint = weeks_ingest_fingerprint();
   mopt.jobs = opt.jobs;
   const auto mr =
@@ -904,14 +845,14 @@ int cmd_merge(const Options& opt) {
     return usage();
   }
 
-  const auto world = build_world(opt);
-  core::VantagePoint vantage = make_vantage(world);
-  const auto fetcher_for = [&](int week) { return make_fetcher(world, week); };
+  const analysis::Study study{scale_of(opt)};
+  core::VantagePoint vantage = study.vantage();
+  const auto fetcher_for = [&](int week) { return study.fetcher(week); };
 
   store::MergeOptions mopt;
   mopt.inputs = opt.dirs;
   mopt.out = opt.out_path;
-  mopt.model_fingerprint = world.model->config().fingerprint();
+  mopt.model_fingerprint = study.model().config().fingerprint();
   mopt.ingest_fingerprint = weeks_ingest_fingerprint();
   const auto result = store::merge_stores(vantage, mopt, fetcher_for);
 
@@ -952,8 +893,8 @@ int cmd_merge(const Options& opt) {
 /// (§2.2.2, zero-copy chain views) and the metadata harvest (§2.4), with
 /// engine accounting and cache hit rates printed for each.
 int cmd_probe(const Options& opt) {
-  const auto world = build_world(opt);
-  const auto& model = *world.model;
+  const analysis::Study study{scale_of(opt)};
+  const auto& model = study.model();
 
   probe::EngineConfig config;
   config.max_in_flight = static_cast<std::uint32_t>(opt.concurrency);
@@ -1065,13 +1006,13 @@ int cmd_probe(const Options& opt) {
 
 int cmd_bgp_export(const Options& opt) {
   if (opt.out_path.empty()) return usage();
-  const auto world = build_world(opt);
+  const analysis::Study study{scale_of(opt)};
   std::ofstream out{opt.out_path};
   if (!out) {
     std::cerr << "cannot write " << opt.out_path << "\n";
     return 1;
   }
-  const std::size_t routes = net::write_bgp_dump(out, world.model->routing());
+  const std::size_t routes = net::write_bgp_dump(out, study.model().routing());
   std::cout << "wrote " << util::with_thousands(routes) << " routes to "
             << opt.out_path << "\n";
   return 0;
