@@ -14,9 +14,16 @@
 //                          filesystem: temp write + fsync + rename, then
 //                          mmap + validate via a reused SnapshotFile
 //                          handle (fsync-bound, so iters are low)
+//   encode_report          SnapshotCodec::encode_report of a bench-scale
+//                          (1/256) week 45 report: ~20K servers with
+//                          their names and URIs, several MB of output,
+//                          not a cache-resident fixture
+//   decode_report          SnapshotCodec::decode_report of those bytes,
+//                          the per-week cost of a resume after its CRCs
 //
-// Items/sec means bytes for the first three cases and completed
-// round-trip cycles for the last.
+// Items/sec means bytes for every case but the round trip (encoded
+// report bytes for the two report cases) and completed round-trip cycles
+// for it. The report fixture is analysed once, untimed, at --threads.
 //
 // The binary exits nonzero when the store's allocation budget regresses:
 // encode_snapshot must build the sealed image in a single reserve (the
@@ -28,8 +35,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/study.hpp"
 #include "bench_json.hpp"
+#include "core/parallel_analyzer.hpp"
 #include "store/crc32c.hpp"
+#include "store/snapshot_codec.hpp"
 #include "store/snapshot_store.hpp"
 #include "util/rng.hpp"
 
@@ -42,6 +52,20 @@ std::vector<std::byte> random_payload(std::size_t size, std::uint64_t seed) {
   std::vector<std::byte> bytes(size);
   for (auto& b : bytes) b = static_cast<std::byte>(rng.next_below(256));
   return bytes;
+}
+
+/// Week 45's report at bench scale (1/256). Building the model and
+/// analysing the week take seconds, once, before either report case
+/// runs; the model is freed before they do.
+core::WeeklyReport bench_scale_report(int threads) {
+  constexpr int kWeek = 45;
+  const analysis::Study study{gen::ScaleConfig::bench(1.0 / 256.0)};
+  core::VantagePoint vantage = study.vantage();
+  core::ParallelOptions options;
+  options.threads = static_cast<unsigned>(threads);
+  core::ParallelAnalyzer analyzer{vantage, options};
+  gen::WeekSource source = study.week(kWeek);
+  return analyzer.analyze(kWeek, source, study.fetcher(kWeek));
 }
 
 }  // namespace
@@ -116,6 +140,30 @@ int main(int argc, char** argv) {
     });
     std::error_code ec;
     std::filesystem::remove(path, ec);
+  }
+
+  {
+    const core::WeeklyReport report = bench_scale_report(args.threads);
+    const auto report_bytes = store::SnapshotCodec::encode_report(report);
+
+    suite.run_case("encode_report", 20, [&](std::uint64_t iters, int) {
+      std::uint64_t bytes = 0;
+      for (std::uint64_t it = 0; it < iters; ++it) {
+        const auto encoded = store::SnapshotCodec::encode_report(report);
+        bench::keep(encoded.size());
+        bytes += encoded.size();
+      }
+      return bytes;
+    });
+    suite.run_case("decode_report", 20, [&](std::uint64_t iters, int) {
+      std::uint64_t bytes = 0;
+      for (std::uint64_t it = 0; it < iters; ++it) {
+        const auto decoded = store::SnapshotCodec::decode_report(report_bytes);
+        bench::keep(decoded.has_value());
+        bytes += report_bytes.size();
+      }
+      return bytes;
+    });
   }
 
   suite.flush();

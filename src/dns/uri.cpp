@@ -30,7 +30,7 @@ std::optional<Uri> Uri::parse(std::string_view text) {
     host_port = text.substr(0, path_start);
     uri.path_.assign(text.substr(path_start));
   } else {
-    uri.path_ = "/";
+    uri.path_ += '/';
   }
 
   const std::size_t colon = host_port.rfind(':');
@@ -59,9 +59,15 @@ std::optional<Uri> Uri::parse(std::string_view text) {
 
 std::string Uri::to_string() const {
   std::string out;
-  if (!scheme_.empty()) out += scheme_ + "://";
+  if (!scheme_.empty()) {
+    out += scheme_;
+    out += "://";
+  }
   out += host_.text();
-  if (port_ != 0) out += ":" + std::to_string(port_);
+  if (port_ != 0) {
+    out += ':';
+    out += std::to_string(port_);
+  }
   out += path_;
   return out;
 }

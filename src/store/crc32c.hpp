@@ -5,9 +5,15 @@
 // open time, before any decoding runs. CRC-32C is the iSCSI/ext4
 // polynomial (0x1EDC6F41, reflected 0x82F63B78): better error-detection
 // spectrum than CRC-32/zlib at the same cost, and the value every
-// storage-layer tool agrees on. The implementation is a software
-// slicing-by-eight table walk — no intrinsics, no dependencies, identical
-// output on every platform (determinism is part of the format contract).
+// storage-layer tool agrees on.
+//
+// Two implementations compute the same function. On x86-64 CPUs with
+// SSE4.2 (checked once per process with __builtin_cpu_supports) crc32c()
+// runs the `crc32` instruction over 8-byte words; everywhere else it runs
+// a portable slicing-by-eight table walk. The table walk is also public
+// as crc32c_table(), the oracle the hardware path is tested against:
+// both give identical output on every platform, because determinism is
+// part of the format contract.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +27,17 @@ namespace ixp::store {
 [[nodiscard]] std::uint32_t crc32c(std::span<const std::byte> data,
                                    std::uint32_t crc = 0) noexcept;
 
-/// Bytes crc32c() has checksummed in this process so far: the tests read
-/// it to hold the store to one CRC pass per snapshot and resume.
+/// The same function by the slicing-by-eight table walk alone, whatever
+/// the CPU. Not counted by crc32c_bytes().
+[[nodiscard]] std::uint32_t crc32c_table(std::span<const std::byte> data,
+                                         std::uint32_t crc = 0) noexcept;
+
+/// True when crc32c() uses the SSE4.2 instruction on this CPU.
+[[nodiscard]] bool crc32c_hardware() noexcept;
+
+/// Bytes crc32c() has checksummed in this process so far, whichever path
+/// ran: the tests read it to hold the store to one CRC pass per snapshot
+/// and resume.
 [[nodiscard]] std::uint64_t crc32c_bytes() noexcept;
 
 }  // namespace ixp::store

@@ -55,11 +55,30 @@ void put_name_list(wire::Writer& out, const std::vector<dns::DnsName>& names) {
   for (const dns::DnsName& name : names) out.str(name.text());
 }
 
+/// Smallest encodings of the records a count field announces: a string
+/// is at least its u32 length, a host observation a u64 and a string, a
+/// country or AS tally four 8-byte fields after its key, a server the
+/// fixed fields of its record with every optional part absent.
+constexpr std::size_t kMinString = 4;
+constexpr std::size_t kMinHostObservation = 8 + kMinString;
+constexpr std::size_t kMinCountryTally = 2 + 4 * 8;
+constexpr std::size_t kMinAsTally = 4 + 4 * 8;
+constexpr std::size_t kMinServer = 4 + 8 + 1 + 1 + 4 + 2 + 1 + 1 + 4 + 4;
+constexpr std::size_t kMinWorkerError = 8;
+
+/// A count read from the bytes, capped at the records the unread bytes
+/// could hold: a damaged count must fail the decode, not drive a huge
+/// reserve (the "Clamp the hint" rule of check_image).
+std::size_t reserve_hint(const wire::Reader& in, std::uint32_t count,
+                         std::size_t min_record) {
+  return std::min<std::size_t>(count, in.remaining() / min_record);
+}
+
 bool get_name_list(wire::Reader& in, std::vector<dns::DnsName>& names) {
   const std::uint32_t count = in.u32();
-  names.reserve(count);
+  names.reserve(reserve_hint(in, count, kMinString));
   for (std::uint32_t i = 0; in.ok() && i < count; ++i) {
-    auto name = dns::DnsName::parse(in.str());
+    auto name = dns::DnsName::parse(in.str_view());
     if (!name) return false;
     names.push_back(std::move(*name));
   }
@@ -160,11 +179,11 @@ std::optional<core::WeekShard> SnapshotCodec::decode_shard(
     const std::uint32_t host_count = in.u32();
     if (host_count > TrafficDissector::kMaxHostsPerServer) return std::nullopt;
     auto& observations = d.hosts_[classify::partition_of(addr)][addr];
-    observations.reserve(host_count);
+    observations.reserve(reserve_hint(in, host_count, kMinHostObservation));
     for (std::uint32_t j = 0; in.ok() && j < host_count; ++j) {
       TrafficDissector::HostObservation obs;
       obs.first_seq = in.u64();
-      obs.name.assign(in.str());
+      obs.name.assign(in.str_view());
       observations.push_back(obs);
     }
   }
@@ -323,6 +342,7 @@ std::optional<core::WeeklyReport> SnapshotCodec::decode_report(
   report.server_countries = in.u64();
 
   const std::uint32_t country_count = in.u32();
+  report.by_country.reserve(reserve_hint(in, country_count, kMinCountryTally));
   for (std::uint32_t i = 0; in.ok() && i < country_count; ++i) {
     const std::uint16_t packed = in.u16();
     const geo::CountryCode code{static_cast<char>(packed >> 8),
@@ -336,6 +356,7 @@ std::optional<core::WeeklyReport> SnapshotCodec::decode_report(
   }
 
   const std::uint32_t as_count = in.u32();
+  report.by_as.reserve(reserve_hint(in, as_count, kMinAsTally));
   for (std::uint32_t i = 0; in.ok() && i < as_count; ++i) {
     const net::Asn asn{in.u32()};
     core::AsTally tally;
@@ -350,7 +371,7 @@ std::optional<core::WeeklyReport> SnapshotCodec::decode_report(
   for (auto& tally : report.server_locality) tally = get_locality(in);
 
   const std::uint32_t server_count = in.u32();
-  report.servers.reserve(server_count);
+  report.servers.reserve(reserve_hint(in, server_count, kMinServer));
   for (std::uint32_t i = 0; in.ok() && i < server_count; ++i) {
     core::ServerObservation server;
     server.addr = net::Ipv4Addr{in.u32()};
@@ -370,19 +391,19 @@ std::optional<core::WeeklyReport> SnapshotCodec::decode_report(
     classify::ServerMetadata& md = server.metadata;
     md.addr = server.addr;
     if (in.u8() != 0) {
-      auto name = dns::DnsName::parse(in.str());
+      auto name = dns::DnsName::parse(in.str_view());
       if (!name) return std::nullopt;
       md.hostname = std::move(*name);
     }
     if (in.u8() != 0) {
-      auto name = dns::DnsName::parse(in.str());
+      auto name = dns::DnsName::parse(in.str_view());
       if (!name) return std::nullopt;
       md.soa_authority = std::move(*name);
     }
     const std::uint32_t uri_count = in.u32();
-    md.uris.reserve(uri_count);
+    md.uris.reserve(reserve_hint(in, uri_count, kMinString));
     for (std::uint32_t j = 0; in.ok() && j < uri_count; ++j) {
-      auto uri = dns::Uri::parse(in.str());
+      auto uri = dns::Uri::parse(in.str_view());
       if (!uri) return std::nullopt;
       md.uris.push_back(std::move(*uri));
     }
@@ -392,7 +413,8 @@ std::optional<core::WeeklyReport> SnapshotCodec::decode_report(
 
   report.degraded = in.u8() != 0;
   const std::uint32_t error_count = in.u32();
-  report.worker_errors.reserve(error_count);
+  report.worker_errors.reserve(
+      reserve_hint(in, error_count, kMinWorkerError));
   for (std::uint32_t i = 0; in.ok() && i < error_count; ++i)
     report.worker_errors.push_back(in.u64());
 

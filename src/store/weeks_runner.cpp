@@ -35,6 +35,10 @@ WeeksResult WeeksRunner::run(const WeeksOptions& options,
   result.quarantined = std::move(scan.quarantined);
   result.stale_temps_removed = scan.stale_temps_removed;
 
+  // Each week's report is folded into the §4 summary as it is produced,
+  // so the summary never needs a second copy of the reports.
+  analysis::LongitudinalFolder folder{options.from_week, options.to_week};
+
   for (int week = options.from_week; week <= options.to_week; ++week) {
     const auto at =
         std::lower_bound(scan.weeks.begin(), scan.weeks.end(), week);
@@ -78,6 +82,7 @@ WeeksResult WeeksRunner::run(const WeeksOptions& options,
                            "decode (format bug)";
             return result;
           }
+          folder.observe(*report);
           outcome.resumed = true;
           outcome.report = std::move(*report);
           ++result.weeks_resumed;
@@ -121,17 +126,14 @@ WeeksResult WeeksRunner::run(const WeeksOptions& options,
       return result;
     }
 
+    folder.observe(report);
     outcome.resumed = false;
     outcome.report = std::move(report);
     ++result.weeks_computed;
     result.weeks.push_back(std::move(outcome));
   }
 
-  std::vector<core::WeeklyReport> reports;
-  reports.reserve(result.weeks.size());
-  for (const WeekOutcome& outcome : result.weeks)
-    reports.push_back(outcome.report);
-  result.longitudinal = analysis::summarize_longitudinal(reports);
+  result.longitudinal = folder.finish();
 
   result.ok = true;
   return result;

@@ -10,12 +10,16 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/study.hpp"
 #include "core/week_shard.hpp"
+#include "dns/name.hpp"
+#include "dns/uri.hpp"
 #include "store/snapshot_store.hpp"
 
 namespace ixp::store {
@@ -187,6 +191,44 @@ TEST_F(SnapshotCodecTest, DegradedFlagAndWorkerErrorsSurviveTheRoundTrip) {
   EXPECT_EQ(decoded->worker_errors, report.worker_errors);
 }
 
+/// A few servers of `report`, between them carrying every optional part
+/// of a server record, plus a few country and AS tallies and worker
+/// errors: every field kind of the report encoding in ~2 KB, small enough
+/// to decode once per byte offset.
+core::WeeklyReport every_field_kind(const core::WeeklyReport& report) {
+  core::WeeklyReport out = report;
+  out.servers.clear();
+  const auto take_first = [&](auto&& has) {
+    const auto it = std::find_if(report.servers.begin(), report.servers.end(),
+                                 has);
+    if (it != report.servers.end()) out.servers.push_back(*it);
+  };
+  take_first([](const auto& s) { return s.metadata.hostname.has_value(); });
+  take_first([](const auto& s) { return s.metadata.soa_authority.has_value(); });
+  take_first([](const auto& s) { return !s.metadata.uris.empty(); });
+  take_first([](const auto& s) { return !s.metadata.cert_names.empty(); });
+  take_first([](const auto& s) { return s.asn.has_value(); });
+  std::sort(out.servers.begin(), out.servers.end(),
+            [](const auto& a, const auto& b) { return a.addr < b.addr; });
+  out.servers.erase(
+      std::unique(out.servers.begin(), out.servers.end(),
+                  [](const auto& a, const auto& b) { return a.addr == b.addr; }),
+      out.servers.end());
+  out.by_country.clear();
+  for (const auto& [code, tally] : report.by_country) {
+    if (out.by_country.size() == 3) break;
+    out.by_country.try_emplace(code, tally);
+  }
+  out.by_as.clear();
+  for (const auto& [asn, tally] : report.by_as) {
+    if (out.by_as.size() == 3) break;
+    out.by_as.try_emplace(asn, tally);
+  }
+  out.degraded = true;
+  out.worker_errors = {2, 0, 5};
+  return out;
+}
+
 TEST_F(SnapshotCodecTest, StrictDecodersRejectTruncationAndPadding) {
   auto vp = study_->vantage();
   const core::WeekSession session = vp.open_week(kWeek);
@@ -195,25 +237,99 @@ TEST_F(SnapshotCodecTest, StrictDecodersRejectTruncationAndPadding) {
 
   core::WeekSession full = vp.open_week(kWeek);
   full.observe_batch(*samples_);
-  const auto report_bytes =
-      SnapshotCodec::encode_report(full.finish(study_->fetcher(kWeek)));
+  const core::WeeklyReport report =
+      every_field_kind(full.finish(study_->fetcher(kWeek)));
+  ASSERT_GE(report.servers.size(), 2u);
+  const auto report_bytes = SnapshotCodec::encode_report(report);
+  ASSERT_TRUE(SnapshotCodec::decode_report(report_bytes).has_value());
+  ASSERT_TRUE(
+      SnapshotCodec::decode_shard(shard_bytes, study_->model().ixp()).has_value());
 
-  for (const auto* bytes : {&shard_bytes, &report_bytes}) {
-    auto truncated = *bytes;
-    truncated.resize(truncated.size() - 1);
-    auto padded = *bytes;
-    padded.push_back(std::byte{0});
-    if (bytes == &shard_bytes) {
-      EXPECT_FALSE(
-          SnapshotCodec::decode_shard(truncated, study_->model().ixp()).has_value());
-      EXPECT_FALSE(
-          SnapshotCodec::decode_shard(padded, study_->model().ixp()).has_value());
-      EXPECT_FALSE(SnapshotCodec::decode_shard({}, study_->model().ixp()).has_value());
-    } else {
-      EXPECT_FALSE(SnapshotCodec::decode_report(truncated).has_value());
-      EXPECT_FALSE(SnapshotCodec::decode_report(padded).has_value());
-      EXPECT_FALSE(SnapshotCodec::decode_report({}).has_value());
-    }
+  // Whole fields are read at once, so an underrun can land mid-field at
+  // any byte: every strict prefix must fail, at every field boundary and
+  // between them.
+  for (std::size_t cut = 0; cut < shard_bytes.size(); ++cut) {
+    const auto prefix = std::span{shard_bytes}.first(cut);
+    EXPECT_FALSE(
+        SnapshotCodec::decode_shard(prefix, study_->model().ixp()).has_value())
+        << "shard cut at " << cut << " of " << shard_bytes.size();
+  }
+  for (std::size_t cut = 0; cut < report_bytes.size(); ++cut) {
+    const auto prefix = std::span{report_bytes}.first(cut);
+    EXPECT_FALSE(SnapshotCodec::decode_report(prefix).has_value())
+        << "report cut at " << cut << " of " << report_bytes.size();
+  }
+
+  auto padded_shard = shard_bytes;
+  padded_shard.push_back(std::byte{0});
+  EXPECT_FALSE(
+      SnapshotCodec::decode_shard(padded_shard, study_->model().ixp()).has_value());
+  auto padded_report = report_bytes;
+  padded_report.push_back(std::byte{0});
+  EXPECT_FALSE(SnapshotCodec::decode_report(padded_report).has_value());
+}
+
+TEST_F(SnapshotCodecTest, HugeCountsFailTheDecodeWithoutThrowing) {
+  // One record behind every count field of the report encoding.
+  core::WeeklyReport report;
+  report.week = kWeek;
+  report.by_country.try_emplace(geo::CountryCode{'D', 'E'},
+                                core::CountryTally{});
+  report.by_as.try_emplace(net::Asn{64500}, core::AsTally{});
+  core::ServerObservation server;
+  server.addr = net::Ipv4Addr{0x0a000001u};
+  server.metadata.uris.push_back(*dns::Uri::parse("http://www.example.com/"));
+  server.metadata.cert_names.push_back(*dns::DnsName::parse("example.com"));
+  report.servers.push_back(server);
+  report.degraded = true;
+  report.worker_errors = {7};
+  const auto bytes = SnapshotCodec::encode_report(report);
+  ASSERT_TRUE(SnapshotCodec::decode_report(bytes).has_value());
+
+  // Offsets from the end of the encoding: degraded (1), the error count
+  // and one error (4 + 8); the server's cert-name and URI lists, each a
+  // count and one string; the server's fixed fields before its URI count
+  // (22 with no hostname or authority); the server count; six locality
+  // tallies (32 each); the AS and country tables, one entry each.
+  const std::size_t cert_bytes = 4 + server.metadata.cert_names[0].text().size();
+  const std::size_t uri_bytes = 4 + server.metadata.uris[0].to_string().size();
+  const std::size_t errors = bytes.size() - 8 - 4;
+  const std::size_t certs = errors - 1 - cert_bytes - 4;
+  const std::size_t uris = certs - uri_bytes - 4;
+  const std::size_t servers = uris - 22 - 4;
+  const std::size_t ases = servers - 6 * 32 - 36 - 4;
+  const std::size_t countries = ases - 34 - 4;
+  const auto u32_at = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+      v |= std::to_integer<std::uint32_t>(bytes[at + i]) << (8 * i);
+    return v;
+  };
+  const std::pair<const char*, std::size_t> fields[] = {
+      {"countries", countries}, {"ases", ases}, {"servers", servers},
+      {"uris", uris},           {"certs", certs}, {"errors", errors},
+  };
+  for (const auto& [name, at] : fields) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(u32_at(at), 1u);
+    auto patched = bytes;
+    for (int i = 0; i < 4; ++i) patched[at + i] = std::byte{0xff};
+    std::optional<core::WeeklyReport> decoded;
+    EXPECT_NO_THROW(decoded = SnapshotCodec::decode_report(patched));
+    EXPECT_FALSE(decoded.has_value());
+  }
+
+  // An empty shard ends in its activity and server counts.
+  auto vp = study_->vantage();
+  const core::WeekSession session = vp.open_week(kWeek);
+  const auto shard_bytes = SnapshotCodec::encode_shard(session.make_shard());
+  for (const std::size_t at : {shard_bytes.size() - 8, shard_bytes.size() - 4}) {
+    auto patched = shard_bytes;
+    for (int i = 0; i < 4; ++i) patched[at + i] = std::byte{0xff};
+    std::optional<core::WeekShard> decoded;
+    EXPECT_NO_THROW(decoded =
+                        SnapshotCodec::decode_shard(patched, study_->model().ixp()));
+    EXPECT_FALSE(decoded.has_value()) << "shard count at " << at;
   }
 }
 

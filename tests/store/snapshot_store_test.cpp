@@ -15,11 +15,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "store/crc32c.hpp"
 #include "support/store_fault.hpp"
+#include "util/rng.hpp"
 
 namespace ixp::store {
 namespace {
@@ -229,6 +232,87 @@ TEST(Crc32c, MatchesKnownVectorAndIsIncremental) {
   const auto split = crc32c(std::span{data}.subspan(7),
                             crc32c(std::span{data}.first(7)));
   EXPECT_EQ(whole, split);
+}
+
+// The SSE4.2 path of crc32c() against the slicing-by-eight table walk.
+// On a CPU without SSE4.2 crc32c() is the table walk itself, so each case
+// still runs the table path and only the comparison is skipped.
+std::vector<std::byte> pseudo_random_bytes(std::size_t n, std::uint64_t seed) {
+  util::Rng rng{seed};
+  std::vector<std::byte> out(n);
+  for (auto& b : out) b = static_cast<std::byte>(rng() >> 56);
+  return out;
+}
+
+void expect_paths_agree(std::span<const std::byte> data, std::uint32_t crc) {
+  const std::uint32_t table = crc32c_table(data, crc);
+  if (crc32c_hardware()) {
+    EXPECT_EQ(crc32c(data, crc), table);
+  }
+}
+
+TEST(Crc32cDifferential, EveryLengthToOneKibAtEveryAlignment) {
+  const auto data = pseudo_random_bytes(1024 + 8, 0xc32cd1ffu);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 1024; ++length) {
+      SCOPED_TRACE("offset " + std::to_string(offset) + " length " +
+                   std::to_string(length));
+      const auto piece = std::span{data}.subspan(offset, length);
+      expect_paths_agree(piece, 0);
+      expect_paths_agree(piece, 0x9e3779b9u);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(Crc32cDifferential, EverySplitPointContinuesTheChecksum) {
+  const auto data = pseudo_random_bytes(64, 0x5eed64u);
+  const std::uint32_t whole = crc32c_table(data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    SCOPED_TRACE("split " + std::to_string(split));
+    const auto head = std::span{data}.first(split);
+    const auto tail = std::span{data}.subspan(split);
+    EXPECT_EQ(crc32c_table(tail, crc32c_table(head)), whole);
+    expect_paths_agree(head, 0);
+    expect_paths_agree(tail, crc32c_table(head));
+    EXPECT_EQ(crc32c(tail, crc32c(head)), whole);
+  }
+}
+
+TEST(Crc32cDifferential, KnownVectorsOnBothPaths) {
+  // RFC 3720 B.4: 32 bytes of zeros, of ones, ascending and descending.
+  std::vector<std::byte> zeros(32, std::byte{0});
+  std::vector<std::byte> ones(32, std::byte{0xff});
+  std::vector<std::byte> ascending(32);
+  std::vector<std::byte> descending(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<std::byte>(i);
+    descending[i] = static_cast<std::byte>(31 - i);
+  }
+  const std::pair<const std::vector<std::byte>*, std::uint32_t> vectors[] = {
+      {&zeros, 0x8A9136AAu},
+      {&ones, 0x62A8AB43u},
+      {&ascending, 0x46DD794Eu},
+      {&descending, 0x113FDB5Cu},
+  };
+  for (const auto& [bytes, expected] : vectors) {
+    EXPECT_EQ(crc32c_table(*bytes), expected);
+    EXPECT_EQ(crc32c(*bytes), expected);
+  }
+  EXPECT_EQ(crc32c_table(bytes_of("123456789")), 0xE3069283u);
+  EXPECT_EQ(crc32c(bytes_of("123456789")), 0xE3069283u);
+}
+
+TEST(Crc32cDifferential, WholeSnapshotImage) {
+  const auto shard = pseudo_random_bytes(300 * 1024 + 5, 0x5a4d);
+  const auto report = pseudo_random_bytes(70 * 1024 + 3, 0x4e70);
+  const Section sections[] = {
+      {kShardSection, shard},
+      {kReportSection, report},
+  };
+  const auto image = encode_snapshot(sections);
+  ASSERT_EQ(validate_image(image), SnapshotError::kNone);
+  expect_paths_agree(image, 0);
 }
 
 TEST(CommitSnapshot, RoundTripsThroughOpen) {
