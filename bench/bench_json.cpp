@@ -86,22 +86,26 @@ std::string_view git_rev() noexcept {
 #endif
 }
 
-namespace {
-
-[[noreturn]] void usage_error(const char* argv0, const std::string& detail) {
+void usage_error(const char* argv0, std::string_view detail,
+                 std::string_view operands) {
   std::cerr << argv0 << ": " << detail << "\n"
-            << "usage: " << argv0 << " [--json PATH] [--iters N] [--threads N]\n";
+            << "usage: " << argv0 << " [--json PATH] [--iters N] [--threads N]"
+            << (operands.empty() ? "" : " ") << operands << "\n";
   std::exit(2);
 }
 
+namespace {
+
 std::uint64_t parse_u64(const char* argv0, std::string_view flag,
-                        std::string_view text) {
+                        std::string_view text, std::string_view operands) {
   std::uint64_t value = 0;
   const auto [end, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
   if (ec != std::errc{} || end != text.data() + text.size())
-    usage_error(argv0, std::string{flag} + " expects an unsigned integer, got '" +
-                           std::string{text} + "'");
+    usage_error(argv0,
+                std::string{flag} + " expects an unsigned integer, got '" +
+                    std::string{text} + "'",
+                operands);
   return value;
 }
 
@@ -149,26 +153,29 @@ std::string cpu_flags() {
 
 }  // namespace
 
-BenchArgs BenchArgs::parse(int argc, char** argv) {
+BenchArgs BenchArgs::parse(int argc, char** argv, std::string_view operands) {
   BenchArgs args;
+  const auto fail = [&](const std::string& detail) {
+    usage_error(argv[0], detail, operands);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const auto value = [&]() -> std::string_view {
-      if (i + 1 >= argc)
-        usage_error(argv[0], std::string{arg} + " expects a value");
+      if (i + 1 >= argc) fail(std::string{arg} + " expects a value");
       return argv[++i];
     };
     if (arg == "--json") {
       args.json_path = value();
     } else if (arg == "--iters") {
-      args.iters = parse_u64(argv[0], arg, value());
+      args.iters = parse_u64(argv[0], arg, value(), operands);
     } else if (arg == "--threads") {
-      const std::uint64_t t = parse_u64(argv[0], arg, value());
-      if (t == 0 || t > 1024)
-        usage_error(argv[0], "--threads must be in [1, 1024]");
+      const std::uint64_t t = parse_u64(argv[0], arg, value(), operands);
+      if (t == 0 || t > 1024) fail("--threads must be in [1, 1024]");
       args.threads = static_cast<int>(t);
+    } else if (!operands.empty() && !arg.starts_with("-")) {
+      args.operands.emplace_back(arg);
     } else {
-      usage_error(argv[0], "unknown argument '" + std::string{arg} + "'");
+      fail("unknown argument '" + std::string{arg} + "'");
     }
   }
   return args;

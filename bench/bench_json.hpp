@@ -43,10 +43,19 @@ struct BenchArgs {
   std::string json_path;   ///< empty = no JSON output
   std::uint64_t iters = 0; ///< 0 = use each case's default
   int threads = 1;
+  std::vector<std::string> operands;  ///< positional arguments, in order
 
-  /// Parses argv; exits with a usage message on malformed input.
-  [[nodiscard]] static BenchArgs parse(int argc, char** argv);
+  /// Parses argv; exits with a usage message on malformed input. A binary
+  /// that takes positional arguments names them in `operands` (e.g.
+  /// "[ID...]"), which also ends its usage line; for any other binary a
+  /// positional argument is malformed input.
+  [[nodiscard]] static BenchArgs parse(int argc, char** argv,
+                                       std::string_view operands = {});
 };
+
+/// Prints `detail` and the usage line to stderr and exits with status 2.
+[[noreturn]] void usage_error(const char* argv0, std::string_view detail,
+                              std::string_view operands = {});
 
 /// One timed case.
 struct BenchResult {

@@ -1,52 +1,62 @@
 #include "exp_common.hpp"
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 
 #include "core/parallel_analyzer.hpp"
 
 namespace ixp::expcommon {
 
-Context Context::create(const std::string& experiment, int argc, char** argv) {
-  bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
-  Context ctx = create(experiment);
-  ctx.args = std::move(args);
-  if (!ctx.args.json_path.empty())
-    ctx.timeline = std::make_shared<bench::Suite>(experiment, ctx.args);
-  return ctx;
+namespace {
+
+/// IXPSCOPE_VOLUME, whole-value parsed as `ixpscope --volume` is: trailing
+/// junk or a value outside (0, 1] exits 2.
+double volume_from_env() {
+  const char* env = std::getenv("IXPSCOPE_VOLUME");
+  if (env == nullptr) return 1.0 / 256.0;
+  const char* end = env + std::strlen(env);
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(env, end, v);
+  if (ec != std::errc{} || ptr != end || !(v > 0.0 && v <= 1.0)) {
+    std::cerr << "invalid number for IXPSCOPE_VOLUME: '" << env << "'\n";
+    std::exit(2);
+  }
+  return v;
 }
 
-Context Context::create(const std::string& experiment) {
-  Context ctx;
-  ctx.volume = 1.0 / 256.0;
-  if (const char* env = std::getenv("IXPSCOPE_VOLUME")) {
-    const double v = std::atof(env);
-    if (v > 0.0 && v <= 1.0) ctx.volume = v;
-  }
-  ctx.quick = std::getenv("IXPSCOPE_QUICK") != nullptr;
-  ctx.cfg = ctx.quick ? gen::ScaleConfig::test()
-                      : gen::ScaleConfig::bench(ctx.volume);
+}  // namespace
 
-  util::print_banner(std::cout, experiment);
-  std::cout << "scale: " << (ctx.quick ? "QUICK (test preset)" : "bench")
-            << "  volume=" << (ctx.quick ? 0.0 : ctx.volume)
-            << "  weekly-server-target=" << util::compact(static_cast<double>(
-                   ctx.cfg.weekly_server_ips))
-            << " (paper: 1.5M)"
-            << "  ases=" << util::compact(static_cast<double>(ctx.cfg.as_count))
-            << "  prefixes=" << util::compact(static_cast<double>(ctx.cfg.prefix_count))
-            << "\n";
+Context::Context(bench::BenchArgs bench_args, bool build_model)
+    : volume(volume_from_env()),
+      quick(std::getenv("IXPSCOPE_QUICK") != nullptr),
+      cfg(quick ? gen::ScaleConfig::test() : gen::ScaleConfig::bench(volume)),
+      args(std::move(bench_args)),
+      server_churn(cfg.first_week, cfg.last_week) {
+  if (!args.json_path.empty())
+    timeline = std::make_unique<bench::Suite>("exp_paper", args);
+  if (!build_model) return;
+
+  std::ostringstream lines;
+  lines << "scale: " << (quick ? "QUICK (test preset)" : "bench")
+        << "  volume=" << (quick ? 0.0 : volume)
+        << "  weekly-server-target="
+        << util::compact(static_cast<double>(cfg.weekly_server_ips))
+        << " (paper: 1.5M)"
+        << "  ases=" << util::compact(static_cast<double>(cfg.as_count))
+        << "  prefixes=" << util::compact(static_cast<double>(cfg.prefix_count))
+        << "\n";
 
   const auto t0 = std::chrono::steady_clock::now();
-  ctx.study = std::make_unique<analysis::Study>(ctx.cfg);
+  study = std::make_unique<analysis::Study>(cfg);
   const auto t1 = std::chrono::steady_clock::now();
-  const gen::InternetModel& model = ctx.model();
-  std::cout << "model: " << model.servers().size() << " servers, "
-            << model.orgs().size() << " orgs, built in "
-            << std::chrono::duration_cast<std::chrono::milliseconds>(t1 - t0).count()
-            << " ms\n";
-  return ctx;
+  lines << "model: " << model().servers().size() << " servers, "
+        << model().orgs().size() << " orgs, built in "
+        << std::chrono::duration_cast<std::chrono::milliseconds>(t1 - t0).count()
+        << " ms\n";
+  header = lines.str();
 }
 
 core::WeeklyReport Context::run_week(int week) const {
@@ -79,11 +89,6 @@ core::WeeklyReport Context::run_week(int week) const {
     timeline->add(std::move(timing));
   }
   return report;
-}
-
-std::string Context::scaled_row(double measured, double paper, double scale) {
-  return util::compact(measured) + "  (paper " + util::compact(paper) +
-         ", at this scale ~" + util::compact(paper * scale) + ")";
 }
 
 }  // namespace ixp::expcommon

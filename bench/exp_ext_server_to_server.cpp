@@ -11,55 +11,53 @@
 // origin fetch, backend sync) vs. server-to-client. §2.2.2 already pegs
 // the dual-role slice at ~10% of server traffic in 2012; the trend line
 // is what a future-facing operator would watch.
-#include <iostream>
-#include <unordered_set>
-
 #include "exp_common.hpp"
 
-int main(int argc, char** argv) {
-  using namespace ixp;
-  const auto ctx = expcommon::Context::create("Extension (§7): server-to-server vs user-to-server traffic trend", argc, argv);
-  const auto& cfg = ctx.cfg;
+namespace ixp::expcommon {
+namespace {
 
-  util::Table table{"Weekly composition of server-related peering bytes"};
-  table.header({"week", "server-to-server", "user-to-server",
-                "s2s share of peering"});
-  for (int week = cfg.first_week; week <= cfg.last_week; ++week) {
-    // Pass A: identify the week's servers.
-    const auto report = ctx.run_week(week);
-    std::unordered_set<net::Ipv4Addr> servers;
-    servers.reserve(report.servers.size());
-    for (const auto& obs : report.servers) servers.insert(obs.addr);
-
-    // Pass B: attribute each peering sample.
-    classify::PeeringFilter filter{ctx.model().ixp(), week};
-    classify::FilterCounters counters;
-    double s2s_bytes = 0.0;
-    double u2s_bytes = 0.0;
-    (void)ctx.workload().generate_week(week, [&](const sflow::FlowSample& s) {
-      const auto peering = filter.filter(s, counters);
-      if (!peering) return;
-      const bool src_server = servers.count(peering->frame.ip->src) > 0;
-      const bool dst_server = servers.count(peering->frame.ip->dst) > 0;
-      if (src_server && dst_server)
-        s2s_bytes += peering->expanded_bytes;
-      else if (src_server || dst_server)
-        u2s_bytes += peering->expanded_bytes;
-    });
-
-    const double peering_bytes =
-        counters.bytes_of(classify::TrafficClass::kPeering);
-    const double server_total = s2s_bytes + u2s_bytes;
-    table.row({std::to_string(week),
-               util::percent(server_total > 0 ? s2s_bytes / server_total : 0, 2),
-               util::percent(server_total > 0 ? u2s_bytes / server_total : 0, 2),
-               util::percent(peering_bytes > 0 ? s2s_bytes / peering_bytes : 0, 2)});
-    std::cout << "week " << week << " done\n";
+class ExtServerToServer final : public Experiment {
+ public:
+  explicit ExtServerToServer(const Context& ctx) : Experiment(ctx) {
+    table_.header({"week", "server-to-server", "user-to-server",
+                   "s2s share of peering"});
   }
-  table.print(std::cout);
-  std::cout << "\npaper, §2.2.2 (2012 baseline): machine-to-machine traffic of"
-               " dual-role IPs is ~10% of server traffic.\n"
-               "paper, §7 (prediction): the server-to-server share will grow"
-               " as server deployments move closer to users.\n";
-  return 0;
-}
+
+  void observe(const WeekInput& in) override {
+    // The byte sums are exact, so the user-to-server bytes are the
+    // difference.
+    const analysis::AttributionPass& pass = *in.servers;
+    const double s2s_bytes = pass.server_to_server_bytes();
+    const double server_total = pass.server_bytes();
+    const double u2s_bytes = server_total - s2s_bytes;
+    const double peering_bytes = pass.peering_bytes();
+    table_.row(
+        {std::to_string(in.week),
+         util::percent(server_total > 0 ? s2s_bytes / server_total : 0, 2),
+         util::percent(server_total > 0 ? u2s_bytes / server_total : 0, 2),
+         util::percent(peering_bytes > 0 ? s2s_bytes / peering_bytes : 0, 2)});
+    out << "week " << in.week << " done\n";
+  }
+
+  void finish() override {
+    table_.print(out);
+    out << "\npaper, §2.2.2 (2012 baseline): machine-to-machine traffic of"
+           " dual-role IPs is ~10% of server traffic.\n"
+           "paper, §7 (prediction): the server-to-server share will grow"
+           " as server deployments move closer to users.\n";
+  }
+
+ private:
+  util::Table table_{"Weekly composition of server-related peering bytes"};
+};
+
+}  // namespace
+
+const Spec ext_server_to_server{
+    .id = "ext_server_to_server",
+    .title = "Extension (§7): server-to-server vs user-to-server traffic trend",
+    .weeks = Weeks::kAll,
+    .make = make<ExtServerToServer>,
+    .server_pass = true};
+
+}  // namespace ixp::expcommon

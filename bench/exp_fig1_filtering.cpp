@@ -3,14 +3,13 @@
 // Paper (week 45): non-IPv4 ~0.4%, non-member-or-local ~0.6%,
 // non-TCP/UDP <0.5%, peering >98.5% of all traffic; of the peering
 // traffic, 82% TCP and 18% UDP by bytes.
-#include <iostream>
-
 #include "exp_common.hpp"
 
-int main(int argc, char** argv) {
-  using namespace ixp;
-  const auto ctx = expcommon::Context::create("Figure 1: traffic filtering steps (week 45)", argc, argv);
-  const auto report = ctx.run_week(45);
+namespace ixp::expcommon {
+namespace {
+
+void print(const Context& /*ctx*/, const WeekInput& in, std::ostream& out) {
+  const auto& report = in.report;
   const auto& f = report.filters;
   const double total_bytes = f.total_bytes();
 
@@ -27,17 +26,25 @@ int main(int argc, char** argv) {
              share(classify::TrafficClass::kNonTcpUdp), "<0.5%"});
   table.row({"peering traffic", share(classify::TrafficClass::kPeering),
              ">98.5%"});
-  table.print(std::cout);
+  table.print(out);
 
   util::Table split{"\nPeering traffic transport split (bytes)"};
   split.header({"proto", "measured", "paper"});
   const double peering = f.tcp_bytes + f.udp_bytes;
   split.row({"TCP", util::percent(f.tcp_bytes / peering), "82%"});
   split.row({"UDP", util::percent(f.udp_bytes / peering), "18%"});
-  split.print(std::cout);
+  split.print(out);
 
-  std::cout << "\nsamples processed: " << util::with_thousands(f.total_samples())
-            << ", estimated weekly volume: " << util::bytes(total_bytes)
-            << " (paper: ~98 PB/week at full scale)\n";
-  return 0;
+  out << "\nsamples processed: " << util::with_thousands(f.total_samples())
+      << ", estimated weekly volume: " << util::bytes(total_bytes)
+      << " (paper: ~98 PB/week at full scale)\n";
 }
+
+}  // namespace
+
+const Spec fig1_filtering{
+    "fig1_filtering",
+    "Figure 1: traffic filtering steps (week 45)",
+    Weeks::kWeek45, one_week<print>};
+
+}  // namespace ixp::expcommon

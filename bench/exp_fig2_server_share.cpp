@@ -5,16 +5,16 @@
 // gateways of CDNs, content providers, streamers, virtual backbones,
 // resellers).
 #include <algorithm>
-#include <iostream>
 #include <vector>
 
 #include "exp_common.hpp"
 #include "stats.hpp"
 
-int main(int argc, char** argv) {
-  using namespace ixp;
-  const auto ctx = expcommon::Context::create("Figure 2: per-server-IP traffic shares (week 45)", argc, argv);
-  const auto report = ctx.run_week(45);
+namespace ixp::expcommon {
+namespace {
+
+void print(const Context& /*ctx*/, const WeekInput& in, std::ostream& out) {
+  const auto& report = in.report;
 
   std::vector<double> bytes;
   bytes.reserve(report.servers.size());
@@ -35,16 +35,24 @@ int main(int argc, char** argv) {
       next_print *= 4;
     }
   }
-  table.print(std::cout);
+  table.print(out);
 
-  std::cout << "\ntop server IP share:   "
-            << util::percent(bytes.empty() ? 0.0 : bytes[0] / total, 3)
-            << "  (paper: individual IPs exceed 0.5%)\n";
-  std::cout << "top-34 server IPs:     "
-            << util::percent(util::top_k_share(bytes, 34))
-            << " of server traffic  (paper: >6%)\n";
-  std::cout << "Gini coefficient:      "
-            << util::fixed(util::gini(bytes), 3)
-            << " (heavy concentration expected)\n";
-  return 0;
+  out << "\ntop server IP share:   "
+      << util::percent(bytes.empty() ? 0.0 : bytes[0] / total, 3)
+      << "  (paper: individual IPs exceed 0.5%)\n";
+  out << "top-34 server IPs:     "
+      << util::percent(util::top_k_share(bytes, 34))
+      << " of server traffic  (paper: >6%)\n";
+  out << "Gini coefficient:      "
+      << util::fixed(util::gini(bytes), 3)
+      << " (heavy concentration expected)\n";
 }
+
+}  // namespace
+
+const Spec fig2_server_share{
+    "fig2_server_share",
+    "Figure 2: per-server-IP traffic shares (week 45)",
+    Weeks::kWeek45, one_week<print>};
+
+}  // namespace ixp::expcommon

@@ -5,15 +5,15 @@
 // uninhabited territories. We print the bucketed histogram the map
 // encodes plus the head of the distribution.
 #include <algorithm>
-#include <iostream>
 #include <vector>
 
 #include "exp_common.hpp"
 
-int main(int argc, char** argv) {
-  using namespace ixp;
-  const auto ctx = expcommon::Context::create("Figure 3: share of observed IPs per country (week 45)", argc, argv);
-  const auto report = ctx.run_week(45);
+namespace ixp::expcommon {
+namespace {
+
+void print(const Context& /*ctx*/, const WeekInput& in, std::ostream& out) {
+  const auto& report = in.report;
 
   std::vector<std::pair<geo::CountryCode, std::size_t>> countries(
       report.by_country.size());
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   legend.header({"IP share bucket", "countries"});
   for (const auto& bucket : buckets)
     legend.row({bucket.label, std::to_string(bucket.count)});
-  legend.print(std::cout);
+  legend.print(out);
 
   util::Table head{"\nTop-15 countries by observed IPs"};
   head.header({"country", "IPs", "share"});
@@ -61,10 +61,18 @@ int main(int argc, char** argv) {
               util::percent(static_cast<double>(countries[k].second) /
                             static_cast<double>(total_ips))});
   }
-  head.print(std::cout);
+  head.print(out);
 
-  std::cout << "\ncountries observed: " << report.peering_countries
-            << " (paper: 242 of ~250 — all but places like Western Sahara"
-               " or the Cocos Islands)\n";
-  return 0;
+  out << "\ncountries observed: " << report.peering_countries
+      << " (paper: 242 of ~250 — all but places like Western Sahara"
+         " or the Cocos Islands)\n";
 }
+
+}  // namespace
+
+const Spec fig3_geography{
+    "fig3_geography",
+    "Figure 3: share of observed IPs per country (week 45)",
+    Weeks::kWeek45, one_week<print>};
+
+}  // namespace ixp::expcommon

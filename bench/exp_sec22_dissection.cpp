@@ -5,15 +5,13 @@
 // Web server IPs combined; 350K multi-purpose; 200K act as server and
 // client, responsible for ~10% of server traffic; server IPs see >70% of
 // the peering traffic.
-#include <iostream>
-
-#include "analysis/attribution.hpp"
 #include "exp_common.hpp"
 
-int main(int argc, char** argv) {
-  using namespace ixp;
-  const auto ctx = expcommon::Context::create("Section 2.2.2: dissecting the Web-server-related traffic (week 45)", argc, argv);
-  const auto report = ctx.run_week(45);
+namespace ixp::expcommon {
+namespace {
+
+void print(const Context& ctx, const WeekInput& in, std::ostream& out) {
+  const auto& report = in.report;
   const auto& d = report.dissection;
   const double server_scale = ctx.quick ? 0.0 : ctx.server_scale();
   const double client_scale = ctx.quick ? 0.0 : ctx.ip_scale();
@@ -40,17 +38,11 @@ int main(int argc, char** argv) {
       350'000, server_scale);
   row("server+client (dual-role) IPs", static_cast<double>(d.dual_role_ips),
       200'000, server_scale);
-  table.print(std::cout);
+  table.print(out);
 
   // Sample-level attribution for the server byte share (pass B).
-  std::unordered_map<net::Ipv4Addr, std::uint32_t> server_org;
-  for (const auto& obs : report.servers) server_org.emplace(obs.addr, 0u);
-  analysis::AttributionPass pass{ctx.model().ixp(), 45, std::move(server_org), {}};
-  (void)ctx.workload().generate_week(
-      45, [&pass](const sflow::FlowSample& s) { pass.observe(s); });
-
-  std::cout << "\nserver-related share of peering bytes: "
-            << util::percent(pass.server_share(), 1) << "  (paper: >70%)\n";
+  out << "\nserver-related share of peering bytes: "
+      << util::percent(in.servers->server_share(), 1) << "  (paper: >70%)\n";
 
   double dual_bytes = 0.0;
   double server_bytes_sum = 0.0;
@@ -58,8 +50,16 @@ int main(int argc, char** argv) {
     server_bytes_sum += obs.bytes;
     if (obs.also_client) dual_bytes += obs.bytes;
   }
-  std::cout << "dual-role IPs' share of server traffic: "
-            << util::percent(dual_bytes / server_bytes_sum, 1)
-            << "  (paper: ~10%)\n";
-  return 0;
+  out << "dual-role IPs' share of server traffic: "
+      << util::percent(dual_bytes / server_bytes_sum, 1)
+      << "  (paper: ~10%)\n";
 }
+
+}  // namespace
+
+const Spec sec22_dissection{
+    "sec22_dissection",
+    "Section 2.2.2: dissecting the Web-server-related traffic (week 45)",
+    Weeks::kWeek45, one_week<print>, /*server_pass=*/true};
+
+}  // namespace ixp::expcommon

@@ -3,15 +3,13 @@
 // Paper: DNS information for 71.7% of the 1.5M server IPs, at least one
 // URI for 23.8%, X.509 certificate information for 17.7%; at least one of
 // the three for 81.9%. Cleaning (invalid URIs, RIR SOAs) costs <3%.
-#include <iostream>
-
 #include "exp_common.hpp"
 
-int main(int argc, char** argv) {
-  using namespace ixp;
-  const auto ctx =
-      expcommon::Context::create("Section 2.4: server meta-data coverage (week 45)", argc, argv);
-  const auto report = ctx.run_week(45);
+namespace ixp::expcommon {
+namespace {
+
+void print(const Context& /*ctx*/, const WeekInput& in, std::ostream& out) {
+  const auto& report = in.report;
   const auto& mc = report.metadata_coverage;
   const double n = static_cast<double>(mc.servers);
 
@@ -25,12 +23,12 @@ int main(int argc, char** argv) {
              "17.7%"});
   table.row({"at least one of the three", util::percent(mc.with_any / n, 1),
              "81.9%"});
-  table.print(std::cout);
+  table.print(out);
 
-  std::cout << "\nservers whose metadata vanished in cleaning: "
-            << report.metadata_cleaned_out << " ("
-            << util::percent(static_cast<double>(report.metadata_cleaned_out) / n, 2)
-            << ")  (paper: cleaning reduces the pool by <3%)\n";
+  out << "\nservers whose metadata vanished in cleaning: "
+      << report.metadata_cleaned_out << " ("
+      << util::percent(static_cast<double>(report.metadata_cleaned_out) / n, 2)
+      << ")  (paper: cleaning reduces the pool by <3%)\n";
 
   // Coverage detail: how many metadata pieces per server.
   std::size_t pieces[4] = {0, 0, 0, 0};
@@ -46,6 +44,14 @@ int main(int argc, char** argv) {
     detail.row({std::to_string(p), util::with_thousands(pieces[p]),
                 util::percent(pieces[p] / n, 1)});
   }
-  detail.print(std::cout);
-  return 0;
+  detail.print(out);
 }
+
+}  // namespace
+
+const Spec sec24_metadata{
+    "sec24_metadata",
+    "Section 2.4: server meta-data coverage (week 45)",
+    Weeks::kWeek45, one_week<print>};
+
+}  // namespace ixp::expcommon

@@ -4,16 +4,16 @@
 // of the server IPs seen by the ISP are not seen at the IXP (~3% of the
 // IXP's 1.5M), and every overlapping IP identified as a server at the IXP
 // is confirmed to be a server in the more detailed ISP data.
-#include <iostream>
 #include <unordered_set>
 
 #include "exp_common.hpp"
 #include "gen/isp_observer.hpp"
 
-int main(int argc, char** argv) {
-  using namespace ixp;
-  const auto ctx = expcommon::Context::create("Section 3.1: cross-validation with a Tier-1 ISP's logs (week 45)", argc, argv);
-  const auto report = ctx.run_week(45);
+namespace ixp::expcommon {
+namespace {
+
+void print(const Context& ctx, const WeekInput& in, std::ostream& out) {
+  const auto& report = in.report;
 
   std::unordered_set<net::Ipv4Addr> ixp_servers;
   for (const auto& obs : report.servers) ixp_servers.insert(obs.addr);
@@ -47,14 +47,22 @@ int main(int argc, char** argv) {
   table.row({"seen by both", util::with_thousands(overlap), "-"});
   table.row({"ISP-only (unseen at IXP)", util::with_thousands(isp_only),
              "~45K (~3% of IXP count)"});
-  table.print(std::cout);
+  table.print(out);
 
-  std::cout << "\nISP-only share relative to IXP server count: "
-            << util::percent(static_cast<double>(isp_only) /
-                             static_cast<double>(ixp_servers.size()), 1)
-            << "  (paper: ~3%)\n";
-  std::cout << "overlapping IXP-identified servers confirmed by ISP data: "
-            << confirmed << "/" << overlap
-            << " (paper: all confirmed)\n";
-  return 0;
+  out << "\nISP-only share relative to IXP server count: "
+      << util::percent(static_cast<double>(isp_only) /
+                       static_cast<double>(ixp_servers.size()), 1)
+      << "  (paper: ~3%)\n";
+  out << "overlapping IXP-identified servers confirmed by ISP data: "
+      << confirmed << "/" << overlap
+      << " (paper: all confirmed)\n";
 }
+
+}  // namespace
+
+const Spec sec31_crossval{
+    "sec31_crossval",
+    "Section 3.1: cross-validation with a Tier-1 ISP's logs (week 45)",
+    Weeks::kWeek45, one_week<print>};
+
+}  // namespace ixp::expcommon

@@ -8,18 +8,17 @@
 // into four categories, with private clusters + far-region deployments
 // making up >40%. For Akamai: 28K servers in 278 ASes at the IXP vs
 // ~100K in ~700 ASes via targeted active measurement.
-#include <iostream>
 #include <unordered_set>
 
 #include "analysis/blind_spots.hpp"
 #include "dns/public_suffix.hpp"
 #include "exp_common.hpp"
 
-int main(int argc, char** argv) {
-  using namespace ixp;
-  const auto ctx =
-      expcommon::Context::create("Section 3.3: blind spots (week 45)", argc, argv);
-  const auto report = ctx.run_week(45);
+namespace ixp::expcommon {
+namespace {
+
+void print(const Context& ctx, const WeekInput& in, std::ostream& out) {
+  const auto& report = in.report;
 
   // --- resolver filtering (§2.3) -------------------------------------------
   // Probe every candidate with a name whose answer we control.
@@ -28,10 +27,10 @@ int main(int argc, char** argv) {
   probe_db.add_a(probe_name, net::Ipv4Addr{192, 0, 2, 1});
   const auto usable =
       ctx.model().resolvers().usable_resolvers(probe_db, probe_name);
-  std::cout << "resolver filtering: " << ctx.model().resolvers().size()
-            << " candidates -> " << usable.size() << " usable in "
-            << dns::ResolverPopulation::distinct_ases(usable)
-            << " ASes  (paper: 280K -> ~25K in ~12K ASes)\n\n";
+  out << "resolver filtering: " << ctx.model().resolvers().size()
+      << " candidates -> " << usable.size() << " usable in "
+      << dns::ResolverPopulation::distinct_ases(usable)
+      << " ASes  (paper: 280K -> ~25K in ~12K ASes)\n\n";
 
   // --- Alexa recovery --------------------------------------------------------
   const auto& psl = dns::PublicSuffixList::builtin();
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
   row(sites / 1000 ? sites / 1000 : 1, "top-1K (scaled)", "80%");
   row(sites / 100 ? sites / 100 : 1, "top-10K (scaled)", "63%");
   row(sites, "full list (top-1M)", "~20%");
-  alexa.print(std::cout);
+  alexa.print(out);
 
   // --- resolver sweep over uncovered domains ---------------------------------
   std::unordered_set<net::Ipv4Addr> ixp_servers;
@@ -60,15 +59,15 @@ int main(int argc, char** argv) {
   const std::size_t per_site = ctx.quick ? 4 : 12;
   const auto sweep = analysis::resolver_sweep(ctx.model(), usable, recovered,
                                               ixp_servers, per_site, 45, rng);
-  std::cout << "\nresolver sweep: queried " << sweep.queried_sites
-            << " uncovered sites via " << per_site
-            << " resolvers each (paper: 100 each)\n";
-  std::cout << "  discovered server IPs: " << sweep.discovered_ips
-            << "  (paper: ~600K)\n";
-  std::cout << "  already seen at IXP:   " << sweep.already_seen_at_ixp
-            << "  (paper: >360K)\n";
-  std::cout << "  unseen at IXP:         " << sweep.unseen_at_ixp
-            << "  (paper: ~240K)\n";
+  out << "\nresolver sweep: queried " << sweep.queried_sites
+      << " uncovered sites via " << per_site
+      << " resolvers each (paper: 100 each)\n";
+  out << "  discovered server IPs: " << sweep.discovered_ips
+      << "  (paper: ~600K)\n";
+  out << "  already seen at IXP:   " << sweep.already_seen_at_ixp
+      << "  (paper: >360K)\n";
+  out << "  unseen at IXP:         " << sweep.unseen_at_ixp
+      << "  (paper: ~240K)\n";
 
   util::Table reasons{"\nUnseen-at-IXP breakdown (ground truth)"};
   reasons.header({"category", "IPs", "share of blind unseen"});
@@ -85,11 +84,11 @@ int main(int argc, char** argv) {
                  r == 0 ? std::string{"-"}
                         : util::percent(sweep.unseen_by_reason[r] / blind_unseen, 1)});
   }
-  reasons.print(std::cout);
+  reasons.print(out);
   const double cat12 =
       (sweep.unseen_by_reason[1] + sweep.unseen_by_reason[2]) / blind_unseen;
-  std::cout << "categories 1+2 share of blind unseen: " << util::percent(cat12, 1)
-            << "  (paper: >40% of the 240K)\n";
+  out << "categories 1+2 share of blind unseen: " << util::percent(cat12, 1)
+      << "  (paper: >40% of the 240K)\n";
 
   // --- Akamai footprint deep-dive --------------------------------------------
   if (const auto akamai = ctx.model().org_by_name("akamai")) {
@@ -105,13 +104,21 @@ int main(int argc, char** argv) {
     const auto active =
         analysis::discover_org_footprint(ctx.model(), *akamai, usable, rng);
     const auto truth = ctx.model().org_servers(*akamai).size();
-    std::cout << "\nAkamai footprint:\n";
-    std::cout << "  at the IXP:          " << at_ixp << " servers in "
-              << ixp_ases.size() << " ASes  (paper: 28K in 278)\n";
-    std::cout << "  active measurement:  " << active.servers << " servers in "
-              << active.ases << " ASes  (paper: ~100K in ~700)\n";
-    std::cout << "  ground truth:        " << truth
-              << " servers  (paper: Akamai claims 100K+ in 1K+ ASes)\n";
+    out << "\nAkamai footprint:\n";
+    out << "  at the IXP:          " << at_ixp << " servers in "
+        << ixp_ases.size() << " ASes  (paper: 28K in 278)\n";
+    out << "  active measurement:  " << active.servers << " servers in "
+        << active.ases << " ASes  (paper: ~100K in ~700)\n";
+    out << "  ground truth:        " << truth
+        << " servers  (paper: Akamai claims 100K+ in 1K+ ASes)\n";
   }
-  return 0;
 }
+
+}  // namespace
+
+const Spec sec33_blindspots{
+    "sec33_blindspots",
+    "Section 3.3: blind spots (week 45)",
+    Weeks::kWeek45, one_week<print>};
+
+}  // namespace ixp::expcommon

@@ -4,13 +4,10 @@
 // Paper: step 1 clusters 78.7% of server IPs, step 2 17.4%, step 3 3.9%;
 // ~21K organizations result; manual validation finds a false-positive
 // rate below 3%, decreasing with the organization's footprint size.
-#include <iostream>
-
 #include "exp_common.hpp"
 
+namespace ixp::expcommon {
 namespace {
-
-using namespace ixp;
 
 struct Validation {
   std::size_t clustered = 0;
@@ -25,7 +22,7 @@ struct Validation {
   }
 };
 
-Validation validate(const expcommon::Context& ctx,
+Validation validate(const Context& ctx,
                     const core::ClusteringResult& clustering) {
   Validation v;
   std::size_t small_total = 0;
@@ -50,11 +47,8 @@ Validation validate(const expcommon::Context& ctx,
   return v;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const auto ctx = expcommon::Context::create("Section 5.1: clustering server IPs by organization (week 45)", argc, argv);
-  const auto report = ctx.run_week(45);
+void print(const Context& ctx, const WeekInput& in, std::ostream& out) {
+  const auto& report = in.report;
 
   std::vector<classify::ServerMetadata> metadata;
   metadata.reserve(report.servers.size());
@@ -73,20 +67,20 @@ int main(int argc, char** argv) {
              "17.4%"});
   steps.row({"3: partial SOA only", util::percent(clustering.step_share(3), 1),
              "3.9%"});
-  steps.print(std::cout);
-  std::cout << "organizations (clusters): " << clustering.cluster_count()
-            << "  (paper: ~21K at full scale)\n"
-            << "unclustered (no usable signal): " << clustering.step_counts[0]
-            << "\n";
+  steps.print(out);
+  out << "organizations (clusters): " << clustering.cluster_count()
+      << "  (paper: ~21K at full scale)\n"
+      << "unclustered (no usable signal): " << clustering.step_counts[0]
+      << "\n";
 
   const auto validation = validate(ctx, clustering);
-  std::cout << "\nvalidation against ground truth:\n";
-  std::cout << "  false-positive rate: " << util::percent(validation.fp_rate(), 2)
-            << "  (paper: <3%)\n";
-  std::cout << "  FP, clusters <10 servers:  " << util::percent(validation.fp_small, 2)
-            << "\n";
-  std::cout << "  FP, clusters >=10 servers: " << util::percent(validation.fp_large, 2)
-            << "  (paper: FP rate decreases with footprint)\n";
+  out << "\nvalidation against ground truth:\n";
+  out << "  false-positive rate: " << util::percent(validation.fp_rate(), 2)
+      << "  (paper: <3%)\n";
+  out << "  FP, clusters <10 servers:  " << util::percent(validation.fp_small, 2)
+      << "\n";
+  out << "  FP, clusters >=10 servers: " << util::percent(validation.fp_large, 2)
+      << "  (paper: FP rate decreases with footprint)\n";
 
   // --- ablation: step depth (DESIGN.md #2) -----------------------------------
   util::Table ablation{"\nAblation: clustering depth and vote key"};
@@ -105,6 +99,14 @@ int main(int argc, char** argv) {
   run_variant("steps 1-2", {core::VoteKey::kIpsAndFootprint, 2});
   run_variant("steps 1-3 (full)", {core::VoteKey::kIpsAndFootprint, 3});
   run_variant("full, vote by IPs only", {core::VoteKey::kIpsOnly, 3});
-  ablation.print(std::cout);
-  return 0;
+  ablation.print(out);
 }
+
+}  // namespace
+
+const Spec sec51_clustering{
+    "sec51_clustering",
+    "Section 5.1: clustering server IPs by organization (week 45)",
+    Weeks::kWeek45, one_week<print>};
+
+}  // namespace ixp::expcommon

@@ -3,14 +3,13 @@
 // Paper: peering traffic from 232,460,635 IPs, 42,825 ASes, 445,051
 // subnets, 242 countries; server traffic from 1,488,286 IPs, 19,824 ASes,
 // 75,841 subnets, 200 countries.
-#include <iostream>
-
 #include "exp_common.hpp"
 
-int main(int argc, char** argv) {
-  using namespace ixp;
-  const auto ctx = expcommon::Context::create("Table 1: IXP summary statistics (week 45)", argc, argv);
-  const auto report = ctx.run_week(45);
+namespace ixp::expcommon {
+namespace {
+
+void print(const Context& ctx, const WeekInput& in, std::ostream& out) {
+  const auto& report = in.report;
 
   const double ip_scale = ctx.quick ? 0.0 : ctx.ip_scale();
   const double server_scale = ctx.quick ? 0.0 : ctx.server_scale();
@@ -36,11 +35,19 @@ int main(int argc, char** argv) {
       1.0);
   row("server: countries", static_cast<double>(report.server_countries), 200.0,
       1.0);
-  table.print(std::cout);
+  table.print(out);
 
-  std::cout << "\nNote: AS/subnet/country rows are structural (kept at paper"
-               " scale);\nIP rows scale with the configured volume.\n"
-            << "members at week 45: " << ctx.model().ixp().member_count_at(45)
-            << " (paper: 452)\n";
-  return 0;
+  out << "\nNote: AS/subnet/country rows are structural (kept at paper"
+         " scale);\nIP rows scale with the configured volume.\n"
+      << "members at week 45: " << ctx.model().ixp().member_count_at(45)
+      << " (paper: 452)\n";
 }
+
+}  // namespace
+
+const Spec tab1_summary{
+    "tab1_summary",
+    "Table 1: IXP summary statistics (week 45)",
+    Weeks::kWeek45, one_week<print>};
+
+}  // namespace ixp::expcommon

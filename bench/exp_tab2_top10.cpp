@@ -7,18 +7,16 @@
 // Akamai and the big hosters, server traffic by Akamai/Google/Hetzner/
 // VKontakte.
 #include <algorithm>
-#include <iostream>
 #include <vector>
 
 #include "exp_common.hpp"
 
+namespace ixp::expcommon {
 namespace {
 
-using ixp::core::WeeklyReport;
-
 template <typename Map, typename Value, typename Label>
-void print_top10(const std::string& title, const Map& map, Value value,
-                 Label label, const char* paper_head) {
+void print_top10(std::ostream& out, const std::string& title, const Map& map,
+                 Value value, Label label, const char* paper_head) {
   using Entry = std::pair<std::string, double>;
   std::vector<Entry> entries;
   entries.reserve(map.size());
@@ -31,22 +29,18 @@ void print_top10(const std::string& title, const Map& map, Value value,
   }
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) { return a.second > b.second; });
-  ixp::util::Table table{title};
+  util::Table table{title};
   table.header({"rank", "entity", "share"});
   for (std::size_t i = 0; i < std::min<std::size_t>(10, entries.size()); ++i) {
     table.row({std::to_string(i + 1), entries[i].first,
-               ixp::util::percent(entries[i].second / total)});
+               util::percent(entries[i].second / total)});
   }
-  table.print(std::cout);
-  std::cout << "paper head: " << paper_head << "\n\n";
+  table.print(out);
+  out << "paper head: " << paper_head << "\n\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace ixp;
-  const auto ctx = expcommon::Context::create("Table 2: top-10 contributors (week 45)", argc, argv);
-  const auto report = ctx.run_week(45);
+void print(const Context& ctx, const WeekInput& in, std::ostream& out) {
+  const auto& report = in.report;
 
   const auto country_label = [](geo::CountryCode code) { return code.to_string(); };
   const auto as_label = [&](net::Asn asn) {
@@ -62,31 +56,39 @@ int main(int argc, char** argv) {
     return asn.to_string();
   };
 
-  print_top10("Countries by all observed IPs", report.by_country,
+  print_top10(out, "Countries by all observed IPs", report.by_country,
               [](const core::CountryTally& t) { return static_cast<double>(t.ips); },
               country_label, "US, DE, CN, RU, IT, FR, GB, TR, UA, JP");
-  print_top10("Countries by server IPs", report.by_country,
+  print_top10(out, "Countries by server IPs", report.by_country,
               [](const core::CountryTally& t) { return static_cast<double>(t.server_ips); },
               country_label, "DE, US, RU, FR, GB, CN, NL, CZ, IT, UA");
-  print_top10("Countries by traffic", report.by_country,
+  print_top10(out, "Countries by traffic", report.by_country,
               [](const core::CountryTally& t) { return t.bytes; }, country_label,
               "DE, US, RU, FR, GB, CN, NL, CZ, IT, UA");
-  print_top10("Countries by server traffic", report.by_country,
+  print_top10(out, "Countries by server traffic", report.by_country,
               [](const core::CountryTally& t) { return t.server_bytes; },
               country_label, "US, DE, NL, RU, GB, EU, FR, RO, UA, CZ");
 
-  print_top10("Networks by all observed IPs", report.by_as,
+  print_top10(out, "Networks by all observed IPs", report.by_as,
               [](const core::AsTally& t) { return static_cast<double>(t.ips); },
               as_label,
               "Chinanet, Vodafone/DE, Free SAS, Turk Telekom, Telecom Italia, ...");
-  print_top10("Networks by server IPs", report.by_as,
+  print_top10(out, "Networks by server IPs", report.by_as,
               [](const core::AsTally& t) { return static_cast<double>(t.server_ips); },
               as_label, "Akamai, 1&1, OVH, Softlayer, ThePlanet, Chinanet, ...");
-  print_top10("Networks by traffic", report.by_as,
+  print_top10(out, "Networks by traffic", report.by_as,
               [](const core::AsTally& t) { return t.bytes; }, as_label,
               "Akamai, Google, Hetzner, OVH, VKontakte, Kabel Deu., ...");
-  print_top10("Networks by server traffic", report.by_as,
+  print_top10(out, "Networks by server traffic", report.by_as,
               [](const core::AsTally& t) { return t.server_bytes; }, as_label,
               "Akamai, Google, Hetzner, VKontakte, Leaseweb, Limelight, ...");
-  return 0;
 }
+
+}  // namespace
+
+const Spec tab2_top10{
+    "tab2_top10",
+    "Table 2: top-10 contributors (week 45)",
+    Weeks::kWeek45, one_week<print>};
+
+}  // namespace ixp::expcommon

@@ -7,15 +7,13 @@
 //            ASes 1.0/48.9/50.1, traffic 67.3/28.4/4.3
 //   server:  IPs 52.9/41.2/5.9,  prefixes 17.2/61.9/20.9,
 //            ASes 2.2/61.5/36.3, traffic 82.6/17.35/0.05
-#include <iostream>
-
 #include "exp_common.hpp"
 
-int main(int argc, char** argv) {
-  using namespace ixp;
-  const auto ctx =
-      expcommon::Context::create("Table 3: A(L)/A(M)/A(G) breakdown (week 45)", argc, argv);
-  const auto report = ctx.run_week(45);
+namespace ixp::expcommon {
+namespace {
+
+void print(const Context& /*ctx*/, const WeekInput& in, std::ostream& out) {
+  const auto& report = in.report;
 
   const auto print_block = [&](const char* title,
                                const core::LocalityTally (&tally)[3],
@@ -49,8 +47,8 @@ int main(int argc, char** argv) {
         ases, paper_ases);
     row("traffic", [](const core::LocalityTally& t) { return t.bytes; }, bytes,
         paper_traffic);
-    table.print(std::cout);
-    std::cout << "\n";
+    table.print(out);
+    out << "\n";
   };
 
   print_block("Peering traffic", report.peering_locality,
@@ -59,5 +57,13 @@ int main(int argc, char** argv) {
   print_block("Server traffic", report.server_locality,
               "52.9 / 41.2 / 5.9", "17.2 / 61.9 / 20.9", "2.2 / 61.5 / 36.3",
               "82.6 / 17.35 / 0.05");
-  return 0;
 }
+
+}  // namespace
+
+const Spec tab3_local_global{
+    "tab3_local_global",
+    "Table 3: A(L)/A(M)/A(G) breakdown (week 45)",
+    Weeks::kWeek45, one_week<print>};
+
+}  // namespace ixp::expcommon

@@ -25,6 +25,8 @@ void AttributionPass::observe(const sflow::FlowSample& sample) {
   const bool dst_server = dst_it != server_org_.end();
   if (!src_server && !dst_server) return;
   server_bytes_ += peering->expanded_bytes;
+  if (src_server && dst_server)
+    server_to_server_bytes_ += peering->expanded_bytes;
 
   // Attribute to the server side(s). When both endpoints are servers
   // (machine-to-machine), the source — the responding side — wins.

@@ -55,6 +55,12 @@ class AttributionPass {
   [[nodiscard]] double server_share() const noexcept {
     return peering_bytes_ > 0.0 ? server_bytes_ / peering_bytes_ : 0.0;
   }
+  /// Bytes of peering samples whose two endpoints are both server IPs
+  /// (machine-to-machine), a part of server_bytes(). The sums are exact:
+  /// every sample adds an integer, and a week stays far below 2^53.
+  [[nodiscard]] double server_to_server_bytes() const noexcept {
+    return server_to_server_bytes_;
+  }
 
   /// Total bytes attributed to each org.
   [[nodiscard]] const util::FlatHashMap<std::uint32_t, double>& org_bytes()
@@ -88,6 +94,7 @@ class AttributionPass {
 
   double peering_bytes_ = 0.0;
   double server_bytes_ = 0.0;
+  double server_to_server_bytes_ = 0.0;
   util::FlatHashMap<std::uint32_t, double> org_bytes_;
   util::FlatHashMap<std::uint32_t, LinkMap> links_;
   util::FlatHashMap<net::Asn, double> ingress_server_bytes_;

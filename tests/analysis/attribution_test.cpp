@@ -131,6 +131,26 @@ TEST_F(AttributionTest, NonMemberSamplesIgnored) {
   EXPECT_DOUBLE_EQ(pass.server_bytes(), 0.0);
 }
 
+TEST_F(AttributionTest, ServerToServerCountsOnlySamplesWithTwoServers) {
+  auto pass = make();
+  // Server <-> server: counts in both tallies, once.
+  pass.observe(sample(Ipv4Addr{1, 1, 1, 1}, Ipv4Addr{3, 3, 3, 3}, mac(100),
+                      mac(300), 1000));
+  EXPECT_DOUBLE_EQ(pass.server_bytes(), 1000.0);
+  EXPECT_DOUBLE_EQ(pass.server_to_server_bytes(), 1000.0);
+  // Server <-> client: only in server_bytes().
+  pass.observe(sample(Ipv4Addr{9, 9, 9, 9}, Ipv4Addr{3, 3, 3, 3}, mac(200),
+                      mac(300), 300));
+  EXPECT_DOUBLE_EQ(pass.server_bytes(), 1300.0);
+  EXPECT_DOUBLE_EQ(pass.server_to_server_bytes(), 1000.0);
+  // No server on either side: in neither.
+  pass.observe(sample(Ipv4Addr{8, 8, 8, 8}, Ipv4Addr{9, 9, 9, 9}, mac(100),
+                      mac(200), 500));
+  EXPECT_DOUBLE_EQ(pass.peering_bytes(), 1800.0);
+  EXPECT_DOUBLE_EQ(pass.server_bytes(), 1300.0);
+  EXPECT_DOUBLE_EQ(pass.server_to_server_bytes(), 1000.0);
+}
+
 TEST_F(AttributionTest, UnknownOrgHasNoLinks) {
   auto pass = make();
   EXPECT_EQ(pass.links_of(77), nullptr);

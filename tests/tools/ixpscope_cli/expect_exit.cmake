@@ -1,11 +1,12 @@
-# Runs ixpscope once and checks its exit code:
+# Runs ixpscope (or another tool) once and checks its exit code:
 #   cmake -DIXPSCOPE=<exe> -DARGS=<arg|arg|...> -DEXPECT=<code>
 #         [-DSAME_AS=<arg|arg|...>] [-DFILE_SHA256=<path>=<hex>]
-#         -P expect_exit.cmake
+#         [-DSTDERR_REGEX=<regex>] -P expect_exit.cmake
 # Arguments are '|'-separated (add_test would split a ';' list). With
 # SAME_AS, a second run with those arguments must exit with the same code
 # and print byte-identical stdout and stderr. With FILE_SHA256, the file
-# at <path> must exist after the run and hash to <hex>.
+# at <path> must exist after the run and hash to <hex>. With STDERR_REGEX,
+# the run's stderr must match <regex>.
 string(REPLACE "|" ";" args "${ARGS}")
 string(REPLACE "|" " " shown "${ARGS}")
 execute_process(COMMAND ${IXPSCOPE} ${args}
@@ -13,6 +14,11 @@ execute_process(COMMAND ${IXPSCOPE} ${args}
 if(NOT code EQUAL EXPECT)
   message(FATAL_ERROR "ixpscope ${shown} exited ${code}, expected ${EXPECT}\n"
                       "stdout:\n${out}\nstderr:\n${err}")
+endif()
+
+if(DEFINED STDERR_REGEX AND NOT err MATCHES "${STDERR_REGEX}")
+  message(FATAL_ERROR "ixpscope ${shown}: stderr does not match "
+                      "'${STDERR_REGEX}':\n${err}")
 endif()
 
 if(DEFINED SAME_AS)
