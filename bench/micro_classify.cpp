@@ -1,11 +1,19 @@
 // Micro-benchmarks: the per-sample measurement hot path — HTTP string
 // matching and the filter+dissect pipeline. (micro_hotpath carries the
 // batch-level dissect, LaneFlags and shard-merge cases.)
+//
+// The http_match_request/response/miss rows time one cache-resident
+// payload each. http_match_week45 times the matcher over a real working
+// set: every TCP payload of bench-scale (1/256) week 45's peering
+// samples, ~510K of them, collected once, untimed, before the case runs.
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "analysis/study.hpp"
 #include "bench_json.hpp"
 #include "classify/dissector.hpp"
 #include "classify/http_matcher.hpp"
@@ -15,6 +23,36 @@
 namespace {
 
 using namespace ixp;
+
+/// Week 45's peering TCP payloads at bench scale, back to back in one
+/// buffer. Building the model and generating the week take seconds; the
+/// model is freed before the case runs.
+struct PayloadCorpus {
+  std::string bytes;
+  std::vector<std::size_t> ends;  // payload i is [ends[i-1], ends[i])
+};
+
+PayloadCorpus week45_payloads() {
+  constexpr int kWeek = 45;
+  const analysis::Study study{gen::ScaleConfig::bench(1.0 / 256.0)};
+  const classify::PeeringFilter filter{study.model().ixp(), kWeek};
+  classify::FilterCounters counters;
+  PayloadCorpus corpus;
+  gen::WeekSource source = study.week(kWeek);
+  ingest::SampleBatch batch;
+  while (source.next_batch(batch) == ingest::SourceStatus::kBatch) {
+    for (const sflow::FlowSample& sample : batch.samples) {
+      const auto peering = filter.filter(sample, counters);
+      if (!peering || !peering->frame.is_tcp() || peering->frame.payload.empty())
+        continue;
+      const std::span<const std::byte> payload = peering->frame.payload;
+      corpus.bytes.append(reinterpret_cast<const char*>(payload.data()),
+                          payload.size());
+      corpus.ends.push_back(corpus.bytes.size());
+    }
+  }
+  return corpus;
+}
 
 void bench_match(bench::Suite& suite, const std::string& name,
                  const std::string& payload) {
@@ -41,6 +79,25 @@ int main(int argc, char** argv) {
     util::Rng rng{1};
     for (auto& c : payload) c = static_cast<char>(rng.next_below(256));
     bench_match(suite, "http_match_miss", payload);
+  }
+
+  {
+    const PayloadCorpus corpus = week45_payloads();
+    std::vector<std::string_view> payloads;
+    payloads.reserve(corpus.ends.size());
+    std::size_t begin = 0;
+    for (const std::size_t end : corpus.ends) {
+      payloads.emplace_back(corpus.bytes.data() + begin, end - begin);
+      begin = end;
+    }
+    std::printf("  week 45 at 1/256: %zu peering TCP payloads, %zu bytes\n",
+                payloads.size(), corpus.bytes.size());
+    suite.run_case("http_match_week45", 8, [&](std::uint64_t iters, int) {
+      for (std::uint64_t it = 0; it < iters; ++it)
+        for (const std::string_view payload : payloads)
+          bench::keep(classify::HttpMatcher::match(payload));
+      return iters * payloads.size();
+    });
   }
 
   {

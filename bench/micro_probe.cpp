@@ -1,12 +1,12 @@
 // Probe-engine benchmark: the §2.2.2/§2.3/§2.4 measurement sweeps at the
 // paper's population scale (445K /24 prefixes, ~1.5M HTTPS candidates,
 // 280K resolver candidates), A/B'd against the synchronous per-candidate
-// oracles they replaced (HttpsProber::probe, usable_resolvers, a
-// MetadataHarvester loop). Both sides run over the same fixture and the
-// binary *aborts* unless the outputs are byte-identical — confirmed set,
-// funnel, usable resolver list, and every harvested metadata field — so
-// the speedup numbers in the JSON trajectory are only ever recorded for
-// equivalent work:
+// oracles they replaced (usable_resolvers, and HttpsProber::probe and a
+// MetadataHarvester loop from tests/support). Both sides run over the
+// same fixture and the binary *aborts* unless the outputs are
+// byte-identical — confirmed set, funnel, usable resolver list, and every
+// harvested metadata field — so the speedup numbers in the JSON
+// trajectory are only ever recorded for equivalent work:
 //
 //   build/bench/micro_probe --json BENCH_probe.json
 //
@@ -31,6 +31,7 @@
 #include "net/ipv4.hpp"
 #include "probe/metadata_pass.hpp"
 #include "probe/sweeps.hpp"
+#include "support/probe_oracles.hpp"
 #include "x509/certificate.hpp"
 
 namespace {

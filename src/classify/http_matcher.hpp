@@ -41,19 +41,13 @@ class HttpMatcher {
  public:
   /// Scans a captured payload snippet. The snippet may be truncated
   /// mid-line (sFlow capture boundary) — partial trailing tokens are
-  /// ignored rather than misparsed. Runs the SSE2 policy when the
-  /// compiler targets SSE2 (the x86-64 baseline) and the scalar policy
-  /// otherwise (DESIGN.md §14); the SSE2 form is held byte-identical to
-  /// match_scalar by the differential fuzz suite.
+  /// ignored rather than misparsed. One scalar form on every target
+  /// (DESIGN.md §14.2): line starts found with find('\n'), each probed
+  /// through a first-byte table and a length-checked memcmp.
   [[nodiscard]] static HttpMatch match(std::span<const std::byte> payload);
 
   /// Convenience overload for text.
   [[nodiscard]] static HttpMatch match(std::string_view payload);
-
-  /// The scalar reference implementation — the oracle the SSE2 tier
-  /// is differentially tested against. Same contract as match().
-  [[nodiscard]] static HttpMatch match_scalar(std::span<const std::byte> payload);
-  [[nodiscard]] static HttpMatch match_scalar(std::string_view payload);
 };
 
 }  // namespace ixp::classify

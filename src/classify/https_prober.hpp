@@ -1,18 +1,20 @@
-// HTTPS server identification via active certificate crawling (§2.2.2).
+// HTTPS server identification via active certificate crawling (§2.2.2):
+// the fetch primitive and the funnel it is counted in.
 //
 // Port-443 traffic alone is not proof of HTTPS ("TCP port 443 is commonly
-// used to circumvent firewalls... e.g., SSH servers or VPNs"). The prober
-// crawls every candidate IP for an X.509 chain several times and keeps
-// only IPs whose chains pass all six checks of the ChainValidator,
-// including cross-fetch stability.
+// used to circumvent firewalls... e.g., SSH servers or VPNs"). The crawl
+// (probe::HttpsSweep, run by VantagePoint::finish_week) fetches every
+// candidate IP's X.509 chain several times and keeps only IPs whose
+// chains pass all six checks of the ChainValidator, including
+// cross-fetch stability.
 #pragma once
 
+#include <cstddef>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "net/ipv4.hpp"
-#include "x509/validator.hpp"
+#include "x509/certificate.hpp"
 
 namespace ixp::classify {
 
@@ -53,32 +55,6 @@ struct ProbeFunnel {
     early_exits += o.early_exits;
     return *this;
   }
-};
-
-class HttpsProber {
- public:
-  HttpsProber(const x509::RootStore& roots, const dns::PublicSuffixList& psl,
-              int fetches_per_ip = 3)
-      : validator_(roots, psl), fetches_(fetches_per_ip) {}
-
-  /// Probes every candidate; returns the confirmed HTTPS server IPs.
-  [[nodiscard]] std::vector<net::Ipv4Addr> probe(
-      std::span<const net::Ipv4Addr> candidates, const ChainFetcher& fetch,
-      ProbeFunnel& funnel) const;
-
-  /// Single-IP variant; returns true when confirmed.
-  [[nodiscard]] bool probe_one(net::Ipv4Addr addr,
-                               const ChainFetcher& fetch) const;
-
-  /// Attaches a registrable-domain memo shared across the probe run (see
-  /// x509::DomainCache). Non-owning.
-  void set_domain_cache(x509::DomainCache* cache) noexcept {
-    validator_.set_domain_cache(cache);
-  }
-
- private:
-  x509::ChainValidator validator_;
-  int fetches_;
 };
 
 }  // namespace ixp::classify

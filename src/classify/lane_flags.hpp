@@ -12,7 +12,7 @@
 //
 // compute_scalar is the oracle: the SSE2 form is held byte-identical
 // to it by the differential fuzz suite
-// (tests/classify/simd_differential_test.cpp) on arbitrary inputs,
+// (tests/classify/lane_flags_differential_test.cpp) on arbitrary inputs,
 // including non-TCP samples and every indication value.
 #pragma once
 

@@ -1,56 +1,17 @@
 #include "classify/metadata.hpp"
 
-#include <algorithm>
 #include <array>
+#include <string_view>
 
 namespace ixp::classify {
 
-bool MetadataHarvester::is_rir_authority(const dns::DnsName& name) {
+bool is_rir_authority(const dns::DnsName& name) {
   static constexpr std::array<std::string_view, 5> kRirs{
       "ripe.net", "arin.net", "apnic.net", "lacnic.net", "afrinic.net"};
   for (const std::string_view rir : kRirs) {
     if (name.text() == rir) return true;
   }
   return false;
-}
-
-ServerMetadata MetadataHarvester::harvest(
-    net::Ipv4Addr addr, std::span<const std::string> hosts,
-    const x509::CertificateChain* chain) const {
-  ServerMetadata md;
-  md.addr = addr;
-
-  // DNS: hostname via reverse lookup, authority via iterative SOA (or the
-  // reverse SOA when no hostname exists).
-  md.hostname = db_->reverse(addr);
-  if (md.hostname) {
-    if (const auto soa = db_->soa_of(*md.hostname))
-      md.soa_authority = soa->authority;
-  }
-  if (!md.soa_authority) {
-    if (const auto authority = db_->reverse_soa(addr))
-      md.soa_authority = authority;
-  }
-  // Cleaning: RIR authorities carry no organizational information.
-  if (md.soa_authority && is_rir_authority(*md.soa_authority))
-    md.soa_authority.reset();
-
-  // URIs: parse and validate each observed Host header; keep only hosts
-  // with a proper registrable domain (drops IP literals, single labels,
-  // unknown TLDs).
-  for (const std::string& host : hosts) {
-    const auto uri = dns::Uri::parse(host);
-    if (!uri) continue;
-    if (!uri->authority(*psl_)) continue;
-    if (std::find(md.uris.begin(), md.uris.end(), *uri) == md.uris.end())
-      md.uris.push_back(*uri);
-  }
-
-  // Certificates: names covered by the validated chain's leaf.
-  if (chain != nullptr && !chain->empty())
-    md.cert_names = chain->leaf().covered_names();
-
-  return md;
 }
 
 }  // namespace ixp::classify

@@ -6,18 +6,17 @@
 // and names from validated X.509 certificates. The harvest is then cleaned
 // ("removing non-valid URIs, SOA resource records of the RIRs such as
 // ripe.net, etc."), which costs slightly under 3% of the server pool.
+// probe::MetadataPass runs the harvest inside VantagePoint::finish_week;
+// this header holds what it produces.
 #pragma once
 
+#include <cstddef>
 #include <optional>
-#include <span>
-#include <string>
 #include <vector>
 
-#include "dns/public_suffix.hpp"
+#include "dns/name.hpp"
 #include "dns/uri.hpp"
-#include "dns/zone_db.hpp"
 #include "net/ipv4.hpp"
-#include "x509/certificate.hpp"
 
 namespace ixp::classify {
 
@@ -56,25 +55,8 @@ struct MetadataCoverage {
   }
 };
 
-class MetadataHarvester {
- public:
-  MetadataHarvester(const dns::ZoneDatabase& db, const dns::PublicSuffixList& psl)
-      : db_(&db), psl_(&psl) {}
-
-  /// Harvests and cleans one server's metadata. `hosts` are the raw Host
-  /// header strings from the dissector; `chain` the validated certificate
-  /// chain (nullptr when the IP is not a confirmed HTTPS server).
-  [[nodiscard]] ServerMetadata harvest(
-      net::Ipv4Addr addr, std::span<const std::string> hosts,
-      const x509::CertificateChain* chain) const;
-
-  /// True for SOA authorities that carry no organizational signal (the
-  /// RIRs' zones).
-  [[nodiscard]] static bool is_rir_authority(const dns::DnsName& name);
-
- private:
-  const dns::ZoneDatabase* db_;
-  const dns::PublicSuffixList* psl_;
-};
+/// True for SOA authorities that carry no organizational signal (the
+/// RIRs' zones); the harvest's cleaning drops them.
+[[nodiscard]] bool is_rir_authority(const dns::DnsName& name);
 
 }  // namespace ixp::classify

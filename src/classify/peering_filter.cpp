@@ -29,17 +29,15 @@ PeeringFilter::PeeringFilter(const fabric::Ixp& ixp, int week)
 
 std::optional<PeeringSample> PeeringFilter::filter(
     const sflow::FlowSample& sample, FilterCounters& counters) const {
-  const std::uint64_t expanded = expanded_bytes(sample);
+  return keep_parsed(sflow::parse_frame_fast(sample.frame),
+                     expanded_bytes(sample), counters);
+}
 
-  const auto parsed = sflow::parse_frame_fast(sample.frame);
-  if (!parsed) {
-    // Unparsable captures are treated as non-IPv4 junk.
-    account(counters, TrafficClass::kNonIpv4, expanded);
-    return std::nullopt;
-  }
-
-  // Step 1: IPv4 only.
-  if (!parsed->is_ipv4()) {
+std::optional<PeeringSample> PeeringFilter::keep_parsed(
+    const std::optional<sflow::ParsedFrame>& parsed, std::uint64_t expanded,
+    FilterCounters& counters) const {
+  // Step 1: IPv4 only. Unparsable captures are treated as non-IPv4 junk.
+  if (!parsed || !parsed->is_ipv4()) {
     account(counters, TrafficClass::kNonIpv4, expanded);
     return std::nullopt;
   }
@@ -77,9 +75,13 @@ void PeeringFilter::stage(std::span<const sflow::FlowSample> batch,
                           FrameBatch& out) const {
   for (const sflow::FlowSample& sample : batch) {
     const std::uint64_t seq = first_seq++;
+    const std::uint64_t expanded = expanded_bytes(sample);
     const auto lane = sflow::decode_lane(sample.frame);
     if (!lane) {
-      if (auto peering = filter(sample, counters)) {
+      // Off the fast shape: parse the layers one by one, without a second
+      // decode_lane inside parse_frame_fast.
+      if (auto peering = keep_parsed(sflow::parse_frame(sample.frame),
+                                     expanded, counters)) {
         peering->seq = seq;
         out.push(*peering);
       }
@@ -87,7 +89,6 @@ void PeeringFilter::stage(std::span<const sflow::FlowSample> batch,
     }
 
     // A fast-shape frame is IPv4: step 1 is passed.
-    const std::uint64_t expanded = expanded_bytes(sample);
     if (keep_ipv4(lane->src_mac, lane->dst_mac, lane->tcp, lane->udp,
                   expanded, counters))
       out.append(lane->src_ip, lane->dst_ip, lane->src_port, lane->dst_port,

@@ -92,13 +92,21 @@ class PeeringFilter {
   /// + batch.size()) and appends its peering survivors to `out`, with the
   /// same counters and the same FrameBatch rows as filter() + push() per
   /// sample. Fast-shape frames (sflow::decode_lane) go from their fixed
-  /// offsets straight into `out`; every other frame takes filter().
+  /// offsets straight into `out`; every other frame is parsed by
+  /// sflow::parse_frame and takes filter()'s cascade.
   void stage(std::span<const sflow::FlowSample> batch, std::uint64_t first_seq,
              FilterCounters& counters, FrameBatch& out) const;
 
   [[nodiscard]] int week() const noexcept { return week_; }
 
  private:
+  /// The whole cascade for a parsed frame (nullopt: unparsable): counts
+  /// it in its class and returns it when it is peering traffic. filter()
+  /// and stage()'s off-lane branch share it.
+  std::optional<PeeringSample> keep_parsed(
+      const std::optional<sflow::ParsedFrame>& parsed, std::uint64_t expanded,
+      FilterCounters& counters) const;
+
   /// Steps 2 and 3 of the cascade for an IPv4 frame, on its MacAddr::key()s
   /// and transport validity: counts the frame in its class and returns
   /// true when it is peering traffic.

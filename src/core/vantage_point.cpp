@@ -413,7 +413,7 @@ WeeklyReport VantagePoint::finish_week_in_chunks(
   // One batched pass over all servers instead of a per-server harvester
   // loop: PTR/SOA lookups ride the probe engine with a shared resolver
   // cache. The pass is lossless here, so each server's metadata is exactly
-  // what MetadataHarvester::harvest would have produced.
+  // what the synchronous harvest (the test-only MetadataHarvester) yields.
   probe::MetadataPass::Options pass_options;
   pass_options.threads = threads;
   probe::MetadataPass pass{*dns_, *psl_, pass_options};

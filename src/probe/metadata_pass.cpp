@@ -69,8 +69,7 @@ class MetadataHandler final : public ProbeHandler {
       if (const dns::DnsName* authority = db.reverse_soa_at(items_[item].addr))
         md.soa_authority = *authority;
     }
-    if (md.soa_authority &&
-        classify::MetadataHarvester::is_rir_authority(*md.soa_authority))
+    if (md.soa_authority && classify::is_rir_authority(*md.soa_authority))
       md.soa_authority.reset();
     return Step::kDone;
   }

@@ -1,7 +1,8 @@
 // Batched §2.4 metadata harvest (DESIGN.md §15).
 //
-// The synchronous MetadataHarvester issues the PTR lookup, the iterative
-// SOA walk and the reverse-SOA fallback inline, once per server. The pass
+// The synchronous harvest (the test-only MetadataHarvester oracle) issues
+// the PTR lookup, the iterative SOA walk and the reverse-SOA fallback
+// inline, once per server. The pass
 // re-expresses the DNS half as a two-exchange engine protocol (PTR, then
 // authority) with every lookup served through a CachingResolver, and the
 // local half (URI cleaning, certificate names) computed at completion with

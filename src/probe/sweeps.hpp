@@ -4,9 +4,10 @@
 // filtering (§2.3) and the HTTPS certificate crawl (§2.2.2) — re-expressed
 // as ProbeEngine protocols. Lossless and loss-free configurations produce
 // byte-identical results to the synchronous originals
-// (ResolverPopulation::usable_resolvers, HttpsProber::probe), which the
-// differential suite asserts over randomized populations; under loss the
-// synchronous oracles replay the same NetModel draws and must still agree.
+// (ResolverPopulation::usable_resolvers, and the test-only HttpsProber
+// oracle), which the differential suite asserts over randomized
+// populations; under loss the synchronous oracles replay the same
+// NetModel draws and must still agree.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +71,9 @@ struct HttpsSweepResult {
 ///    stable servers are validated without ever copying a chain.
 ///  - run_with_fetcher(): the legacy two-exchange protocol over a
 ///    ChainFetcher (liveness fetch, then the full sweep, refetched from
-///    scratch) — funnel- and set-identical to HttpsProber::probe, which is
-///    what lets VantagePoint swap it in without disturbing snapshots.
+///    scratch) — funnel- and set-identical to the synchronous crawl (the
+///    test-only HttpsProber::probe), which is what let VantagePoint swap
+///    it in without disturbing snapshots.
 ///
 /// A DomainCache is attached for the duration of each run, so checks
 /// (a)/(b) hit the PSL once per distinct name instead of once per fetch.

@@ -1,8 +1,7 @@
-#include "classify/https_prober.hpp"
-
 #include <gtest/gtest.h>
 
 #include "dns/public_suffix.hpp"
+#include "support/probe_oracles.hpp"
 
 namespace ixp::classify {
 namespace {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/probe_oracles.hpp"
+
 namespace ixp::classify {
 namespace {
 
@@ -87,11 +89,10 @@ TEST_F(MetadataTest, CoverageAccumulates) {
 }
 
 TEST(MetadataHarvesterStatics, RirDetection) {
-  EXPECT_TRUE(MetadataHarvester::is_rir_authority(*dns::DnsName::parse("ripe.net")));
-  EXPECT_TRUE(MetadataHarvester::is_rir_authority(*dns::DnsName::parse("arin.net")));
-  EXPECT_FALSE(MetadataHarvester::is_rir_authority(*dns::DnsName::parse("akamai.com")));
-  EXPECT_FALSE(
-      MetadataHarvester::is_rir_authority(*dns::DnsName::parse("sub.ripe.net")));
+  EXPECT_TRUE(is_rir_authority(*dns::DnsName::parse("ripe.net")));
+  EXPECT_TRUE(is_rir_authority(*dns::DnsName::parse("arin.net")));
+  EXPECT_FALSE(is_rir_authority(*dns::DnsName::parse("akamai.com")));
+  EXPECT_FALSE(is_rir_authority(*dns::DnsName::parse("sub.ripe.net")));
 }
 
 }  // namespace

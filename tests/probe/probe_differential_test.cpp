@@ -29,6 +29,7 @@
 #include "net/ipv4.hpp"
 #include "probe/metadata_pass.hpp"
 #include "probe/sweeps.hpp"
+#include "support/probe_oracles.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 #include "x509/certificate.hpp"
@@ -376,7 +377,7 @@ classify::ServerMetadata metadata_oracle(const Fixture& fx,
         expect.soa_authority = *authority;
     }
     if (expect.soa_authority &&
-        classify::MetadataHarvester::is_rir_authority(*expect.soa_authority))
+        classify::is_rir_authority(*expect.soa_authority))
       expect.soa_authority.reset();
   }
   return expect;
