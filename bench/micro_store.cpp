@@ -6,8 +6,8 @@
 // Cases:
 //   crc32c_1mib            raw checksum throughput (the per-byte floor
 //                          every save and open pays twice)
-//   encode_snapshot        build a sealed two-section image from payloads
-//                          shaped like a real week (shard + report)
+//   encode_snapshot        build a sealed two-section image from two
+//                          random payloads (512 + 128 KiB)
 //   validate_image         full open-time validation of that image —
 //                          framing walk + every section CRC
 //   commit_open_roundtrip  the whole durable cycle against a real
@@ -74,8 +74,9 @@ int main(int argc, char** argv) {
   const auto args = bench::BenchArgs::parse(argc, argv);
   bench::Suite suite{"store", args};
 
-  // Payload sizes shaped like a real completed week: the shard section
-  // dominates, the report section trails (observed ~700 KB files).
+  // Two random payloads of fixed size. The split follows the shard +
+  // report files of format v4 and stays so that BENCH_store.json remains
+  // comparable; v5 snapshots hold a report and a provenance record only.
   const auto shard_payload = random_payload(512 * 1024, 0x5704a6e1);
   const auto report_payload = random_payload(128 * 1024, 0x2e90c57b);
   const std::vector<store::Section> sections = {

@@ -319,14 +319,12 @@ int main(int argc, char** argv) {
     if (!fx.run(b.path(), mid + 1, kToWeek).ok) return 1;
     suite.run_case("merge_two_stores", 8, [&](std::uint64_t iters, int) {
       std::uint64_t weeks = 0;
-      auto vp = fx.make_vantage();
       for (std::uint64_t it = 0; it < iters; ++it) {
         const ScratchDir out{"merge_out"};
         store::MergeOptions options;
         options.inputs = {a.path(), b.path()};
         options.out = out.path();
-        const auto result =
-            store::merge_stores(vp, options, fx.fetcher_factory());
+        const auto result = store::merge_stores(options);
         if (!result.ok) {
           std::fprintf(stderr, "merge failed: %s\n", result.error.c_str());
           break;

@@ -6,7 +6,7 @@ namespace ixp::analysis {
 
 ChurnTracker::ChurnTracker(int first_week, int last_week)
     : first_week_(first_week), last_week_(last_week) {
-  if (last_week < first_week || last_week - first_week >= 32)
+  if (last_week < first_week || last_week - first_week >= kMaxWeeks)
     throw std::invalid_argument{"ChurnTracker: bad week range"};
 }
 

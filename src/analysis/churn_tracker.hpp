@@ -23,6 +23,11 @@ enum class ChurnClass : std::uint8_t { kStable, kRecurrent, kFresh };
 
 class ChurnTracker {
  public:
+  /// The longest range a tracker covers: each key keeps one bit per week
+  /// in a 32-bit mask. Callers reject a longer range before any work.
+  static constexpr int kMaxWeeks = 32;
+
+  /// Throws std::invalid_argument unless 1 <= weeks in range <= kMaxWeeks.
   ChurnTracker(int first_week, int last_week);
 
   /// Records that `key` (an IP, an ASN, ...) was active in `week` with

@@ -56,17 +56,11 @@ inline constexpr std::uint8_t kSeenPort80 = 0x10;      // server evidence on 80
 inline constexpr std::uint8_t kSeenPort8080 = 0x20;    // server evidence on 8080
 inline constexpr std::uint8_t kConfirmedHttps = 0x40;  // set by the prober
 
-/// Largest byte count an IpActivity holds: its `bytes` is a 56-bit field.
-/// At the paper's full volume a week's peering total stays ~8x under it
-/// (the ActivityByteBound test), so ingest and merge add without a
-/// check; only the snapshot decoder, which reads untrusted counts,
-/// rejects larger ones.
-inline constexpr std::uint64_t kMaxActivityBytes =
-    (std::uint64_t{1} << 56) - 1;
-
 /// 12 bytes at 4-byte alignment: the 56-bit `bytes` and the flag byte
 /// share one 8-byte word, so an ActivityTable slot (address + entry) is
-/// 16 bytes rather than 32.
+/// 16 bytes rather than 32. At the paper's full volume a week's peering
+/// total stays ~8x under 2^56 (the ActivityByteBound test), so ingest and
+/// merge add without a check.
 struct [[gnu::packed, gnu::aligned(4)]] IpActivity {
   std::uint32_t samples = 0;
   std::uint64_t bytes : 56 = 0;  // expanded bytes of samples touching this IP

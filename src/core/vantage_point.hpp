@@ -209,10 +209,6 @@ class VantagePoint {
     return WeekSession{*this, week};
   }
 
-  /// The member fabric this vantage observes — the context a persisted
-  /// WeekShard needs to decode (store::SnapshotCodec::decode_shard).
-  [[nodiscard]] const fabric::Ixp& ixp() const noexcept { return *ixp_; }
-
   /// Reduces a fully-merged shard into the week's report. This is the
   /// probe/aggregate phase; it iterates observation state in canonical
   /// (sorted-address) order so the report is identical for any shard

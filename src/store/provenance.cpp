@@ -8,7 +8,6 @@ std::uint64_t Provenance::combined() const noexcept {
   util::Fnv1a h;
   h.mix(std::uint64_t{format_version});
   h.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(week)));
-  h.mix(std::uint64_t{partial ? 1u : 0u});
   h.mix(model_fingerprint);
   h.mix(ingest_fingerprint);
   return h.value();

@@ -15,12 +15,6 @@
 //     the file header (a mismatch quarantines before provenance is ever
 //     read); repeating it here makes the provenance payload
 //     self-describing when inspected in quarantine.
-//   - partial: true when the shard section holds a *partial* week (one
-//     worker's share of a partitioned week) rather than a complete one.
-//     Complete snapshots of the same week are interchangeable duplicates
-//     (deterministic pipeline ⇒ byte-identical); partial snapshots of the
-//     same week must be folded through the WeekShard monoid and the
-//     report re-derived. `ixpscope merge` branches on exactly this bit.
 //
 // On re-run, a durable week whose stored provenance equals the expected
 // provenance is skipped (resume); a mismatch is stale — quarantined with
@@ -35,11 +29,10 @@ namespace ixp::store {
 struct Provenance {
   std::uint32_t format_version = 0;
   std::int32_t week = 0;
-  bool partial = false;
   std::uint64_t model_fingerprint = 0;
   std::uint64_t ingest_fingerprint = 0;
 
-  /// The resume test: same inputs, same frame, same completeness class.
+  /// The resume test: same inputs, same frame.
   friend bool operator==(const Provenance&, const Provenance&) = default;
 
   /// One digest of the whole record, for log lines and bench labels.

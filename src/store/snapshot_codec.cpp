@@ -56,11 +56,10 @@ void put_name_list(wire::Writer& out, const std::vector<dns::DnsName>& names) {
 }
 
 /// Smallest encodings of the records a count field announces: a string
-/// is at least its u32 length, a host observation a u64 and a string, a
-/// country or AS tally four 8-byte fields after its key, a server the
-/// fixed fields of its record with every optional part absent.
+/// is at least its u32 length, a country or AS tally four 8-byte fields
+/// after its key, a server the fixed fields of its record with every
+/// optional part absent.
 constexpr std::size_t kMinString = 4;
-constexpr std::size_t kMinHostObservation = 8 + kMinString;
 constexpr std::size_t kMinCountryTally = 2 + 4 * 8;
 constexpr std::size_t kMinAsTally = 4 + 4 * 8;
 constexpr std::size_t kMinServer = 4 + 8 + 1 + 1 + 4 + 2 + 1 + 1 + 4 + 4;
@@ -147,49 +146,6 @@ std::vector<std::byte> SnapshotCodec::encode_shard(
     }
   }
   return out.take();
-}
-
-std::optional<core::WeekShard> SnapshotCodec::decode_shard(
-    std::span<const std::byte> bytes, const fabric::Ixp& ixp) {
-  wire::Reader in{bytes};
-  const int week = static_cast<int>(in.u32());
-  core::WeekShard shard{ixp, week};
-  shard.counters_ = get_counters(in);
-  shard.samples_observed_ = in.u64();
-
-  TrafficDissector& d = shard.dissector_;
-  d.total_bytes_ = in.u64();
-
-  const std::uint32_t activity_count = in.u32();
-  for (std::uint32_t i = 0; in.ok() && i < activity_count; ++i) {
-    const net::Ipv4Addr addr{in.u32()};
-    classify::IpActivity entry;
-    entry.samples = in.u32();
-    // The entry's 56-bit field would silently truncate a larger count.
-    const std::uint64_t entry_bytes = in.u64();
-    if (entry_bytes > classify::kMaxActivityBytes) return std::nullopt;
-    entry.bytes = entry_bytes;
-    entry.flags = in.u8();
-    d.activity_[classify::partition_of(addr)].try_emplace(addr, entry);
-  }
-
-  const std::uint32_t server_count = in.u32();
-  for (std::uint32_t i = 0; in.ok() && i < server_count; ++i) {
-    const net::Ipv4Addr addr{in.u32()};
-    const std::uint32_t host_count = in.u32();
-    if (host_count > TrafficDissector::kMaxHostsPerServer) return std::nullopt;
-    auto& observations = d.hosts_[classify::partition_of(addr)][addr];
-    observations.reserve(reserve_hint(in, host_count, kMinHostObservation));
-    for (std::uint32_t j = 0; in.ok() && j < host_count; ++j) {
-      TrafficDissector::HostObservation obs;
-      obs.first_seq = in.u64();
-      obs.name.assign(in.str_view());
-      observations.push_back(obs);
-    }
-  }
-
-  if (!in.ok() || !in.at_end()) return std::nullopt;
-  return shard;
 }
 
 std::vector<std::byte> SnapshotCodec::encode_report(
@@ -425,10 +381,9 @@ std::optional<core::WeeklyReport> SnapshotCodec::decode_report(
 std::vector<std::byte> SnapshotCodec::encode_provenance(
     const Provenance& provenance) {
   wire::Writer out;
-  out.reserve(4 + 4 + 1 + 8 + 8);
+  out.reserve(4 + 4 + 8 + 8);
   out.u32(provenance.format_version);
   out.u32(static_cast<std::uint32_t>(provenance.week));
-  out.u8(provenance.partial ? 1 : 0);
   out.u64(provenance.model_fingerprint);
   out.u64(provenance.ingest_fingerprint);
   return out.take();
@@ -440,9 +395,6 @@ std::optional<Provenance> SnapshotCodec::decode_provenance(
   Provenance provenance;
   provenance.format_version = in.u32();
   provenance.week = static_cast<std::int32_t>(in.u32());
-  const std::uint8_t partial = in.u8();
-  if (partial > 1) return std::nullopt;
-  provenance.partial = partial != 0;
   provenance.model_fingerprint = in.u64();
   provenance.ingest_fingerprint = in.u64();
   if (!in.ok() || !in.at_end()) return std::nullopt;

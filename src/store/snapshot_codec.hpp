@@ -1,20 +1,21 @@
 // SnapshotCodec — canonical byte layout for WeekShard and WeeklyReport.
 //
-// The codec turns the in-memory state of a finished week into the section
-// payloads the SnapshotStore seals, and back. Two properties carry the
-// whole durability story:
+// The codec turns a finished week into the section payloads the
+// SnapshotStore seals, and back. Two properties carry the durability
+// story:
 //
 //   1. Canonical form. Hash-map iteration order is not deterministic, so
-//      the encoder sorts every table (activity by address, hosts by
+//      the encoders sort every table (activity by address, hosts by
 //      (first_seq, name), country/AS tallies by key) before writing.
 //      Encoding the same logical state always yields the same bytes —
 //      which is what lets tests assert "resumed run == uninterrupted
 //      run" at the byte level.
 //
-//   2. Lossless round trip. decode(encode(x)) reproduces state that is
-//      logically identical to x: a decoded shard merges with live shards
-//      exactly as the original would have (the monoid contract survives
-//      persistence), and a decoded report re-encodes to the same bytes.
+//   2. Lossless round trip. A decoded report re-encodes to the same bytes.
+//
+// Snapshots hold a report and a provenance record, so only those two
+// decode. encode_shard has no decoder: it is the canonical form the
+// engine's byte-identity tests compare shards in.
 //
 // Decoders are strict: any underrun, trailing bytes, or unparsable
 // embedded value (DNS name, URI) fails the decode — by the time bytes
@@ -39,11 +40,6 @@ class SnapshotCodec {
   /// dissector evidence, sample count) in canonical order.
   [[nodiscard]] static std::vector<std::byte> encode_shard(
       const core::WeekShard& shard);
-
-  /// Reconstructs a shard against `ixp` (the filter needs the fabric to
-  /// keep observing or merging). Returns nullopt on malformed bytes.
-  [[nodiscard]] static std::optional<core::WeekShard> decode_shard(
-      std::span<const std::byte> bytes, const fabric::Ixp& ixp);
 
   /// Serializes a finished week's report in canonical order.
   [[nodiscard]] static std::vector<std::byte> encode_report(

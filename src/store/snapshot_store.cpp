@@ -106,8 +106,6 @@ const char* error_name(SnapshotError error) noexcept {
       return "snapshot framing torn (truncated or trailing bytes)";
     case SnapshotError::kStaleProvenance:
       return "snapshot provenance does not match this run's inputs";
-    case SnapshotError::kUndecodable:
-      return "snapshot section checksums but does not decode";
   }
   return "unknown error";
 }
@@ -122,7 +120,6 @@ const char* error_tag(SnapshotError error) noexcept {
     case SnapshotError::kBadCrc: return "bad-crc";
     case SnapshotError::kTruncatedSection: return "truncated-section";
     case SnapshotError::kStaleProvenance: return "stale-provenance";
-    case SnapshotError::kUndecodable: return "undecodable";
   }
   return "unknown";
 }

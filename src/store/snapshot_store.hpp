@@ -1,9 +1,9 @@
 // SnapshotStore — the crash-consistent on-disk home of a finished week.
 //
-// One snapshot file holds everything a completed week produced: the
-// merged WeekShard (so a later process can keep merging) and the final
-// WeeklyReport (so resume never re-runs the probe/aggregate phase). The
-// format is versioned, checksummed, and sealed:
+// One snapshot file holds what every reader of a completed week needs:
+// the final WeeklyReport (so resume, the §4 fold and merge never re-run
+// the week) and the provenance record that says what the report is a
+// pure function of. The format is versioned, checksummed, and sealed:
 //
 //   header  (24 B)  magic "IXPSNAP\0" + u32 format version
 //                   + u32 section count + u64 payload bytes
@@ -53,14 +53,18 @@ inline constexpr char kFooterMagic[8] = {'I', 'X', 'P', 'S', 'E', 'A', 'L', '\0'
 // DESIGN.md §16).
 // v4: a report's LocalityTally holds two u64 counts (prefixes, ASes), not
 // sorted element lists (DESIGN.md §16.3).
+// v5: snapshots hold only the report and provenance sections; the shard
+// section and the provenance's partial-shard byte are gone (DESIGN.md §16).
 // Files of another version fail validation as kBadVersion and take the
 // quarantine-and-recompute path by design.
-inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::uint32_t kFormatVersion = 5;
 inline constexpr std::size_t kSnapshotHeaderBytes = 24;
 inline constexpr std::size_t kSnapshotFooterBytes = 24;
 inline constexpr std::size_t kSectionHeaderBytes = 16;
 
-/// Section ids (u32, format-stable).
+/// Section ids (u32, format-stable). WeeksRunner writes the report and
+/// provenance sections; id 1 (SnapshotCodec::encode_shard) is written and
+/// read by no shipped code since v5.
 inline constexpr std::uint32_t kShardSection = 1;
 inline constexpr std::uint32_t kReportSection = 2;
 inline constexpr std::uint32_t kProvenanceSection = 3;
@@ -80,10 +84,6 @@ enum class SnapshotError : std::uint8_t {
                       ///< what the run would compute (model/policy changed);
                       ///< never produced by validate_image — the runner
                       ///< classifies it after decoding the provenance section
-  kUndecodable,       ///< sealed and checksummed, but a section's contents
-                      ///< do not decode (e.g. an activity byte count the
-                      ///< tables cannot hold); also never produced by
-                      ///< validate_image — the reader of the section says so
 };
 
 /// Human-readable name for CLI diagnostics and quarantine suffixes.

@@ -7,29 +7,21 @@
 // union, equal to what a single machine running the whole range would
 // have written:
 //
-//   - A week present in exactly one input as a *complete* snapshot is
-//     copied through byte-for-byte (revalidated, then re-committed
-//     atomically into the output).
-//   - A week present in several inputs as complete snapshots is a
-//     duplicate: the pipeline is deterministic, so the copies are
-//     byte-identical and the first valid one is copied. Copies are
-//     counted, not errors — overlapping ranges are a legitimate way to
-//     run redundant machines.
-//   - A week present as *partial* shards (provenance.partial — each
-//     holds one worker's share of the week's samples) is folded through
-//     the WeekShard monoid: decode every shard, merge, absorb into a
-//     fresh session, and re-derive the report with the week's fetcher.
-//     The monoid contract makes the result byte-identical to analyzing
-//     the whole week in one process — provided the partial shards
-//     together partition the week, which is the caller's contract.
-//     A complete copy of the same week supersedes any partial shards
-//     (they are its subsets; folding them in would double-count).
+//   - A week present in exactly one input is copied through
+//     byte-for-byte (revalidated, then re-committed atomically into the
+//     output).
+//   - A week present in several inputs is a duplicate: the pipeline is
+//     deterministic, so the copies are byte-identical and the first valid
+//     one is copied. Copies are counted, not errors — overlapping ranges
+//     are a legitimate way to run redundant machines.
 //   - A snapshot whose provenance does not match the expected
 //     fingerprints (a different model or ingest policy) is skipped and
 //     counted — merging across models would manufacture a week nobody
-//     measured. Corrupt inputs are quarantined in place, as ever. So is
-//     a partial shard that passes its checksum but does not decode
-//     (kUndecodable); its week is re-derived from the copies that remain.
+//     measured. Corrupt inputs are quarantined in place, as ever.
+//
+// Merge copies and never computes, so it needs no model: only the
+// fingerprints a snapshot must carry. A union spanning more weeks than
+// the §4 fold covers is an error, reported before any week is written.
 //
 // The output store is written with the same atomic commit as the weeks
 // driver, so a merge interrupted at any point leaves a valid (possibly
@@ -42,7 +34,6 @@
 
 #include "analysis/longitudinal.hpp"
 #include "store/snapshot_store.hpp"
-#include "store/weeks_runner.hpp"
 
 namespace ixp::store {
 
@@ -59,8 +50,7 @@ struct MergeOptions {
 /// How one output week was produced.
 struct MergedWeek {
   int week = 0;
-  std::size_t copies = 0;   ///< input snapshots that went into the week
-  bool rederived = false;   ///< folded from partial shards (vs copied)
+  std::size_t copies = 0;  ///< input snapshots of the week that were usable
   core::WeeklyReport report;
 };
 
@@ -72,7 +62,6 @@ struct MergeResult {
 
   std::vector<MergedWeek> weeks;  ///< ascending week order
   std::size_t weeks_copied = 0;
-  std::size_t weeks_rederived = 0;
   std::size_t snapshots_skipped_stale = 0;
   std::vector<QuarantineEvent> quarantined;  ///< rot found in the inputs
 
@@ -80,11 +69,7 @@ struct MergeResult {
   analysis::LongitudinalSummary longitudinal;
 };
 
-/// Folds every input store into `options.out`. `vantage` and
-/// `make_fetcher` are needed only when partial shards must be re-derived;
-/// complete-copy merges never invoke them.
-[[nodiscard]] MergeResult merge_stores(
-    core::VantagePoint& vantage, const MergeOptions& options,
-    const WeeksRunner::FetcherFactory& make_fetcher);
+/// Folds every input store into `options.out`.
+[[nodiscard]] MergeResult merge_stores(const MergeOptions& options);
 
 }  // namespace ixp::store

@@ -11,10 +11,10 @@ MapReduceResult run_weeks_mapreduce(
   MapReduceResult result;
   const int from = options.weeks.from_week;
   const int to = options.weeks.to_week;
-  if (to < from) {
-    result.error = "empty week range";
-    return result;
-  }
+  // A range the fold cannot cover fails here, before any child is forked
+  // and commits weeks the parent would then refuse to fold.
+  result.error = week_range_error(from, to);
+  if (!result.error.empty()) return result;
 
   // The directory must be usable before any child is forked: failing in
   // N children produces N copies of the same diagnostic and no insight.

@@ -4,19 +4,30 @@
 #include <numeric>
 #include <utility>
 
+#include "analysis/churn_tracker.hpp"
 #include "store/snapshot_codec.hpp"
 
 namespace ixp::store {
+
+std::string week_range_error(int from_week, int to_week) {
+  if (to_week < from_week) return "empty week range";
+  if (to_week - from_week >= analysis::ChurnTracker::kMaxWeeks) {
+    return "week range " + std::to_string(from_week) + ".." +
+           std::to_string(to_week) + " spans " +
+           std::to_string(to_week - from_week + 1) +
+           " weeks; the churn fold covers at most " +
+           std::to_string(analysis::ChurnTracker::kMaxWeeks);
+  }
+  return {};
+}
 
 WeeksResult WeeksRunner::run(const WeeksOptions& options,
                              const SourceFactory& make_source,
                              const FetcherFactory& make_fetcher,
                              const CommitHooks* hooks) {
   WeeksResult result;
-  if (options.to_week < options.from_week) {
-    result.error = "empty week range";
-    return result;
-  }
+  result.error = week_range_error(options.from_week, options.to_week);
+  if (!result.error.empty()) return result;
 
   if (std::string error; !store_.ensure_dir(&error)) {
     result.store_unreadable = true;
@@ -51,7 +62,6 @@ WeeksResult WeeksRunner::run(const WeeksOptions& options,
     Provenance expected;
     expected.format_version = kFormatVersion;
     expected.week = week;
-    expected.partial = false;
     expected.model_fingerprint = options.model_fingerprint;
     expected.ingest_fingerprint = options.ingest_fingerprint;
 
@@ -67,9 +77,8 @@ WeeksResult WeeksRunner::run(const WeeksOptions& options,
             SnapshotCodec::decode_provenance(file.section(kProvenanceSection));
         if (!provenance || !(*provenance == expected)) {
           // Intact file, wrong inputs: the model or ingest policy changed
-          // since this week was computed (or the snapshot is a partial
-          // shard that never represented the whole week). Same never-
-          // delete path as storage rot — move it aside, recompute.
+          // since this week was computed. Same never-delete path as
+          // storage rot — move it aside, recompute.
           result.quarantined.push_back(store_.quarantine(
               store_.path_for(week), SnapshotError::kStaleProvenance));
           ++result.weeks_stale;
@@ -97,12 +106,7 @@ WeeksResult WeeksRunner::run(const WeeksOptions& options,
     std::unique_ptr<ingest::IngestSource> source = make_source(week);
     core::WeekSession session = vantage_->open_week(week);
     std::vector<std::uint64_t> errors;
-    core::WeekShard shard = analyzer_->reduce(session, *source, &errors);
-
-    // Encode the mergeable artifact before the session consumes it: the
-    // persisted shard is byte-for-byte the state the report came from.
-    const std::vector<std::byte> shard_bytes = SnapshotCodec::encode_shard(shard);
-    session.absorb(std::move(shard));
+    session.absorb(analyzer_->reduce(session, *source, &errors));
     core::WeeklyReport report =
         session.finish(make_fetcher(week), analyzer_->threads());
     const std::uint64_t dropped =
@@ -117,7 +121,6 @@ WeeksResult WeeksRunner::run(const WeeksOptions& options,
         SnapshotCodec::encode_provenance(expected);
 
     const Section sections[] = {
-        {kShardSection, shard_bytes},
         {kReportSection, report_bytes},
         {kProvenanceSection, provenance_bytes},
     };

@@ -8,10 +8,9 @@
 //     points, corrupt ones are quarantined (and their weeks re-run),
 //     stale temp files from a previous crash are swept.
 //   - A week with a durable snapshot is NOT re-run: its report is decoded
-//     straight from disk. A week without one is computed — reduce() hands
-//     back the merged shard, which is encoded *before* the session
-//     absorbs it, so the persisted artifact is exactly the state that
-//     produced the report.
+//     straight from disk. A week without one is computed, and its report
+//     is sealed beside the provenance record it was computed under —
+//     the two sections every reader of the store opens.
 //   - The snapshot commit is atomic (SnapshotStore::save); a crash at any
 //     point of any week leaves either that week durable or cleanly
 //     absent, never half-written. Re-running after a crash therefore
@@ -55,6 +54,11 @@ struct WeeksOptions {
   std::uint64_t ingest_fingerprint = 0;
 };
 
+/// Why weeks [from_week, to_week] cannot be run or folded, or an empty
+/// string when they can: the range must be non-empty and no longer than
+/// analysis::ChurnTracker::kMaxWeeks, which the §4 fold covers.
+[[nodiscard]] std::string week_range_error(int from_week, int to_week);
+
 /// How one week of the range was satisfied.
 struct WeekOutcome {
   int week = 0;
@@ -63,9 +67,10 @@ struct WeekOutcome {
 };
 
 struct WeeksResult {
-  /// False only for environment failures (unreadable/uncreatable store
-  /// directory, commit failure, undecodable snapshot); the CLI maps the
-  /// store-directory case to its own exit code.
+  /// False for a range week_range_error rejects and for environment
+  /// failures (unreadable/uncreatable store directory, commit failure,
+  /// undecodable snapshot); the CLI maps the store-directory case to its
+  /// own exit code.
   bool ok = false;
   bool store_unreadable = false;  ///< the failure was the store directory
   std::string error;

@@ -1,8 +1,7 @@
 // The codec contract (DESIGN.md §13): canonical, byte-stable encoding of
-// WeekShard and WeeklyReport, lossless round trips, and — the property
-// resume rests on — a decoded shard that merges with live shards exactly
-// as the original would have. Decoders are strict: truncated or padded
-// bytes never decode.
+// WeeklyReport and Provenance, and lossless round trips. Decoders are
+// strict: truncated or padded bytes never decode, and a damaged count
+// fails the decode without throwing.
 #include "store/snapshot_codec.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "analysis/study.hpp"
-#include "core/week_shard.hpp"
 #include "dns/name.hpp"
 #include "dns/uri.hpp"
 #include "store/snapshot_store.hpp"
@@ -41,78 +39,12 @@ class SnapshotCodecTest : public ::testing::Test {
     delete study_;
   }
 
-  /// A shard that observed samples [begin, end) at their true stream
-  /// positions — the per-worker artifact the engine produces.
-  static core::WeekShard observe_range(const core::WeekSession& session,
-                                       std::size_t begin, std::size_t end) {
-    core::WeekShard shard = session.make_shard();
-    shard.observe_batch(
-        std::span<const sflow::FlowSample>{*samples_}.subspan(begin,
-                                                             end - begin),
-        begin);
-    return shard;
-  }
-
   static analysis::Study* study_;
   static std::vector<sflow::FlowSample>* samples_;
 };
 
 analysis::Study* SnapshotCodecTest::study_ = nullptr;
 std::vector<sflow::FlowSample>* SnapshotCodecTest::samples_ = nullptr;
-
-TEST_F(SnapshotCodecTest, ShardRoundTripIsLosslessAndByteStable) {
-  auto vp = study_->vantage();
-  const core::WeekSession session = vp.open_week(kWeek);
-  const core::WeekShard shard = observe_range(session, 0, samples_->size());
-  ASSERT_GT(shard.samples_observed(), 0u);
-
-  const auto bytes = SnapshotCodec::encode_shard(shard);
-  ASSERT_FALSE(bytes.empty());
-  // Canonical form: encoding the same state twice is byte-identical.
-  EXPECT_EQ(SnapshotCodec::encode_shard(shard), bytes);
-
-  const auto decoded = SnapshotCodec::decode_shard(bytes, study_->model().ixp());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->week(), kWeek);
-  EXPECT_EQ(decoded->samples_observed(), shard.samples_observed());
-  EXPECT_EQ(decoded->counters(), shard.counters());
-  // The round trip re-encodes to the exact same bytes.
-  EXPECT_EQ(SnapshotCodec::encode_shard(*decoded), bytes);
-}
-
-TEST_F(SnapshotCodecTest, DecodedShardMergesExactlyLikeTheLiveOne) {
-  auto vp = study_->vantage();
-  const core::WeekSession session = vp.open_week(kWeek);
-  const std::size_t half = samples_->size() / 2;
-
-  const core::WeekShard a = observe_range(session, 0, half);
-  const core::WeekShard b = observe_range(session, half, samples_->size());
-
-  // Live path: merge the second worker shard directly.
-  core::WeekShard live = a;
-  {
-    core::WeekShard b_live = b;
-    live.merge(std::move(b_live));
-  }
-
-  // Persisted path: the second shard goes to bytes and back first.
-  core::WeekShard resumed = a;
-  {
-    const auto bytes = SnapshotCodec::encode_shard(b);
-    auto b_decoded = SnapshotCodec::decode_shard(bytes, study_->model().ixp());
-    ASSERT_TRUE(b_decoded.has_value());
-    resumed.merge(std::move(*b_decoded));
-  }
-
-  // The monoid survives persistence: merged states are byte-identical,
-  // and so are the reports they finish into.
-  EXPECT_EQ(SnapshotCodec::encode_shard(resumed),
-            SnapshotCodec::encode_shard(live));
-  const auto live_report = vp.finish_week(std::move(live), study_->fetcher(kWeek));
-  const auto resumed_report = vp.finish_week(std::move(resumed), study_->fetcher(kWeek));
-  EXPECT_EQ(SnapshotCodec::encode_report(resumed_report),
-            SnapshotCodec::encode_report(live_report));
-}
 
 TEST_F(SnapshotCodecTest, ReportRoundTripIsLosslessAndByteStable) {
   auto vp = study_->vantage();
@@ -231,10 +163,6 @@ core::WeeklyReport every_field_kind(const core::WeeklyReport& report) {
 
 TEST_F(SnapshotCodecTest, StrictDecodersRejectTruncationAndPadding) {
   auto vp = study_->vantage();
-  const core::WeekSession session = vp.open_week(kWeek);
-  const core::WeekShard shard = observe_range(session, 0, 256);
-  const auto shard_bytes = SnapshotCodec::encode_shard(shard);
-
   core::WeekSession full = vp.open_week(kWeek);
   full.observe_batch(*samples_);
   const core::WeeklyReport report =
@@ -242,28 +170,16 @@ TEST_F(SnapshotCodecTest, StrictDecodersRejectTruncationAndPadding) {
   ASSERT_GE(report.servers.size(), 2u);
   const auto report_bytes = SnapshotCodec::encode_report(report);
   ASSERT_TRUE(SnapshotCodec::decode_report(report_bytes).has_value());
-  ASSERT_TRUE(
-      SnapshotCodec::decode_shard(shard_bytes, study_->model().ixp()).has_value());
 
   // Whole fields are read at once, so an underrun can land mid-field at
   // any byte: every strict prefix must fail, at every field boundary and
   // between them.
-  for (std::size_t cut = 0; cut < shard_bytes.size(); ++cut) {
-    const auto prefix = std::span{shard_bytes}.first(cut);
-    EXPECT_FALSE(
-        SnapshotCodec::decode_shard(prefix, study_->model().ixp()).has_value())
-        << "shard cut at " << cut << " of " << shard_bytes.size();
-  }
   for (std::size_t cut = 0; cut < report_bytes.size(); ++cut) {
     const auto prefix = std::span{report_bytes}.first(cut);
     EXPECT_FALSE(SnapshotCodec::decode_report(prefix).has_value())
         << "report cut at " << cut << " of " << report_bytes.size();
   }
 
-  auto padded_shard = shard_bytes;
-  padded_shard.push_back(std::byte{0});
-  EXPECT_FALSE(
-      SnapshotCodec::decode_shard(padded_shard, study_->model().ixp()).has_value());
   auto padded_report = report_bytes;
   padded_report.push_back(std::byte{0});
   EXPECT_FALSE(SnapshotCodec::decode_report(padded_report).has_value());
@@ -318,59 +234,12 @@ TEST_F(SnapshotCodecTest, HugeCountsFailTheDecodeWithoutThrowing) {
     EXPECT_NO_THROW(decoded = SnapshotCodec::decode_report(patched));
     EXPECT_FALSE(decoded.has_value());
   }
-
-  // An empty shard ends in its activity and server counts.
-  auto vp = study_->vantage();
-  const core::WeekSession session = vp.open_week(kWeek);
-  const auto shard_bytes = SnapshotCodec::encode_shard(session.make_shard());
-  for (const std::size_t at : {shard_bytes.size() - 8, shard_bytes.size() - 4}) {
-    auto patched = shard_bytes;
-    for (int i = 0; i < 4; ++i) patched[at + i] = std::byte{0xff};
-    std::optional<core::WeekShard> decoded;
-    EXPECT_NO_THROW(decoded =
-                        SnapshotCodec::decode_shard(patched, study_->model().ixp()));
-    EXPECT_FALSE(decoded.has_value()) << "shard count at " << at;
-  }
-}
-
-TEST_F(SnapshotCodecTest, ShardDecodeRejectsUnrepresentableByteCount) {
-  auto vp = study_->vantage();
-  const core::WeekSession session = vp.open_week(kWeek);
-  const core::WeekShard shard = observe_range(session, 0, 256);
-  const auto bytes = SnapshotCodec::encode_shard(shard);
-  ASSERT_GT(shard.dissector().activity().size(), 0u);
-
-  // An empty shard ends in the activity count and the server count, so
-  // the first activity record starts 4 bytes before its end; the record
-  // is address (4), samples (4), bytes (8, little-endian), flags (1).
-  const std::size_t record =
-      SnapshotCodec::encode_shard(session.make_shard()).size() - 4;
-  const auto with_bytes = [&](std::uint64_t value) {
-    auto patched = bytes;
-    for (int i = 0; i < 8; ++i)
-      patched[record + 8 + i] = static_cast<std::byte>(value >> (8 * i));
-    return patched;
-  };
-
-  // The largest count the 56-bit field holds still round-trips ...
-  const auto largest = with_bytes(classify::kMaxActivityBytes);
-  const auto decoded = SnapshotCodec::decode_shard(largest, study_->model().ixp());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(SnapshotCodec::encode_shard(*decoded), largest);
-  // ... and one more would be truncated, so the shard does not decode.
-  EXPECT_FALSE(SnapshotCodec::decode_shard(
-                   with_bytes(classify::kMaxActivityBytes + 1), study_->model().ixp())
-                   .has_value());
-  EXPECT_FALSE(SnapshotCodec::decode_shard(with_bytes(~std::uint64_t{0}),
-                                           study_->model().ixp())
-                   .has_value());
 }
 
 TEST(ProvenanceCodec, RoundTripPreservesEveryField) {
   Provenance provenance;
   provenance.format_version = kFormatVersion;
   provenance.week = 45;
-  provenance.partial = true;
   provenance.model_fingerprint = 0xdead'beef'cafe'f00dull;
   provenance.ingest_fingerprint = 0x0123'4567'89ab'cdefull;
 
@@ -398,27 +267,20 @@ TEST(ProvenanceCodec, StrictDecodeRejectsDamage) {
   EXPECT_FALSE(SnapshotCodec::decode_provenance(padded).has_value());
 
   EXPECT_FALSE(SnapshotCodec::decode_provenance({}).has_value());
-
-  // The partial flag is a strict bool on the wire: any byte past 1 is a
-  // format violation, not a truthy value.
-  auto bad_flag = bytes;
-  bad_flag[8] = std::byte{2};  // u32 version + u32 week precede the flag
-  EXPECT_FALSE(SnapshotCodec::decode_provenance(bad_flag).has_value());
 }
 
 TEST(ProvenanceCodec, CombinedFingerprintSeparatesEveryField) {
   // combined() must react to each field independently — a fingerprint
-  // that aliases (week=1,partial=0) with (week=0,partial=1) would let a
-  // stale snapshot masquerade as fresh.
-  const Provenance base{kFormatVersion, 45, false, 7, 9};
+  // that aliases one field's change with another's would let a stale
+  // snapshot masquerade as fresh.
+  const Provenance base{kFormatVersion, 45, 7, 9};
   std::vector<Provenance> variants{base};
-  for (int field = 0; field < 5; ++field) {
+  for (int field = 0; field < 4; ++field) {
     Provenance p = base;
     if (field == 0) p.format_version += 1;
     if (field == 1) p.week += 1;
-    if (field == 2) p.partial = !p.partial;
-    if (field == 3) p.model_fingerprint += 1;
-    if (field == 4) p.ingest_fingerprint += 1;
+    if (field == 2) p.model_fingerprint += 1;
+    if (field == 3) p.ingest_fingerprint += 1;
     variants.push_back(p);
   }
   std::vector<std::uint64_t> hashes;

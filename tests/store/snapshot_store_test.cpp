@@ -160,7 +160,6 @@ TEST(SnapshotImage, ErrorNamesAndTagsAreDistinct) {
       SnapshotError::kBadVersion, SnapshotError::kBadCrc,
       SnapshotError::kTruncatedSection,
       SnapshotError::kStaleProvenance,
-      SnapshotError::kUndecodable,
   };
   std::vector<std::string> names;
   std::vector<std::string> tags;

@@ -279,6 +279,26 @@ TEST_F(WeeksMapReduceTest, EmptyRangeIsAPlainError) {
   EXPECT_TRUE(result.workers.empty());
 }
 
+TEST_F(WeeksMapReduceTest, RangeLongerThanTheFoldFailsBeforeForking) {
+  const TempDir dir{"too_long"};
+  auto vp = study_->vantage();
+  core::ParallelOptions popt;
+  core::ParallelAnalyzer analyzer{vp, popt};
+  WeeksRunner runner{vp, analyzer, SnapshotStore{dir.path()}};
+  MapReduceOptions options;
+  options.weeks.from_week = 1;
+  options.weeks.to_week = 40;
+  options.jobs = 2;
+  const auto result = run_weeks_mapreduce(runner, options, source_factory(),
+                                          fetcher_factory());
+  EXPECT_FALSE(result.ok);
+  EXPECT_FALSE(result.store_unreadable);
+  EXPECT_NE(result.error.find("covers at most"), std::string::npos)
+      << result.error;
+  EXPECT_TRUE(result.workers.empty());  // nothing was forked
+  EXPECT_FALSE(fs::exists(dir.path()));  // and no worker committed a week
+}
+
 TEST_F(WeeksMapReduceTest, UnusableStoreFailsBeforeForking) {
   const TempDir dir{"blocked"};
   fs::create_directories(dir.path());

@@ -166,8 +166,15 @@ TEST_F(WeeksRunnerTest, FirstRunComputesSecondRunResumesByteIdentical) {
   ASSERT_TRUE(first.ok) << first.error;
   EXPECT_EQ(first.weeks_computed, 3u);
   EXPECT_EQ(first.weeks_resumed, 0u);
-  for (int week = kFromWeek; week <= kToWeek; ++week)
-    EXPECT_TRUE(fs::exists(SnapshotStore{dir.path()}.path_for(week)));
+  // Each week is sealed as exactly the two sections its readers open.
+  for (int week = kFromWeek; week <= kToWeek; ++week) {
+    const SnapshotFile file =
+        SnapshotFile::open(SnapshotStore{dir.path()}.path_for(week));
+    ASSERT_TRUE(file.ok()) << "week " << week;
+    ASSERT_EQ(file.sections().size(), 2u);
+    EXPECT_EQ(file.sections()[0].id, kReportSection);
+    EXPECT_EQ(file.sections()[1].id, kProvenanceSection);
+  }
 
   const auto second = run_weeks(dir.path(), nullptr, /*threads=*/4);
   ASSERT_TRUE(second.ok) << second.error;
@@ -312,11 +319,11 @@ TEST_F(WeeksRunnerTest, PreviousFormatVersionIsQuarantinedAndRecomputed) {
   ASSERT_TRUE(baseline.ok) << baseline.error;
 
   // Turn it into a store written by the previous format: every week
-  // stamped v3.
+  // stamped with the version before this one.
   const SnapshotStore store{dir.path()};
   for (int week = kFromWeek; week <= kToWeek; ++week) {
     auto image = read_file(store.path_for(week));
-    stamp_format_version(image, 3);
+    stamp_format_version(image, kFormatVersion - 1);
     write_file(store.path_for(week), image);
   }
 
@@ -424,6 +431,30 @@ TEST_F(WeeksRunnerTest, EmptyRangeIsAPlainError) {
   EXPECT_FALSE(result.ok);
   EXPECT_FALSE(result.store_unreadable);
   EXPECT_FALSE(result.error.empty());
+}
+
+TEST_F(WeeksRunnerTest, RangeLongerThanTheFoldFailsBeforeAnyWork) {
+  const TempDir dir{"too_long"};
+  auto vp = study_->vantage();
+  core::ParallelOptions popt;
+  core::ParallelAnalyzer analyzer{vp, popt};
+  WeeksRunner runner{vp, analyzer, SnapshotStore{dir.path()}};
+  WeeksOptions options;
+  options.from_week = 1;
+  options.to_week = 1 + analysis::ChurnTracker::kMaxWeeks;  // one week over
+  int sources = 0;
+  const WeeksRunner::SourceFactory counting =
+      [&](int week) -> std::unique_ptr<ingest::IngestSource> {
+    ++sources;
+    return source_factory()(week);
+  };
+  const auto result = runner.run(options, counting, fetcher_factory());
+  EXPECT_FALSE(result.ok);
+  EXPECT_FALSE(result.store_unreadable);
+  EXPECT_NE(result.error.find("covers at most"), std::string::npos)
+      << result.error;
+  EXPECT_EQ(sources, 0);
+  EXPECT_FALSE(fs::exists(dir.path()));
 }
 
 TEST_F(WeeksRunnerTest, UnusableStoreDirectorySetsTheDistinctFlag) {

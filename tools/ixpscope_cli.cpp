@@ -738,8 +738,10 @@ int cmd_weeks(const Options& opt) {
     return usage();
   }
   const std::string& dir = opt.dirs.front();
-  if (opt.to_week < opt.from_week) {
-    std::cerr << "weeks: --from must not exceed --to\n";
+  if (const std::string error =
+          store::week_range_error(opt.from_week, opt.to_week);
+      !error.empty()) {
+    std::cerr << "weeks: " << error << "\n";
     return 2;
   }
 
@@ -845,16 +847,14 @@ int cmd_merge(const Options& opt) {
     return usage();
   }
 
-  const analysis::Study study{scale_of(opt)};
-  core::VantagePoint vantage = study.vantage();
-  const auto fetcher_for = [&](int week) { return study.fetcher(week); };
-
+  // Merge copies sealed weeks and computes none, so it needs the model's
+  // fingerprint but not the model.
   store::MergeOptions mopt;
   mopt.inputs = opt.dirs;
   mopt.out = opt.out_path;
-  mopt.model_fingerprint = study.model().config().fingerprint();
+  mopt.model_fingerprint = scale_of(opt).fingerprint();
   mopt.ingest_fingerprint = weeks_ingest_fingerprint();
-  const auto result = store::merge_stores(vantage, mopt, fetcher_for);
+  const auto result = store::merge_stores(mopt);
 
   print_quarantines("merge", result.quarantined);
   if (result.snapshots_skipped_stale != 0) {
@@ -873,17 +873,14 @@ int cmd_merge(const Options& opt) {
 
   util::Table table{"merged " + std::to_string(opt.dirs.size()) +
                     " store(s) -> " + opt.out_path};
-  table.header({"week", "source", "copies", "peering IPs", "server IPs"});
+  table.header({"week", "copies", "peering IPs", "server IPs"});
   for (const auto& week : result.weeks) {
-    table.row({std::to_string(week.week),
-               week.rederived ? "re-derived" : "copied",
-               std::to_string(week.copies),
+    table.row({std::to_string(week.week), std::to_string(week.copies),
                util::with_thousands(week.report.peering_ips),
                util::with_thousands(week.report.server_ips)});
   }
   table.print(std::cout);
-  std::cout << result.weeks_copied << " week(s) copied through, "
-            << result.weeks_rederived << " re-derived from partial shards\n";
+  std::cout << result.weeks_copied << " week(s) copied through\n";
   if (!result.weeks.empty()) print_longitudinal(result.longitudinal);
   return 0;
 }
